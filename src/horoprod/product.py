@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .tree import TreeSpec, VertexAddress, gamma_ward, height, tree_dist
+from .tree import (TreeSpec, VertexAddress, gamma_ward, height, origin_dist,
+                   tree_dist)
 
 
 class HeightMismatch(ValueError):
@@ -73,8 +74,8 @@ def product_busemann(z: ProductVertex, y: ProductVertex, *, check: bool = False)
     calls and the two routes are asserted equal.
     """
     h = height(z.x1)
-    value = (tree_dist(z.x1, y.x1) - tree_dist(z.x1, VertexAddress(0, ()))
-             + tree_dist(z.x2, y.x2) - tree_dist(z.x2, VertexAddress(0, ()))
+    value = (tree_dist(z.x1, y.x1) - origin_dist(z.x1)
+             + tree_dist(z.x2, y.x2) - origin_dist(z.x2)
              - abs(h - height(y.x1)) + abs(h))
     if check:
         direct = product_dist(z, y) - product_dist(z, BASE)

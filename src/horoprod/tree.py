@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 
 class AddressError(ValueError):
@@ -117,18 +117,40 @@ def path_vertex(v: VertexAddress, depth: int) -> VertexAddress:
 
 
 # -- degree rules ------------------------------------------------------------
+#
+# A family answers degree_at(branch, suffix) for a position given as a
+# branch index and any sequence of child labels, so the walk kernel can
+# ask about its mutable suffix list without building an address.
+
+class DegreeRule:
+    """Base of the tree families: the degree of a position, and the one
+    rule that turns a degree into a child-label count."""
+
+    def degree_at(self, branch: int, suffix: Sequence[int]) -> int:
+        raise NotImplementedError
+
+    def label_count(self, branch: int, suffix: Sequence[int]) -> int:
+        """Labeled children below (branch, suffix): a ray vertex past the
+        origin spends two neighbors on the ray, any other vertex one on
+        its parent.  0 means none."""
+        d = self.degree_at(branch, suffix)
+        return max(0, d - 2 if branch and not suffix else d - 1)
+
 
 @dataclass(frozen=True)
-class Regular:
+class Regular(DegreeRule):
     degree: int
 
     def __post_init__(self):
         if self.degree < 2:
             raise SpecError(f"regular degree must be >= 2, got {self.degree}")
 
+    def degree_at(self, branch, suffix):
+        return self.degree
+
 
 @dataclass(frozen=True)
-class RayPeriodic:
+class RayPeriodic(DegreeRule):
     """Degrees cycle along the ray and, separately, with off-ray depth.
 
     deg(z_n) = ray_degrees[n % len(ray_degrees)]; an off-ray vertex whose
@@ -146,9 +168,14 @@ class RayPeriodic:
         if min(self.ray_degrees + self.off_ray_degrees) < 1:
             raise SpecError("degrees must be positive")
 
+    def degree_at(self, branch, suffix):
+        if suffix:
+            return self.off_ray_degrees[(len(suffix) - 1) % len(self.off_ray_degrees)]
+        return self.ray_degrees[branch % len(self.ray_degrees)]
+
 
 @dataclass(frozen=True)
-class ExplicitCore:
+class ExplicitCore(DegreeRule):
     """Explicitly listed degrees out to a radius, constant degree beyond.
 
     ``entries`` lists (address text, degree) for every vertex with
@@ -174,18 +201,34 @@ class ExplicitCore:
     def degree_map(self) -> dict[str, int]:
         return dict(self.entries)
 
+    def degree_at(self, branch, suffix):
+        # only positions inside the core need an address, for its text key
+        if branch + len(suffix) > self.radius:
+            return self.tail_degree
+        v = VertexAddress(branch, tuple(suffix))
+        try:
+            return self.degree_map[str(v)]
+        except KeyError:
+            raise SpecError(f"core does not list in-radius address {v}") from None
+
 
 @dataclass(frozen=True)
-class Line:
+class Line(DegreeRule):
     """The two-ended path: every vertex has degree exactly 2."""
 
+    def degree_at(self, branch, suffix):
+        return 2
+
 
 @dataclass(frozen=True)
-class CustomRule:
+class CustomRule(DegreeRule):
     """Arbitrary degree callback.  Usable for evaluation and simulation,
     excluded from decision procedures and from serialization."""
 
     degree_fn: Callable[[VertexAddress], int]
+
+    def degree_at(self, branch, suffix):
+        return self.degree_fn(VertexAddress(branch, tuple(suffix)))
 
 
 TreeFamily = Regular | RayPeriodic | ExplicitCore | Line | CustomRule
@@ -246,30 +289,11 @@ class TreeSpec:
         return self._degree(v)
 
     def _degree(self, v: VertexAddress) -> int:
-        fam = self.family
-        if isinstance(fam, Regular):
-            return fam.degree
-        if isinstance(fam, Line):
-            return 2
-        if isinstance(fam, RayPeriodic):
-            if v.suffix:
-                return fam.off_ray_degrees[(len(v.suffix) - 1) % len(fam.off_ray_degrees)]
-            return fam.ray_degrees[v.branch % len(fam.ray_degrees)]
-        if isinstance(fam, ExplicitCore):
-            if origin_dist(v) <= fam.radius:
-                try:
-                    return fam.degree_map[str(v)]
-                except KeyError:
-                    raise SpecError(f"core does not list in-radius address {v}") from None
-            return fam.tail_degree
-        return fam.degree_fn(v)
+        return self.family.degree_at(v.branch, v.suffix)
 
     def label_count(self, v: VertexAddress) -> int:
         """How many labeled children hang below v (0 means none)."""
-        d = self._degree(v)
-        if not v.suffix and v.branch > 0:
-            return max(0, d - 2)
-        return max(0, d - 1)
+        return self.family.label_count(v.branch, v.suffix)
 
     # -- structure -----------------------------------------------------------
 

@@ -2,9 +2,17 @@
 
 Each step climbs with probability ``p_up`` (uniform over the first
 coordinate's upward neighbors, the second coordinate forced toward its
-end) and otherwise descends symmetrically.  Per step the walker records
+end) and otherwise descends symmetrically.  Per step the walker computes
 its distance from the base point (closed form, never breadth-first),
-its height, and the Busemann value of each configured probe end.
+its height, and the Busemann value of each configured probe end, and
+keeps every ``record_stride``-th of them (none at stride 0).
+
+The walker holds each coordinate as a (branch, suffix) position and
+asks the tree family how many children a position has: a constant
+triple for Regular and Line, the degree cycles for RayPeriodic, the
+core table for ExplicitCore only inside its radius.  Only a CustomRule
+builds an address per step, so a step costs O(1) for every decidable
+family.
 
 Walks instantiate integrable ergodic increments over a Bernoulli
 source, which makes the law-of-large-numbers drift identities testable:
@@ -21,11 +29,15 @@ trajectories are independent and merged in index order.
 
 Slopes are exact rationals: integer least squares over the second half
 of each trajectory (the first half is discarded as burn-in), averaged
-across trajectories with the spread reported as a standard error.
+across trajectories with the spread reported as a standard error.  The
+sums behind them are Python ints, folded in chunk by chunk as the walk
+runs, so slopes are exact at every length and a walk keeps only the
+values it records.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -33,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tree import Line, Regular, TreeSpec, VertexAddress, gamma_ward
+from .tree import CustomRule, Line, Regular, SpecError, TreeSpec, gamma_ward
 from .rays import GammaEnd, Ray, parse_ray, require_valid_ray
 from .product import HoroProduct, ProductVertex
 
@@ -52,6 +64,13 @@ class WalkConfig:
     max_total_steps: int | None = None
 
     def __post_init__(self):
+        for name in ("steps", "seed", "trajectories", "record_stride",
+                     "max_total_steps"):
+            value = getattr(self, name)
+            if value is None and name == "max_total_steps":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "p_up", Fraction(self.p_up))
         object.__setattr__(self, "probes", tuple(self.probes))
         if not 0 <= self.p_up <= 1:
@@ -62,6 +81,14 @@ class WalkConfig:
             raise ValueError("trajectories must be >= 1")
         if self.record_stride < 0:
             raise ValueError("record_stride must be >= 0")
+        for label, spec in (("tree1", self.product.tree1),
+                            ("tree2", self.product.tree2)):
+            # a CustomRule is only checked out to a radius, so not here
+            if not isinstance(spec.family, CustomRule):
+                violation = spec.validate()
+                if violation is not None:
+                    raise SpecError(f"{label}: {violation.message}"
+                                    f" at {violation.witness}")
         for tree, ray in self.probes:
             if tree not in (1, 2):
                 raise ValueError("probe tree must be 1 or 2")
@@ -83,14 +110,17 @@ class WalkConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "WalkConfig":
-        product = HoroProduct(TreeSpec.from_json(data["spec"]["tree1"]),
-                              TreeSpec.from_json(data["spec"]["tree2"]))
-        probes = tuple((int(p["tree"]), parse_ray(p["ray"]))
-                       for p in data.get("probes", ()))
-        return cls(product, Fraction(data["p_up"]), int(data["steps"]),
-                   int(data["seed"]), int(data["trajectories"]), probes,
-                   int(data.get("record_stride", 1)),
-                   data.get("max_total_steps"))
+        try:
+            product = HoroProduct(TreeSpec.from_json(data["spec"]["tree1"]),
+                                  TreeSpec.from_json(data["spec"]["tree2"]))
+            probes = tuple((p["tree"], parse_ray(p["ray"]))
+                           for p in data.get("probes", ()))
+            return cls(product, data["p_up"], data["steps"], data["seed"],
+                       data["trajectories"], probes,
+                       data.get("record_stride", 1),
+                       data.get("max_total_steps"))
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"malformed walk config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -123,10 +153,9 @@ def _label_counts(spec: TreeSpec):
     """(at origin, at ray vertex, at suffix vertex) label counts, or
     None when they depend on more than the position type."""
     fam = spec.family
-    if isinstance(fam, Regular):
-        return (fam.degree - 1, fam.degree - 2, fam.degree - 1)
-    if isinstance(fam, Line):
-        return (1, 0, 1)
+    if isinstance(fam, (Regular, Line)):
+        return (fam.label_count(0, ()), fam.label_count(1, ()),
+                fam.label_count(0, (0,)))
     return None
 
 
@@ -156,6 +185,11 @@ def _compile_probe(product: HoroProduct, tree: int, ray: Ray):
     return (tree, False, ray.branch, ray.letter)
 
 
+# Steps between folds of the per-step values into records and sums; it
+# bounds the walk's memory when record_stride is 0.
+_CHUNK = 8192
+
+
 def _run_trajectory(config: WalkConfig, index: int,
                     budget: int | None) -> tuple[TrajectoryStats, int]:
     rng = Random(_trajectory_seed(config.seed, index))
@@ -164,127 +198,153 @@ def _run_trajectory(config: WalkConfig, index: int,
     stride = config.record_stride
     fast1 = _label_counts(config.product.tree1)
     fast2 = _label_counts(config.product.tree2)
-    slow1 = config.product.tree1.label_count
-    slow2 = config.product.tree2.label_count
+    count1 = config.product.tree1.family.label_count
+    count2 = config.product.tree2.family.label_count
     probes = tuple(_compile_probe(config.product, t, r)
                    for t, r in config.probes)
+
+    # Per-step values of dist, height and each probe, since the last fold.
+    # A fold keeps every stride-th value and adds the values of the
+    # fitted half (steps half..steps) to exact sums for the slopes; a
+    # chunk ends at half - 1 so that it never straddles that boundary.
+    chunks: list[list[int]] = [[] for _ in range(2 + len(probes))]
+    records: list[list[int]] = [[0] for _ in chunks]
+    sums = [[0, 0] for _ in chunks]
+    add_dist = chunks[0].append
+    add_height = chunks[1].append
+    probe_slots = [(chunk.append,) + spec
+                   for chunk, spec in zip(chunks[2:], probes)]
+    half = steps // 2
+    ends = {steps, half - 1, *range(_CHUNK, steps, _CHUNK)}
 
     m1 = 0
     s1: list[int] = []
     m2 = 0
     s2: list[int] = []
-    dists = [0]
-    heights = [0]
-    probe_series: list[list[int]] = [[0] for _ in probes]
-    probe_slots = [(series.append,) + spec
-                   for series, spec in zip(probe_series, probes)]
-
+    dist = h = 0
     rand = rng.random
     getrandbits = rng.getrandbits
     randrange = rng.randrange
-    for _ in range(steps):
-        if rand() < p:
-            # first coordinate climbs, second slides toward its end
-            if s1:
-                cnt = fast1[2] if fast1 else slow1(VertexAddress(m1, tuple(s1)))
-                s1.append(0 if cnt == 1 else
-                          getrandbits(1) if cnt == 2 else randrange(cnt))
-            else:
-                if fast1:
-                    cnt = fast1[0] if m1 == 0 else fast1[1] + 1
+    done = 0
+    for end in sorted(e for e in ends if e > 0):
+        for _ in range(end - done):
+            if rand() < p:
+                # first coordinate climbs, second slides toward its end
+                if s1:
+                    cnt = fast1[2] if fast1 else count1(m1, s1)
+                    s1.append(0 if cnt == 1 else
+                              getrandbits(1) if cnt == 2 else randrange(cnt))
                 else:
-                    cnt = slow1(VertexAddress(m1, ())) + (1 if m1 else 0)
-                c = (0 if cnt == 1 else
-                     getrandbits(1) if cnt == 2 else randrange(cnt))
-                if m1:
-                    if c == 0:
-                        m1 -= 1
+                    if fast1:
+                        cnt = fast1[0] if m1 == 0 else fast1[1] + 1
                     else:
-                        s1.append(c - 1)
-                else:
-                    s1.append(c)
-            if s2:
-                s2.pop()
-            else:
-                m2 += 1
-        else:
-            if s2:
-                cnt = fast2[2] if fast2 else slow2(VertexAddress(m2, tuple(s2)))
-                s2.append(0 if cnt == 1 else
-                          getrandbits(1) if cnt == 2 else randrange(cnt))
-            else:
-                if fast2:
-                    cnt = fast2[0] if m2 == 0 else fast2[1] + 1
-                else:
-                    cnt = slow2(VertexAddress(m2, ())) + (1 if m2 else 0)
-                c = (0 if cnt == 1 else
-                     getrandbits(1) if cnt == 2 else randrange(cnt))
-                if m2:
-                    if c == 0:
-                        m2 -= 1
+                        cnt = count1(m1, s1) + (1 if m1 else 0)
+                    c = (0 if cnt == 1 else
+                         getrandbits(1) if cnt == 2 else randrange(cnt))
+                    if m1:
+                        if c == 0:
+                            m1 -= 1
+                        else:
+                            s1.append(c - 1)
                     else:
-                        s2.append(c - 1)
+                        s1.append(c)
+                if s2:
+                    s2.pop()
                 else:
-                    s2.append(c)
-            if s1:
-                s1.pop()
+                    m2 += 1
             else:
-                m1 += 1
-        h = len(s1) - m1
-        dists.append(m1 + len(s1) + m2 + len(s2) - (h if h >= 0 else -h))
-        heights.append(h)
-        for append, which, is_gamma, rb, letter in probe_slots:
-            if which == 1:
-                m, s = m1, s1
-            else:
-                m, s = m2, s2
-            if is_gamma:
-                append(len(s) - m)
-                continue
-            if m != rb:
-                meet = m if m < rb else rb
-            else:
-                i = 0
-                for letter_val in s:
-                    if letter_val != letter(i):
-                        break
-                    i += 1
-                meet = m + i
-            append(m + len(s) - 2 * meet)
+                if s2:
+                    cnt = fast2[2] if fast2 else count2(m2, s2)
+                    s2.append(0 if cnt == 1 else
+                              getrandbits(1) if cnt == 2 else randrange(cnt))
+                else:
+                    if fast2:
+                        cnt = fast2[0] if m2 == 0 else fast2[1] + 1
+                    else:
+                        cnt = count2(m2, s2) + (1 if m2 else 0)
+                    c = (0 if cnt == 1 else
+                         getrandbits(1) if cnt == 2 else randrange(cnt))
+                    if m2:
+                        if c == 0:
+                            m2 -= 1
+                        else:
+                            s2.append(c - 1)
+                    else:
+                        s2.append(c)
+                if s1:
+                    s1.pop()
+                else:
+                    m1 += 1
+            h = len(s1) - m1
+            dist = m1 + len(s1) + m2 + len(s2) - (h if h >= 0 else -h)
+            add_dist(dist)
+            add_height(h)
+            for append, which, is_gamma, rb, letter in probe_slots:
+                if which == 1:
+                    m, s = m1, s1
+                else:
+                    m, s = m2, s2
+                if is_gamma:
+                    append(len(s) - m)
+                    continue
+                if m != rb:
+                    meet = m if m < rb else rb
+                else:
+                    i = 0
+                    for letter_val in s:
+                        if letter_val != letter(i):
+                            break
+                        i += 1
+                    meet = m + i
+                append(m + len(s) - 2 * meet)
+        first = done + 1        # step index of each chunk's first value
+        for chunk, record, total in zip(chunks, records, sums):
+            if stride:
+                record.extend(chunk[-first % stride::stride])
+            if first >= half:
+                sum_y, sum_ny = _chunk_sums(chunk, first)
+                total[0] += sum_y
+                total[1] += sum_ny
+            chunk.clear()
+        done = end
 
-    dist_arr = np.array(dists, dtype=np.int64)
-    height_arr = np.array(heights, dtype=np.int64)
-    probe_arrs = tuple(np.array(se, dtype=np.int64) for se in probe_series)
+    slopes = [_half_slope(steps, sum_y, sum_ny) for sum_y, sum_ny in sums]
+    arrays = [np.array(r, dtype=np.int64) if stride else None for r in records]
     stats = TrajectoryStats(
         index=index, steps=steps, record_stride=stride,
-        dist=dist_arr[::stride] if stride else None,
-        height=height_arr[::stride] if stride else None,
-        probe_values=tuple(a[::stride] for a in probe_arrs) if stride else (),
-        dist_slope=_half_slope(dist_arr),
-        height_slope=_half_slope(height_arr),
-        probe_slopes=tuple(_half_slope(a) for a in probe_arrs),
-        final_dist=int(dist_arr[-1]), final_height=int(height_arr[-1]))
+        dist=arrays[0], height=arrays[1],
+        probe_values=tuple(arrays[2:]) if stride else (),
+        dist_slope=slopes[0], height_slope=slopes[1],
+        probe_slopes=tuple(slopes[2:]),
+        final_dist=dist, final_height=h)
     return stats, steps
 
 
-def _half_slope(values: np.ndarray) -> Fraction | None:
-    """Exact least-squares slope over the second half of the series.
+def _chunk_sums(values: list[int], first: int) -> tuple[int, int]:
+    """sum(y_n) and sum(n * y_n) for values y_first, y_first+1, ...,
+    as exact Python ints."""
+    sum_y = sum(values)
+    return sum_y, first * sum_y + sum(map(operator.mul, range(len(values)), values))
 
-    All sums are integers (int64 is ample for 1e5-step runs), so the
-    returned Fraction is the exact fitted slope.  None below 2 steps.
+
+def _sum_squares(n: int) -> int:
+    return n * (n + 1) * (2 * n + 1) // 6
+
+
+def _half_slope(n_total: int, sum_y: int, sum_ny: int) -> Fraction | None:
+    """Exact least-squares slope of y_n against n over n = n_total // 2
+    .. n_total, given sum(y_n) and sum(n * y_n) over that range.
+
+    Sums of n and n^2 are closed forms; everything is a Python int, so
+    the returned Fraction is exact at any length.  None below 2 steps.
     """
-    n_total = len(values) - 1
     if n_total < 2:
         return None
     start = n_total // 2
-    ys = values[start:]
-    count = len(ys)
-    idx = np.arange(start, n_total + 1, dtype=np.int64)
-    sx = int(idx.sum())
-    sxx = int((idx * idx).sum())
-    sy = int(ys.sum())
-    sxy = int((idx * ys).sum())
-    return Fraction(count * sxy - sx * sy, count * sxx - sx * sx)
+    count = n_total - start + 1
+    sx = (start + n_total) * count // 2
+    sxx = _sum_squares(n_total) - _sum_squares(start - 1)
+    return Fraction(count * sum_ny - sx * sum_y, count * sxx - sx * sx)
 
 
 def simulate(config: WalkConfig) -> WalkResult:

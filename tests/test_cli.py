@@ -192,3 +192,30 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tree1"]["ok"] is True
+
+
+def _walk_error(capsys, tmp_path, config):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(config))
+    code = main(["walk", "--config", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_walk_non_integer_field_usage_error(capsys, tmp_path):
+    config = {"spec": DL33, "p_up": "1/2", "steps": 10, "seed": 1,
+              "trajectories": 1, "max_total_steps": "15"}
+    code, out, err = _walk_error(capsys, tmp_path, config)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "max_total_steps" in err
+
+
+def test_walk_invalid_spec_usage_error(capsys, tmp_path):
+    spec = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
+                      "off_ray_degrees": [1]},
+            "tree2": DL33["tree2"]}
+    config = {"spec": spec, "p_up": "1/2", "steps": 10, "seed": 1,
+              "trajectories": 1}
+    code, out, err = _walk_error(capsys, tmp_path, config)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "off-ray degree 1 < 2" in err

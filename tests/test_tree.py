@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from horoprod.tree import (
     AddressError,
+    CustomRule,
     ExplicitCore,
     Line,
     ORIGIN,
@@ -232,6 +233,45 @@ def test_custom_rule_usable_for_structure():
     assert spec.degree(ORIGIN) == 4
     assert len(spec.ball(2)) > len(R3.ball(2))
     assert spec.validate() is None
+
+
+# Each family's degree rule as its docstring states it, written out
+# independently of the library's rule objects.
+_BUMPY = TreeSpec.ray_periodic((3, 4), (4, 3))
+FAMILY_DEGREES = [
+    (R3, lambda a: 3),
+    (LINE, lambda a: 2),
+    (TreeSpec.ray_periodic((3, 4), (3,)),
+     lambda a: 3 if a.suffix else (3, 4)[a.branch % 2]),
+    (_BUMPY,
+     lambda a: (4, 3)[(len(a.suffix) - 1) % 2] if a.suffix else (3, 4)[a.branch % 2]),
+    # core copied from an irregular tree, so the tail differs from it
+    (TreeSpec.explicit_core_of(_BUMPY, 3, 3),
+     lambda a: _BUMPY.degree(a) if origin_dist(a) <= 3 else 3),
+]
+
+
+def _custom_degree(a):
+    return 4 if a.branch == 0 else 3 + len(a.suffix) % 2
+
+
+@pytest.mark.parametrize("spec,degree", FAMILY_DEGREES + [
+    (TreeSpec(CustomRule(_custom_degree), 3), _custom_degree)])
+def test_position_rule_matches_address_rule(spec, degree):
+    # the rule reads a (branch, suffix) position, suffix as any sequence
+    for a in spec.ball(6):
+        parent_links = 2 if a.branch and not a.suffix else 1
+        expected = max(0, degree(a) - parent_links)
+        assert spec.family.degree_at(a.branch, list(a.suffix)) == degree(a)
+        assert spec.family.label_count(a.branch, list(a.suffix)) == expected
+        assert spec.label_count(a) == expected
+
+
+def test_core_rule_reports_unlisted_address():
+    core = TreeSpec(ExplicitCore((("0;", 3),), 1, 3), 2)
+    with pytest.raises(SpecError):
+        core.family.label_count(0, [0])
+    assert core.family.label_count(0, [0, 1]) == 2  # past the radius
 
 
 # -- serialization -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Walk simulator: determinism, exact degenerate cases, drift checks."""
 
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -8,9 +9,13 @@ import pytest
 
 from horoprod.product import BASE, HoroProduct, product_dist, product_height
 from horoprod.rays import BranchingRay, GAMMA
-from horoprod.tree import TreeSpec, height
+from horoprod.tree import TreeSpec, VertexAddress, height, origin_dist
 from horoprod.walk import (
     WalkConfig,
+    _chunk_sums,
+    _half_slope,
+    _label_counts,
+    _trajectory_seed,
     drift_report,
     estimate_speed,
     simulate,
@@ -91,8 +96,6 @@ def test_records_match_walk_replay():
     config = make("2/3", steps=60, trajectories=1)
     t = simulate(config).trajectories[0]
     # replay through the edge relation with the same derived stream
-    from horoprod.walk import _trajectory_seed
-
     rng = Random(_trajectory_seed(config.seed, 0))
     v = BASE
     for n in range(1, 61):
@@ -104,8 +107,6 @@ def test_records_match_walk_replay():
 
 def test_replay_on_irregular_trees():
     # degree rules without constant label counts use the generic path
-    from horoprod.walk import _trajectory_seed
-
     bumpy = HoroProduct(TreeSpec.ray_periodic([3, 4], [4, 3]), R3)
     config = WalkConfig(bumpy, Fraction(3, 5), 80, 13, 1, PROBES)
     t = simulate(config).trajectories[0]
@@ -189,3 +190,109 @@ def test_config_json_round_trip():
     again = WalkConfig.from_json(data)
     assert again == config
     assert again.p_up == Fraction(4, 5)
+
+
+def reference_half_slope(values):
+    """Least-squares slope over the second half, by brute-force int sums."""
+    n_total = len(values) - 1
+    start = n_total // 2
+    xs = range(start, n_total + 1)
+    ys = [int(y) for y in values[start:]]
+    count = len(ys)
+    sx, sy = sum(xs), sum(ys)
+    sxx = sum(x * x for x in xs)
+    sxy = sum(map(operator.mul, xs, ys))
+    return Fraction(count * sxy - sx * sy, count * sxx - sx * sx)
+
+
+CORE_PRODUCT = HoroProduct(TreeSpec.ray_periodic((3, 4), (3,)),
+                           TreeSpec.explicit_core_of(R3, 3, 3))
+
+
+def test_replay_across_core_boundary():
+    # the walk leaves the core of the second tree, where the tail degree rules
+    config = WalkConfig(CORE_PRODUCT, Fraction(1, 5), 400, 21, 1, PROBES)
+    t = simulate(config).trajectories[0]
+    rng = Random(_trajectory_seed(21, 0))
+    v = CORE_PRODUCT.base
+    deepest = 0
+    for n in range(1, 401):
+        v = step(CORE_PRODUCT, v, rng, 0.2)
+        deepest = max(deepest, origin_dist(v.x2))
+        assert product_dist(CORE_PRODUCT.base, v) == t.dist[n]
+        assert product_height(v) == t.height[n]
+    assert deepest > 3
+    assert t.final_dist == product_dist(CORE_PRODUCT.base, v)
+
+
+@pytest.mark.parametrize("spec", [R3, TreeSpec.line()])
+def test_constant_counts_match_family_rule(spec):
+    origin, ray, suffix = _label_counts(spec)
+    for a in spec.ball(6):
+        expected = suffix if a.suffix else ray if a.branch else origin
+        assert spec.label_count(a) == expected
+
+
+def test_general_walk_builds_no_addresses(monkeypatch):
+    product = HoroProduct(TreeSpec.ray_periodic((3, 4), (3,)),
+                          TreeSpec.ray_periodic((4,), (3, 4)))
+    config = WalkConfig(product, Fraction(3, 5), 20_000, 2, 1, PROBES,
+                        record_stride=0)
+    built = 0
+    check = VertexAddress.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(VertexAddress, "__post_init__", counting)
+    t = simulate(config).trajectories[0]
+    assert t.steps == 20_000 and built == 0
+
+
+@pytest.mark.parametrize("steps", [2, 3, 97, 400])
+@pytest.mark.parametrize("product", [DL33, CORE_PRODUCT])
+def test_streamed_slopes_match_records(product, steps):
+    config = WalkConfig(product, Fraction(2, 3), steps, 4, 2, PROBES)
+    for t in simulate(config).trajectories:
+        assert t.dist_slope == reference_half_slope(t.dist)
+        assert t.height_slope == reference_half_slope(t.height)
+        assert t.probe_slopes == tuple(reference_half_slope(p)
+                                       for p in t.probe_values)
+
+
+def test_record_stride_keeps_every_kth_value():
+    full = simulate(make("3/5", steps=103, trajectories=2))
+    for stride in (0, 4, 103, 200):
+        thin = simulate(make("3/5", steps=103, trajectories=2,
+                             record_stride=stride))
+        for a, b in zip(full.trajectories, thin.trajectories):
+            assert (a.dist_slope, a.height_slope, a.probe_slopes) == \
+                (b.dist_slope, b.height_slope, b.probe_slopes)
+            assert (a.final_dist, a.final_height) == (b.final_dist, b.final_height)
+            if stride == 0:
+                assert b.dist is None and b.probe_values == ()
+                continue
+            assert np.array_equal(a.dist[::stride], b.dist)
+            assert np.array_equal(a.height[::stride], b.height)
+            for pa, pb in zip(a.probe_values, b.probe_values):
+                assert np.array_equal(pa[::stride], pb)
+
+
+def test_slope_exact_past_int64():
+    # at this length the second half's sum of n^2 exceeds int64
+    n_total = 5_000_000
+    rng = np.random.default_rng(3)
+    values = np.concatenate(
+        ([0], np.cumsum(rng.choice(np.array([-1, 1]), n_total, p=[0.2, 0.8]))))
+    start = n_total // 2
+    ys = values[start:].tolist()
+    sum_y = sum_ny = 0
+    for lo in range(0, len(ys), 8192):    # folded chunk by chunk, as a walk does
+        chunk_y, chunk_ny = _chunk_sums(ys[lo:lo + 8192], start + lo)
+        sum_y += chunk_y
+        sum_ny += chunk_ny
+    slope = _half_slope(n_total, sum_y, sum_ny)
+    assert slope == reference_half_slope(values)
+    assert abs(float(slope) - 0.6) < 0.01
