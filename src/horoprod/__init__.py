@@ -17,6 +17,7 @@ from .tree import (
     Regular,
     SpecError,
     TreeSpec,
+    UndecidableFamilyError,
     VertexAddress,
     Violation,
     gamma_ward,
@@ -33,7 +34,6 @@ from .rays import (
     GammaEnd,
     LevelSetReport,
     Ray,
-    UndecidableFamilyError,
     canonical_at_height,
     f_set,
     level_busemann,
@@ -71,7 +71,6 @@ from .boundary import (
     ray_point1,
     ray_point2,
     standard_catalog,
-    theta,
     vertex_point1,
     vertex_point2,
 )
@@ -87,16 +86,13 @@ from .limits import (
     IsomorphismSummary,
     LimitReport,
     RadialRay,
-    busemann_limit,
     classify,
     empirical_pointwise_check,
     family_from_json,
-    family_to_json,
     isomorphism_check,
     random_families,
     realizability,
     stabilization_bound,
-    term_stream,
     terms,
 )
 from .walk import (

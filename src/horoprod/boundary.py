@@ -158,7 +158,11 @@ def evaluate(anchor: BoundaryPoint | ProductVertex, y: ProductVertex) -> int:
 
 @dataclass(frozen=True)
 class HoroFunction:
-    """A tagged integer-valued function on the product graph."""
+    """A tagged integer-valued function on the product graph.
+
+    Built from a descriptor it is the compactification isomorphism:
+    the same payload, read as a function.
+    """
 
     anchor: BoundaryPoint | ProductVertex
 
@@ -169,12 +173,6 @@ class HoroFunction:
         if isinstance(self.anchor, ProductVertex):
             return f"I:{self.anchor}"
         return str(self.anchor)
-
-
-def theta(p: BoundaryPoint | ProductVertex) -> HoroFunction:
-    """The compactification isomorphism on descriptors: same payload,
-    read as a function."""
-    return HoroFunction(p)
 
 
 # -- limit checks ------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 Machine-first output: every command prints JSON (or JSON-lines for
 ``ball``) on stdout; ``--pretty`` only reformats it.  Exit codes:
-0 success, 1 verification failure, 2 usage error.  Identical
-invocations produce byte-identical payloads.
+0 success, 1 verification failure, 2 usage error, reported as one
+line on stderr.  Identical invocations produce byte-identical payloads.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import sys
@@ -35,11 +36,14 @@ class UsageError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _load_specs(path: str) -> list[tuple[str, TreeSpec]]:
@@ -52,14 +56,14 @@ def _load_specs(path: str) -> list[tuple[str, TreeSpec]]:
     raise UsageError(f"{path} holds neither a tree nor a product description")
 
 
-def _load_product(path: str) -> HoroProduct:
-    data = _load_json(path)
-    if "spec" in data:
-        data = data["spec"]
-    if "tree1" not in data or "tree2" not in data:
+def _load_product(path: str, data: dict | None = None) -> HoroProduct:
+    """The product in a spec file, or under its 'spec' entry."""
+    data = _load_json(path) if data is None else data
+    spec = data.get("spec", data)
+    if not isinstance(spec, dict) or "tree1" not in spec or "tree2" not in spec:
         raise UsageError(f"{path} does not describe a product of two trees")
-    return HoroProduct(TreeSpec.from_json(data["tree1"]),
-                       TreeSpec.from_json(data["tree2"]))
+    return HoroProduct(TreeSpec.from_json(spec["tree1"]),
+                       TreeSpec.from_json(spec["tree2"]))
 
 
 def _emit(payload, pretty: bool) -> None:
@@ -122,11 +126,10 @@ def cmd_classify(args) -> int:
     data = _load_json(args.family)
     if "spec" not in data or "family" not in data:
         raise UsageError("family file needs 'spec' and 'family' entries")
+    product = _load_product(args.family, data)
     try:
-        product = HoroProduct(TreeSpec.from_json(data["spec"]["tree1"]),
-                              TreeSpec.from_json(data["spec"]["tree2"]))
         family = family_from_json(data["family"])
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad family file: {exc}") from exc
     report = classify(product, family)
     payload = {"symbolic": report.payload()}
@@ -190,9 +193,7 @@ def cmd_walk(args) -> int:
     except (KeyError, ValueError) as exc:
         raise UsageError(f"bad walk config: {exc}") from exc
     if args.max_total_steps is not None:
-        config = WalkConfig(config.product, config.p_up, config.steps,
-                            config.seed, config.trajectories, config.probes,
-                            config.record_stride, args.max_total_steps)
+        config = dataclasses.replace(config, max_total_steps=args.max_total_steps)
     result = simulate(config)
     if args.csv:
         if config.record_stride == 0:
@@ -215,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true",
-                       help="JSON output (the default; accepted for scripts)")
         p.add_argument("--pretty", action="store_true",
                        help="indent the JSON output")
         return p

@@ -16,6 +16,10 @@ decidable, so classification is exact:
   Custom              an arbitrary generator, classified heuristically
                       over a finite window (verdicts are marked so)
 
+Each family is one class that answers every question about itself;
+``classify``, ``stabilization_bound`` and ``family_from_json`` (one
+table of kinds) are the module-level entry points.
+
 Pairing rule for RadialRay: the opposite coordinate must sit at the
 negated height.  By default it takes the closest canonical vertex of
 that height (ray vertices for non-positive heights, the all-zeros word
@@ -38,9 +42,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
-from .tree import VertexAddress, height
+from .tree import FieldCodec, VertexAddress, height, int_tuple
 from .rays import (
     BranchingRay,
     FSet,
@@ -62,7 +66,6 @@ from .boundary import (
     level_point,
     ray_point1,
     ray_point2,
-    theta,
     vertex_point1,
     vertex_point2,
 )
@@ -70,142 +73,6 @@ from .boundary import (
 
 class FamilyExhausted(RuntimeError):
     """A divergent enumeration ran out of vertices (finite level set)."""
-
-
-@dataclass(frozen=True)
-class EventuallyConstant:
-    vertex: ProductVertex
-
-
-@dataclass(frozen=True)
-class RadialRay:
-    tree: int  # 1 or 2: which coordinate marches along the end
-    ray: Ray
-    pairing: Ray | None = None
-
-    def __post_init__(self):
-        if self.tree not in (1, 2):
-            raise ValueError("tree must be 1 or 2")
-
-
-@dataclass(frozen=True)
-class Horocyclic:
-    level: int
-
-
-@dataclass(frozen=True)
-class FixedFirst:
-    vertex: VertexAddress  # the pinned first coordinate
-
-
-@dataclass(frozen=True)
-class FixedSecond:
-    vertex: VertexAddress  # the pinned second coordinate
-
-
-@dataclass(frozen=True)
-class Alternating:
-    levels: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if not self.levels:
-            raise ValueError("levels must be nonempty")
-
-
-@dataclass(frozen=True)
-class Custom:
-    """An arbitrary indexed generator.
-
-    A wrapper that knows which structured family it imitates can say so
-    through ``stabilizes_like`` (plus an index ``offset``); windows are
-    then sized from the inner family instead of the blind default.
-    """
-
-    generator: Callable[[int], ProductVertex]
-    label: str = "custom"
-    stabilizes_like: "SequenceFamily | None" = None
-    offset: int = 0
-
-
-SequenceFamily = (EventuallyConstant | RadialRay | Horocyclic
-                  | FixedFirst | FixedSecond | Alternating | Custom)
-
-
-# -- term generation ----------------------------------------------------------
-
-def _partner(spec, h: int, pairing: Ray | None) -> VertexAddress:
-    """A deterministic vertex of the given height in the opposite tree."""
-    if pairing is not None:
-        if isinstance(pairing, GammaEnd):
-            if h <= 0:
-                return VertexAddress(-h, ())
-        elif h > -pairing.branch:
-            return ray_vertex(pairing, h + 2 * pairing.branch)
-    return canonical_at_height(spec, h)
-
-
-def term_stream(product: HoroProduct, family: SequenceFamily) -> Iterator[ProductVertex]:
-    if isinstance(family, EventuallyConstant):
-        return itertools.repeat(family.vertex)
-    if isinstance(family, RadialRay):
-        return _radial_stream(product, family)
-    if isinstance(family, Horocyclic):
-        seq1 = level_sequence(product.tree1, family.level)
-        seq2 = level_sequence(product.tree2, -family.level)
-        return _zip_levels(seq1, seq2, family.level)
-    if isinstance(family, FixedFirst):
-        k = -height(family.vertex)
-        return (ProductVertex(family.vertex, t)
-                for t in _exhaust_guard(level_sequence(product.tree2, k), k, 2))
-    if isinstance(family, FixedSecond):
-        k = -height(family.vertex)
-        return (ProductVertex(t, family.vertex)
-                for t in _exhaust_guard(level_sequence(product.tree1, k), k, 1))
-    if isinstance(family, Alternating):
-        streams = [term_stream(product, Horocyclic(k)) for k in family.levels]
-        return (next(streams[n % len(streams)]) for n in itertools.count())
-    return (family.generator(n) for n in itertools.count())
-
-
-def _exhaust_guard(seq, k, tree):
-    yielded = False
-    for v in seq:
-        yielded = True
-        yield v
-    side = f"tree {tree}"
-    raise FamilyExhausted(f"level set at height {k} of {side} is finite"
-                          if yielded else f"level set at height {k} of {side} is empty")
-
-
-def _zip_levels(seq1, seq2, k):
-    for v1, v2 in itertools.zip_longest(seq1, seq2):
-        if v1 is None or v2 is None:
-            raise FamilyExhausted(f"a level set at height {k} or {-k} is finite")
-        yield ProductVertex(v1, v2)
-
-
-def _radial_stream(product, family):
-    if family.tree == 1:
-        march_spec, other_spec = product.tree1, product.tree2
-    else:
-        march_spec, other_spec = product.tree2, product.tree1
-
-    def gen():
-        for n in itertools.count():
-            v = ray_vertex(family.ray, n)
-            partner = _partner(other_spec, -height(v), family.pairing)
-            if family.tree == 1:
-                yield ProductVertex(v, partner)
-            else:
-                yield ProductVertex(partner, v)
-
-    return gen()
-
-
-def terms(product: HoroProduct, family: SequenceFamily,
-          stop: int, start: int = 0) -> list[ProductVertex]:
-    return list(itertools.islice(term_stream(product, family), start, stop))
 
 
 # -- reports ------------------------------------------------------------------
@@ -274,7 +141,27 @@ class EmpiricalReport:
         }
 
 
-# -- classification -----------------------------------------------------------
+# -- helpers shared by the families --------------------------------------------
+
+def _tree(product: HoroProduct, side: int):
+    return product.tree1 if side == 1 else product.tree2
+
+
+def _pair(side: int, v: VertexAddress, other: VertexAddress) -> ProductVertex:
+    """The product vertex with v at the given side and other at the other."""
+    return ProductVertex(v, other) if side == 1 else ProductVertex(other, v)
+
+
+def _partner(spec, h: int, pairing: Ray | None) -> VertexAddress:
+    """A deterministic vertex of the given height in the opposite tree."""
+    if pairing is not None:
+        if isinstance(pairing, GammaEnd):
+            if h <= 0:
+                return VertexAddress(-h, ())
+        elif h > -pairing.branch:
+            return ray_vertex(pairing, h + 2 * pairing.branch)
+    return canonical_at_height(spec, h)
+
 
 def _f_membership(spec, eta) -> bool:
     if eta in (math.inf, -math.inf):
@@ -293,141 +180,311 @@ def _flags(product, eta1, eta2, divergent1, divergent2) -> dict:
     }
 
 
+def _level_prefix_count(spec, k, radius) -> int:
+    """How many level-k vertices have branch index <= radius."""
+    count = 0
+    for v in level_sequence(spec, k):
+        if v.branch > radius:
+            break
+        count += 1
+    return count
+
+
+# -- sequence families ----------------------------------------------------------
+
+class SequenceFamily(FieldCodec):
+    """Base of the sequence families.
+
+    Each family answers ``stream(product)``, its terms from index 0;
+    ``classify(product, window)``, where they go (only heuristic kinds
+    read the window); ``stabilization_bound(product, radius)``; and
+    ``describe()``, the label reports list it by.  In JSON it is its
+    ``kind`` plus its fields.
+    """
+
+    kind: ClassVar[str | None] = None
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **super().to_json()}
+
+
+@dataclass(frozen=True)
+class EventuallyConstant(SequenceFamily):
+    kind = "eventually_constant"
+    parsers = {"vertex": ProductVertex.parse}
+    vertex: ProductVertex
+
+    def stream(self, product):
+        return itertools.repeat(self.vertex)
+
+    def classify(self, product, window):
+        v = self.vertex
+        return LimitReport(INTERIOR, interior=v, component1=v.x1,
+                           component2=v.x2, eta=product_height(v),
+                           busemann=HoroFunction(v),
+                           f_flags=_flags(product, product_height(v),
+                                          -product_height(v), False, False))
+
+    def stabilization_bound(self, product, radius):
+        return 1
+
+    def describe(self):
+        return f"const[{self.vertex}]"
+
+
+@dataclass(frozen=True)
+class RadialRay(SequenceFamily):
+    kind = "radial_ray"
+    parsers = {"tree": int, "ray": parse_ray, "pairing": parse_ray}
+    tree: int  # 1 or 2: which coordinate marches along the end
+    ray: Ray
+    pairing: Ray | None = None
+
+    def __post_init__(self):
+        if self.tree not in (1, 2):
+            raise ValueError("tree must be 1 or 2")
+
+    def stream(self, product):
+        other_spec = _tree(product, 3 - self.tree)
+        for n in itertools.count():
+            v = ray_vertex(self.ray, n)
+            yield _pair(self.tree, v,
+                        _partner(other_spec, -height(v), self.pairing))
+
+    def classify(self, product, window):
+        marching_gamma = isinstance(self.ray, GammaEnd)
+        eta = math.inf if (self.tree == 1) != marching_gamma else -math.inf
+        if not marching_gamma:
+            other_limit = GAMMA
+        elif isinstance(self.pairing, BranchingRay):
+            # the partner's heights rise along the pairing end
+            other_limit = self.pairing
+        else:
+            other_limit = BranchingRay(0, (), (0,))
+        if self.tree == 1:
+            comp1, comp2 = self.ray, other_limit
+        else:
+            comp1, comp2 = other_limit, self.ray
+        point = ray_point1(comp1) if eta == math.inf else ray_point2(comp2)
+        return LimitReport(BOUNDARY, hm_point=point, component1=comp1,
+                           component2=comp2, eta=eta, busemann=HoroFunction(point),
+                           f_flags=_flags(product, eta, -eta, True, True))
+
+    def stabilization_bound(self, product, radius):
+        b_march = self.ray.branch if isinstance(self.ray, BranchingRay) else 0
+        b_pair = (self.pairing.branch
+                  if isinstance(self.pairing, BranchingRay) else 0)
+        return radius + 2 + 2 * (b_march + b_pair)
+
+    def describe(self):
+        pairing = "-" if self.pairing is None else str(self.pairing)
+        return f"radial[t{self.tree};{self.ray};{pairing}]"
+
+
+@dataclass(frozen=True)
+class Horocyclic(SequenceFamily):
+    kind = "horocyclic"
+    parsers = {"level": int}
+    level: int
+
+    def stream(self, product):
+        k = self.level
+        for v1, v2 in itertools.zip_longest(level_sequence(product.tree1, k),
+                                            level_sequence(product.tree2, -k)):
+            if v1 is None or v2 is None:
+                raise FamilyExhausted(f"a level set at height {k} or {-k} is finite")
+            yield ProductVertex(v1, v2)
+
+    def classify(self, product, window):
+        k = self.level
+        flags = _flags(product, k, -k, True, True)
+        if not flags["per_divergent_component"]:
+            return LimitReport(
+                NOT_CONVERGENT, eta=k, f_flags=flags,
+                notes=("a level enumeration is finite, no divergent sequence exists",))
+        point = level_point(k)
+        return LimitReport(BOUNDARY, hm_point=point, component1=GAMMA,
+                           component2=GAMMA, eta=k, busemann=HoroFunction(point),
+                           f_flags=flags)
+
+    def stabilization_bound(self, product, radius):
+        c1 = _level_prefix_count(product.tree1, self.level, radius)
+        c2 = _level_prefix_count(product.tree2, -self.level, radius)
+        return max(c1, c2)
+
+    def describe(self):
+        return f"horocyclic[{self.level}]"
+
+
+@dataclass(frozen=True)
+class _Pinned(SequenceFamily):
+    """One coordinate pinned at ``vertex``, the other enumerating the
+    opposite level; ``side`` (1 or 2) names the pinned coordinate."""
+
+    side: ClassVar[int]
+    parsers = {"vertex": VertexAddress.parse}
+    vertex: VertexAddress
+
+    def stream(self, product):
+        free = 3 - self.side
+        k = -height(self.vertex)
+        found = "empty"
+        for t in level_sequence(_tree(product, free), k):
+            found = "finite"
+            yield _pair(self.side, self.vertex, t)
+        raise FamilyExhausted(f"level set at height {k} of tree {free} is {found}")
+
+    def classify(self, product, window):
+        v = self.vertex
+        if self.side == 1:
+            eta, point, comps = height(v), vertex_point1(v), (v, GAMMA)
+        else:
+            eta, point, comps = -height(v), vertex_point2(v), (GAMMA, v)
+        flags = _flags(product, eta, -eta, self.side == 2, self.side == 1)
+        if f_set(_tree(product, 3 - self.side)) != FSet.ALL:
+            return LimitReport(
+                NOT_CONVERGENT, eta=eta, f_flags=flags,
+                notes=("the divergent coordinate's level set is finite",))
+        return LimitReport(BOUNDARY, hm_point=point, component1=comps[0],
+                           component2=comps[1], eta=eta,
+                           busemann=HoroFunction(point), f_flags=flags)
+
+    def stabilization_bound(self, product, radius):
+        return _level_prefix_count(_tree(product, 3 - self.side),
+                                   -height(self.vertex), radius)
+
+    def describe(self):
+        return f"fixed{self.side}[{self.vertex}]"
+
+
+class FixedFirst(_Pinned):
+    kind = "fixed_first"
+    side = 1
+
+
+class FixedSecond(_Pinned):
+    kind = "fixed_second"
+    side = 2
+
+
+@dataclass(frozen=True)
+class Alternating(SequenceFamily):
+    kind = "alternating"
+    parsers = {"levels": int_tuple}
+    levels: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(self.levels))
+        if not self.levels:
+            raise ValueError("levels must be nonempty")
+
+    def stream(self, product):
+        streams = [Horocyclic(k).stream(product) for k in self.levels]
+        return (next(streams[n % len(streams)]) for n in itertools.count())
+
+    def classify(self, product, window):
+        if len(set(self.levels)) == 1:
+            return Horocyclic(self.levels[0]).classify(product, window)
+        return LimitReport(NOT_CONVERGENT,
+                           notes=("height oscillates between distinct levels",))
+
+    def stabilization_bound(self, product, radius):
+        inner = max(stabilization_bound(product, Horocyclic(k), radius)
+                    for k in self.levels)
+        return inner * len(self.levels)
+
+    def describe(self):
+        return f"alternating[{','.join(map(str, self.levels))}]"
+
+
+@dataclass(frozen=True)
+class Custom(SequenceFamily):
+    """An arbitrary indexed generator.
+
+    A wrapper that knows which structured family it imitates can say so
+    through ``stabilizes_like`` (plus an index ``offset``); windows are
+    then sized from the inner family instead of the blind default.
+    """
+
+    generator: Callable[[int], ProductVertex]
+    label: str = "custom"
+    stabilizes_like: SequenceFamily | None = None
+    offset: int = 0
+
+    def stream(self, product):
+        return (self.generator(n) for n in itertools.count())
+
+    def classify(self, product, window):
+        """Finite-window heuristics for Custom generators.
+
+        A verdict here is evidence, not proof; it is always marked
+        heuristic and carries the window it was read from.
+        """
+        n0, n1 = window
+        if n1 <= n0:
+            raise ValueError("window must be nonempty")
+        try:
+            seq = terms(product, self, n1, n0)
+        except FamilyExhausted as exc:
+            return LimitReport(NOT_CONVERGENT, heuristic=True, window=window,
+                               notes=(str(exc),))
+        tail = seq[len(seq) // 2:]
+        heights = [product_height(v) for v in tail]
+        if all(v == tail[0] for v in tail):
+            v = tail[0]
+            return LimitReport(INTERIOR, interior=v, component1=v.x1,
+                               component2=v.x2, eta=heights[0],
+                               busemann=HoroFunction(v),
+                               heuristic=True, window=window,
+                               f_flags=_flags(product, heights[0], -heights[0],
+                                              False, False))
+        if all(h == heights[0] for h in heights):
+            return _window_bounded(product, window, tail, heights[0])
+        up = all(b > a for a, b in zip(heights, heights[1:]))
+        down = all(b < a for a, b in zip(heights, heights[1:]))
+        if up or down:
+            return _window_unbounded(product, window, tail, up)
+        return LimitReport(NOT_CONVERGENT, heuristic=True, window=window,
+                           notes=("heights neither stabilize nor diverge in window",))
+
+    def stabilization_bound(self, product, radius):
+        """A fixed default, reported as heuristic, unless the generator
+        says which structured family it imitates."""
+        if self.stabilizes_like is not None:
+            return stabilization_bound(product, self.stabilizes_like,
+                                       radius) + self.offset
+        return 40
+
+    def describe(self):
+        return f"custom[{self.label}]"
+
+    def to_json(self):
+        raise ValueError("custom generators are not serializable")
+
+
+FAMILY_KINDS = {cls.kind: cls for cls in (EventuallyConstant, RadialRay,
+                                          Horocyclic, FixedFirst, FixedSecond,
+                                          Alternating)}
+
+
+def terms(product: HoroProduct, family: SequenceFamily,
+          stop: int, start: int = 0) -> list[ProductVertex]:
+    return list(itertools.islice(family.stream(product), start, stop))
+
+
+# -- classification -----------------------------------------------------------
+
 def classify(product: HoroProduct, family: SequenceFamily,
              window: tuple[int, int] = (0, 80)) -> LimitReport:
     """Where the family goes in the height compactification.
 
     Structured kinds are decided exactly from their parameters; Custom
-    generators get a finite-window verdict marked ``heuristic``.
+    generators get a finite-window verdict marked ``heuristic``.  The
+    limit function is always the classified point read as a function
+    (interior anchors included), so the two compactification views stay
+    paired.
     """
-    if isinstance(family, EventuallyConstant):
-        v = family.vertex
-        return LimitReport(INTERIOR, interior=v, component1=v.x1,
-                           component2=v.x2, eta=product_height(v),
-                           busemann=theta(v),
-                           f_flags=_flags(product, product_height(v),
-                                          -product_height(v), False, False))
-    if isinstance(family, RadialRay):
-        return _classify_radial(product, family)
-    if isinstance(family, Horocyclic):
-        return _classify_level(product, family.level)
-    if isinstance(family, FixedFirst):
-        return _classify_pinned(product, family.vertex, pinned=1)
-    if isinstance(family, FixedSecond):
-        return _classify_pinned(product, family.vertex, pinned=2)
-    if isinstance(family, Alternating):
-        if len(set(family.levels)) == 1:
-            return _classify_level(product, family.levels[0])
-        return LimitReport(NOT_CONVERGENT,
-                           notes=("height oscillates between distinct levels",))
-    return _classify_window(product, family, window)
-
-
-def busemann_limit(product: HoroProduct, family: SequenceFamily,
-                   window: tuple[int, int] = (0, 80)) -> HoroFunction | None:
-    """The family's limiting function, or None when there is no limit.
-
-    Always the theta image of the classified limit point (interior
-    anchors included), so the two compactification views stay paired.
-    """
-    return classify(product, family, window).busemann
-
-
-def _classify_radial(product, family):
-    marching_gamma = isinstance(family.ray, GammaEnd)
-    if family.tree == 1:
-        eta = -math.inf if marching_gamma else math.inf
-    else:
-        eta = math.inf if marching_gamma else -math.inf
-    other_spec = product.tree2 if family.tree == 1 else product.tree1
-    if marching_gamma:
-        other_limit = _partner_limit(other_spec, family.pairing)
-    else:
-        other_limit = GAMMA
-    if family.tree == 1:
-        comp1, comp2 = family.ray, other_limit
-    else:
-        comp1, comp2 = other_limit, family.ray
-    point = ray_point1(comp1) if eta == math.inf else ray_point2(comp2)
-    return LimitReport(BOUNDARY, hm_point=point, component1=comp1,
-                       component2=comp2, eta=eta, busemann=theta(point),
-                       f_flags=_flags(product, eta, -eta, True, True))
-
-
-def _partner_limit(spec, pairing):
-    """Geometric limit of the partner coordinate when its heights rise."""
-    if pairing is not None and not isinstance(pairing, GammaEnd):
-        return pairing
-    return BranchingRay(0, (), (0,))
-
-
-def _classify_level(product, k):
-    flags = _flags(product, k, -k, True, True)
-    if not flags["per_divergent_component"]:
-        return LimitReport(
-            NOT_CONVERGENT, eta=k, f_flags=flags,
-            notes=("a level enumeration is finite, no divergent sequence exists",))
-    point = level_point(k)
-    return LimitReport(BOUNDARY, hm_point=point, component1=GAMMA,
-                       component2=GAMMA, eta=k, busemann=theta(point),
-                       f_flags=flags)
-
-
-def _classify_pinned(product, pinned_vertex, pinned):
-    k = -height(pinned_vertex)
-    if pinned == 1:
-        divergent_spec = product.tree2
-        eta = height(pinned_vertex)
-        point = vertex_point1(pinned_vertex)
-        comp1, comp2 = pinned_vertex, GAMMA
-        div1, div2 = False, True
-    else:
-        divergent_spec = product.tree1
-        eta = k
-        point = vertex_point2(pinned_vertex)
-        comp1, comp2 = GAMMA, pinned_vertex
-        div1, div2 = True, False
-    flags = _flags(product, eta, -eta, div1, div2)
-    if f_set(divergent_spec) != FSet.ALL:
-        return LimitReport(
-            NOT_CONVERGENT, eta=eta, f_flags=flags,
-            notes=("the divergent coordinate's level set is finite",))
-    return LimitReport(BOUNDARY, hm_point=point, component1=comp1,
-                       component2=comp2, eta=eta, busemann=theta(point),
-                       f_flags=flags)
-
-
-def _classify_window(product, family, window):
-    """Finite-window heuristics for Custom generators.
-
-    A verdict here is evidence, not proof; it is always marked
-    heuristic and carries the window it was read from.
-    """
-    n0, n1 = window
-    if n1 <= n0:
-        raise ValueError("window must be nonempty")
-    try:
-        seq = terms(product, family, n1, n0)
-    except FamilyExhausted as exc:
-        return LimitReport(NOT_CONVERGENT, heuristic=True, window=window,
-                           notes=(str(exc),))
-    tail = seq[len(seq) // 2:]
-    heights = [product_height(v) for v in tail]
-    if all(v == tail[0] for v in tail):
-        v = tail[0]
-        return LimitReport(INTERIOR, interior=v, component1=v.x1,
-                           component2=v.x2, eta=heights[0], busemann=theta(v),
-                           heuristic=True, window=window,
-                           f_flags=_flags(product, heights[0], -heights[0],
-                                          False, False))
-    if all(h == heights[0] for h in heights):
-        return _window_bounded(product, family, window, tail, heights[0])
-    up = all(b > a for a, b in zip(heights, heights[1:]))
-    down = all(b < a for a, b in zip(heights, heights[1:]))
-    if up or down:
-        return _window_unbounded(product, window, tail, up)
-    return LimitReport(NOT_CONVERGENT, heuristic=True, window=window,
-                       notes=("heights neither stabilize nor diverge in window",))
+    return family.classify(product, window)
 
 
 def _diverging(coords) -> bool:
@@ -441,7 +498,7 @@ def _diverging(coords) -> bool:
     return all(b >= a for a, b in zip(branches, branches[1:]))
 
 
-def _window_bounded(product, family, window, tail, k):
+def _window_bounded(product, window, tail, k):
     xs1 = [v.x1 for v in tail]
     xs2 = [v.x2 for v in tail]
     const1 = all(x == xs1[0] for x in xs1)
@@ -450,17 +507,17 @@ def _window_bounded(product, family, window, tail, k):
     if const1 and _diverging(xs2):
         point = vertex_point1(xs1[0])
         return LimitReport(BOUNDARY, hm_point=point, component1=xs1[0],
-                           component2=GAMMA, eta=k, busemann=theta(point),
+                           component2=GAMMA, eta=k, busemann=HoroFunction(point),
                            heuristic=True, window=window, f_flags=flags)
     if const2 and _diverging(xs1):
         point = vertex_point2(xs2[0])
         return LimitReport(BOUNDARY, hm_point=point, component1=GAMMA,
-                           component2=xs2[0], eta=k, busemann=theta(point),
+                           component2=xs2[0], eta=k, busemann=HoroFunction(point),
                            heuristic=True, window=window, f_flags=flags)
     if _diverging(xs1) and _diverging(xs2):
         point = level_point(k)
         return LimitReport(BOUNDARY, hm_point=point, component1=GAMMA,
-                           component2=GAMMA, eta=k, busemann=theta(point),
+                           component2=GAMMA, eta=k, busemann=HoroFunction(point),
                            heuristic=True, window=window, f_flags=flags)
     return LimitReport(NOT_CONVERGENT, heuristic=True, window=window, eta=k,
                        f_flags=flags,
@@ -478,7 +535,7 @@ def _window_unbounded(product, window, tail, up):
         return LimitReport(
             BOUNDARY, hm_point=point,
             component1=GAMMA, component2=GAMMA, eta=eta,
-            busemann=theta(point), heuristic=True, window=window,
+            busemann=HoroFunction(point), heuristic=True, window=window,
             f_flags=_flags(product, eta, -eta, True, True),
             notes=("limit is the height function of a distinguished end",))
     return LimitReport(NOT_DECIDED, eta=eta, heuristic=True, window=window,
@@ -495,40 +552,7 @@ def stabilization_bound(product: HoroProduct, family: SequenceFamily,
 
     Custom generators get a fixed default, reported as heuristic.
     """
-    if isinstance(family, EventuallyConstant):
-        return 1
-    if isinstance(family, RadialRay):
-        b_march = 0 if isinstance(family.ray, GammaEnd) else family.ray.branch
-        pairing = family.pairing
-        b_pair = (pairing.branch
-                  if isinstance(pairing, BranchingRay) else 0)
-        return radius + 2 + 2 * (b_march + b_pair)
-    if isinstance(family, Horocyclic):
-        c1 = _level_prefix_count(product.tree1, family.level, radius)
-        c2 = _level_prefix_count(product.tree2, -family.level, radius)
-        return max(c1, c2)
-    if isinstance(family, FixedFirst):
-        return _level_prefix_count(product.tree2, -height(family.vertex), radius)
-    if isinstance(family, FixedSecond):
-        return _level_prefix_count(product.tree1, -height(family.vertex), radius)
-    if isinstance(family, Alternating):
-        inner = max(stabilization_bound(product, Horocyclic(k), radius)
-                    for k in family.levels)
-        return inner * len(family.levels)
-    if family.stabilizes_like is not None:
-        return stabilization_bound(product, family.stabilizes_like,
-                                   radius) + family.offset
-    return 40
-
-
-def _level_prefix_count(spec, k, radius) -> int:
-    """How many level-k vertices have branch index <= radius."""
-    count = 0
-    for v in level_sequence(spec, k):
-        if v.branch > radius:
-            break
-        count += 1
-    return count
+    return family.stabilization_bound(product, radius)
 
 
 def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
@@ -603,23 +627,6 @@ class IsomorphismSummary:
         }
 
 
-def family_label(family: SequenceFamily) -> str:
-    if isinstance(family, EventuallyConstant):
-        return f"const[{family.vertex}]"
-    if isinstance(family, RadialRay):
-        pairing = "-" if family.pairing is None else str(family.pairing)
-        return f"radial[t{family.tree};{family.ray};{pairing}]"
-    if isinstance(family, Horocyclic):
-        return f"horocyclic[{family.level}]"
-    if isinstance(family, FixedFirst):
-        return f"fixed1[{family.vertex}]"
-    if isinstance(family, FixedSecond):
-        return f"fixed2[{family.vertex}]"
-    if isinstance(family, Alternating):
-        return f"alternating[{','.join(map(str, family.levels))}]"
-    return f"custom[{family.label}]"
-
-
 def isomorphism_check(product: HoroProduct,
                       families: Sequence[SequenceFamily],
                       radius: int = 4,
@@ -641,7 +648,7 @@ def isomorphism_check(product: HoroProduct,
         window = (n0, n0 + extra_window)
         if rep.status == NOT_DECIDED:
             undecided += 1
-            entry = IsomorphismEntry(family_label(family), rep.status,
+            entry = IsomorphismEntry(family.describe(), rep.status,
                                      False, True, rep.heuristic,
                                      {"note": "window heuristic undecided"})
             entries.append(entry)
@@ -653,7 +660,7 @@ def isomorphism_check(product: HoroProduct,
         else:
             agreed = not emp.convergent
         entry = IsomorphismEntry(
-            family_label(family), rep.status, emp.convergent, agreed,
+            family.describe(), rep.status, emp.convergent, agreed,
             rep.heuristic,
             {"window": list(window),
              "violations": list(emp.violations)} if not agreed else {})
@@ -784,14 +791,14 @@ def random_families(product: HoroProduct, count: int, seed: int,
 
 def _shifted_custom(product, inner: SequenceFamily, offset: int) -> Custom:
     stream_cache: list[ProductVertex] = []
-    stream = term_stream(product, inner)
+    stream = inner.stream(product)
 
     def gen(n: int) -> ProductVertex:
         while len(stream_cache) <= n + offset:
             stream_cache.append(next(stream))
         return stream_cache[n + offset]
 
-    return Custom(gen, label=f"shifted+{offset}:{family_label(inner)}",
+    return Custom(gen, label=f"shifted+{offset}:{inner.describe()}",
                   stabilizes_like=inner, offset=offset)
 
 
@@ -812,39 +819,13 @@ def _diagonal_custom(product, toward_first: bool) -> Custom:
 
 # -- serialization ------------------------------------------------------------
 
-def family_to_json(family: SequenceFamily) -> dict:
-    if isinstance(family, EventuallyConstant):
-        return {"kind": "eventually_constant", "vertex": str(family.vertex)}
-    if isinstance(family, RadialRay):
-        data = {"kind": "radial_ray", "tree": family.tree, "ray": str(family.ray)}
-        if family.pairing is not None:
-            data["pairing"] = str(family.pairing)
-        return data
-    if isinstance(family, Horocyclic):
-        return {"kind": "horocyclic", "level": family.level}
-    if isinstance(family, FixedFirst):
-        return {"kind": "fixed_first", "vertex": str(family.vertex)}
-    if isinstance(family, FixedSecond):
-        return {"kind": "fixed_second", "vertex": str(family.vertex)}
-    if isinstance(family, Alternating):
-        return {"kind": "alternating", "levels": list(family.levels)}
-    raise ValueError("custom generators are not serializable")
-
-
 def family_from_json(data: dict) -> SequenceFamily:
-    kind = data["kind"]
-    if kind == "eventually_constant":
-        return EventuallyConstant(ProductVertex.parse(data["vertex"]))
-    if kind == "radial_ray":
-        pairing = data.get("pairing")
-        return RadialRay(int(data["tree"]), parse_ray(data["ray"]),
-                         None if pairing is None else parse_ray(pairing))
-    if kind == "horocyclic":
-        return Horocyclic(int(data["level"]))
-    if kind == "fixed_first":
-        return FixedFirst(VertexAddress.parse(data["vertex"]))
-    if kind == "fixed_second":
-        return FixedSecond(VertexAddress.parse(data["vertex"]))
-    if kind == "alternating":
-        return Alternating(tuple(int(k) for k in data["levels"]))
-    raise ValueError(f"unknown family kind {kind!r}")
+    """Any serializable family, read through FAMILY_KINDS; the inverse of
+    its ``to_json``."""
+    try:
+        kind = data["kind"]
+        if kind not in FAMILY_KINDS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        return FAMILY_KINDS[kind].from_json(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed family description: {exc}") from exc

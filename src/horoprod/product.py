@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .tree import (TreeSpec, VertexAddress, gamma_ward, height, origin_dist,
-                   tree_dist)
+from .tree import (SpecError, TreeSpec, VertexAddress, gamma_ward, height,
+                   origin_dist, tree_dist)
 
 
 class HeightMismatch(ValueError):
@@ -87,6 +87,15 @@ def product_busemann(z: ProductVertex, y: ProductVertex, *, check: bool = False)
 class HoroProduct:
     tree1: TreeSpec
     tree2: TreeSpec
+
+    def __post_init__(self):
+        for label, spec in (("tree1", self.tree1), ("tree2", self.tree2)):
+            # a rule that can only be probed out to a radius is not checked
+            if spec.family.decidable:
+                violation = spec.validate()
+                if violation is not None:
+                    raise SpecError(f"{label}: {violation.message}"
+                                    f" at {violation.witness}")
 
     @property
     def base(self) -> ProductVertex:

@@ -31,20 +31,13 @@ from typing import Iterator
 
 from .tree import (
     AddressError,
-    ExplicitCore,
-    Line,
-    RayPeriodic,
-    Regular,
     TreeSpec,
+    UndecidableFamilyError,  # re-exported
     VertexAddress,
     height,
     origin_dist,
     path_vertex,
 )
-
-
-class UndecidableFamilyError(Exception):
-    """Raised when a decision procedure meets a custom degree rule."""
 
 
 @dataclass(frozen=True)
@@ -185,20 +178,8 @@ def validate_ray(spec: TreeSpec, ray: Ray, probe_letters: int = 64) -> bool:
     """
     if isinstance(ray, GammaEnd):
         return True
-    fam = spec.family
-    if isinstance(fam, (Regular, Line)):
-        checked = len(ray.prefix) + len(ray.cycle)
-    elif isinstance(fam, RayPeriodic):
-        checked = (len(ray.prefix)
-                   + math.lcm(len(ray.cycle), len(fam.off_ray_degrees))
-                   + len(ray.cycle))
-    elif isinstance(fam, ExplicitCore):
-        checked = (max(fam.radius - ray.branch, 0)
-                   + len(ray.prefix) + len(ray.cycle))
-    else:
-        checked = probe_letters
     cur = VertexAddress(ray.branch, ())
-    for i in range(checked):
+    for i in range(spec.family.ray_letters_to_check(ray, probe_letters)):
         letter = ray.letter(i)
         if letter >= spec.label_count(cur):
             return False
@@ -227,23 +208,9 @@ class FSet:
     EMPTY = "empty"
 
 
-def _branching_bound(spec: TreeSpec) -> int | None:
-    """Largest ray index with a labeled child, or None if unbounded."""
-    fam = spec.family
-    if isinstance(fam, Regular):
-        return None if fam.degree >= 3 else 0
-    if isinstance(fam, Line):
-        return 0
-    if isinstance(fam, RayPeriodic):
-        return None if any(d >= 3 for d in fam.ray_degrees) else 0
-    if isinstance(fam, ExplicitCore):
-        return None if fam.tail_degree >= 3 else fam.radius
-    raise UndecidableFamilyError("level-set decisions need a decidable family")
-
-
 def f_set(spec: TreeSpec) -> str:
     """FSet.ALL when every level is infinite, FSet.EMPTY when none is."""
-    return FSet.EMPTY if _branching_bound(spec) is not None else FSet.ALL
+    return FSet.EMPTY if spec.family.branching_bound() is not None else FSet.ALL
 
 
 def level_sequence(spec: TreeSpec, k: int) -> Iterator[VertexAddress]:
@@ -251,7 +218,7 @@ def level_sequence(spec: TreeSpec, k: int) -> Iterator[VertexAddress]:
 
     Terminates when the level set is finite; otherwise never exhausts.
     """
-    bound = _branching_bound(spec)
+    bound = spec.family.branching_bound()
     for n in itertools.count(max(0, -k)):
         if bound is not None and n > max(bound, -k):
             return

@@ -22,9 +22,10 @@ everything is safe to share between threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 
 class AddressError(ValueError):
@@ -116,15 +117,72 @@ def path_vertex(v: VertexAddress, depth: int) -> VertexAddress:
     return VertexAddress(v.branch, v.suffix[: depth - v.branch])
 
 
-# -- degree rules ------------------------------------------------------------
+class UndecidableFamilyError(Exception):
+    """Raised when a decision procedure meets a custom degree rule."""
+
+
+@dataclass(frozen=True)
+class Violation:
+    message: str
+    witness: VertexAddress | None = None
+
+    def payload(self) -> dict:
+        return {
+            "message": self.message,
+            "witness": None if self.witness is None else str(self.witness),
+        }
+
+
+class FieldCodec:
+    """JSON for a frozen dataclass through the fields named in
+    ``parsers``, which maps each to the function that reads it back.
+    A field is written as an int, a list (from a tuple) or its text, and
+    left out when None."""
+
+    parsers: ClassVar[dict[str, Callable]] = {}
+
+    def to_json(self) -> dict:
+        data = {}
+        for name in self.parsers:
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                data[name] = list(value)
+            elif value is not None:
+                data[name] = value if isinstance(value, int) else str(value)
+        return data
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(**{name: parse(data[name])
+                      for name, parse in cls.parsers.items()
+                      if data.get(name) is not None})
+
+
+def int_tuple(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+# -- tree families -----------------------------------------------------------
 #
 # A family answers degree_at(branch, suffix) for a position given as a
 # branch index and any sequence of child labels, so the walk kernel can
 # ask about its mutable suffix list without building an address.
 
-class DegreeRule:
+class DegreeRule(FieldCodec):
     """Base of the tree families: the degree of a position, and the one
-    rule that turns a degree into a child-label count."""
+    rule that turns a degree into a child-label count.
+
+    Each family also answers ``violation(spec, radius)`` (a degree below
+    ``spec.min_degree``, with a witness), ``branching_bound()`` (the
+    largest ray index with a labeled child; None if unbounded) and
+    ``ray_letters_to_check(ray, probe_letters)`` (how many letters of a
+    branching end decide that it exists).  A rule that is not
+    ``decidable`` is probed out to ``radius`` and over ``probe_letters``
+    letters instead.  In JSON a family is its ``kind`` plus its fields.
+    """
+
+    kind: ClassVar[str | None] = None
+    decidable: ClassVar[bool] = True
 
     def degree_at(self, branch: int, suffix: Sequence[int]) -> int:
         raise NotImplementedError
@@ -136,9 +194,16 @@ class DegreeRule:
         d = self.degree_at(branch, suffix)
         return max(0, d - 2 if branch and not suffix else d - 1)
 
+    def constant_counts(self) -> tuple[int, int, int] | None:
+        """(at origin, at ray vertex, at suffix vertex) label counts, or
+        None when they depend on more than the position type."""
+        return None
+
 
 @dataclass(frozen=True)
 class Regular(DegreeRule):
+    kind = "regular"
+    parsers = {"degree": int}
     degree: int
 
     def __post_init__(self):
@@ -147,6 +212,30 @@ class Regular(DegreeRule):
 
     def degree_at(self, branch, suffix):
         return self.degree
+
+    def violation(self, spec, radius):
+        if self.degree < spec.min_degree:
+            return Violation(f"degree {self.degree} < {spec.min_degree}", ORIGIN)
+        return None
+
+    def branching_bound(self):
+        return None if self.degree >= 3 else 0
+
+    def ray_letters_to_check(self, ray, probe_letters):
+        return len(ray.prefix) + len(ray.cycle)
+
+    def constant_counts(self):
+        return (self.label_count(0, ()), self.label_count(1, ()),
+                self.label_count(0, (0,)))
+
+
+@dataclass(frozen=True)
+class Line(Regular):
+    """The two-ended path: the regular tree of degree 2."""
+
+    kind = "line"
+    parsers = {}
+    degree: int = field(default=2, init=False)
 
 
 @dataclass(frozen=True)
@@ -157,6 +246,8 @@ class RayPeriodic(DegreeRule):
     suffix has length L >= 1 gets off_ray_degrees[(L - 1) % len(...)].
     """
 
+    kind = "ray_periodic"
+    parsers = {"ray_degrees": int_tuple, "off_ray_degrees": int_tuple}
     ray_degrees: tuple[int, ...]
     off_ray_degrees: tuple[int, ...]
 
@@ -173,6 +264,25 @@ class RayPeriodic(DegreeRule):
             return self.off_ray_degrees[(len(suffix) - 1) % len(self.off_ray_degrees)]
         return self.ray_degrees[branch % len(self.ray_degrees)]
 
+    def violation(self, spec, radius):
+        flag = spec.min_degree
+        for n, d in enumerate(self.ray_degrees):
+            if d < flag:
+                return Violation(f"ray degree {d} < {flag}", VertexAddress(n, ()))
+        for i, d in enumerate(self.off_ray_degrees):
+            if d < flag:
+                witness = VertexAddress(0, (0,) * (i + 1))
+                return Violation(f"off-ray degree {d} < {flag}", witness)
+        return None
+
+    def branching_bound(self):
+        return None if any(d >= 3 for d in self.ray_degrees) else 0
+
+    def ray_letters_to_check(self, ray, probe_letters):
+        return (len(ray.prefix)
+                + math.lcm(len(ray.cycle), len(self.off_ray_degrees))
+                + len(ray.cycle))
+
 
 @dataclass(frozen=True)
 class ExplicitCore(DegreeRule):
@@ -182,6 +292,7 @@ class ExplicitCore(DegreeRule):
     origin distance <= radius; all deeper vertices get ``tail_degree``.
     """
 
+    kind = "explicit_core"
     entries: tuple[tuple[str, int], ...]
     radius: int
     tail_degree: int
@@ -211,46 +322,84 @@ class ExplicitCore(DegreeRule):
         except KeyError:
             raise SpecError(f"core does not list in-radius address {v}") from None
 
+    def violation(self, spec, radius):
+        flag = spec.min_degree
+        derived = [ORIGIN]      # breadth-first: grows while it is read
+        seen = {ORIGIN}
+        for v in derived:
+            if str(v) not in self.degree_map:
+                return Violation("core is missing a reachable address", v)
+            for w in [gamma_ward(v)] + spec.up_neighbors(v):
+                if origin_dist(w) <= self.radius and w not in seen:
+                    seen.add(w)
+                    derived.append(w)
+        extra = sorted(set(self.degree_map) - {str(v) for v in derived})
+        if extra:
+            return Violation("core lists an unreachable address",
+                             VertexAddress.parse(extra[0]))
+        for v in derived:
+            d = self.degree_map[str(v)]
+            if d < flag:
+                return Violation(f"degree {d} < {flag}", v)
+        if self.tail_degree < flag:
+            return Violation(f"tail degree {self.tail_degree} < {flag}",
+                             VertexAddress(self.radius + 1, ()))
+        return None
 
-@dataclass(frozen=True)
-class Line(DegreeRule):
-    """The two-ended path: every vertex has degree exactly 2."""
+    def branching_bound(self):
+        return None if self.tail_degree >= 3 else self.radius
 
-    def degree_at(self, branch, suffix):
-        return 2
+    def ray_letters_to_check(self, ray, probe_letters):
+        return (max(self.radius - ray.branch, 0)
+                + len(ray.prefix) + len(ray.cycle))
+
+    def to_json(self):
+        return {"core": dict(self.entries), "radius": self.radius,
+                "tail_degree": self.tail_degree}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "ExplicitCore":
+        entries = tuple((t, int(d)) for t, d in data["core"].items())
+        return cls(entries, int(data["radius"]), int(data["tail_degree"]))
 
 
 @dataclass(frozen=True)
 class CustomRule(DegreeRule):
-    """Arbitrary degree callback.  Usable for evaluation and simulation,
-    excluded from decision procedures and from serialization."""
+    """Arbitrary degree callback.  Usable for evaluation and simulation;
+    decision procedures refuse it, validation probes it out to a radius
+    and serialization refuses it."""
 
+    decidable = False
     degree_fn: Callable[[VertexAddress], int]
 
     def degree_at(self, branch, suffix):
         return self.degree_fn(VertexAddress(branch, tuple(suffix)))
 
+    def violation(self, spec, radius):
+        for v in spec.ball(radius):
+            d = self.degree_at(v.branch, v.suffix)
+            if d < spec.min_degree:
+                return Violation(f"degree {d} < {spec.min_degree}", v)
+        return None
 
-TreeFamily = Regular | RayPeriodic | ExplicitCore | Line | CustomRule
+    def branching_bound(self):
+        raise UndecidableFamilyError("level-set decisions need a decidable family")
+
+    def ray_letters_to_check(self, ray, probe_letters):
+        return probe_letters
+
+    def to_json(self):
+        raise SpecError("custom degree rules are not serializable")
 
 
-@dataclass(frozen=True)
-class Violation:
-    message: str
-    witness: VertexAddress | None = None
-
-    def payload(self) -> dict:
-        return {
-            "message": self.message,
-            "witness": None if self.witness is None else str(self.witness),
-        }
+TREE_FAMILIES = {cls.kind: cls for cls in (Regular, Line, RayPeriodic, ExplicitCore)}
 
 
 @dataclass(frozen=True)
 class TreeSpec:
     """A pointed tree given by a degree rule plus the minimum-degree flag."""
 
-    family: TreeFamily
+    family: DegreeRule
     min_degree: int = 2
 
     def __post_init__(self):
@@ -351,109 +500,24 @@ class TreeSpec:
         Decidable families are checked exactly; a CustomRule is checked
         out to ``radius`` only.
         """
-        fam = self.family
-        flag = self.min_degree
-        if isinstance(fam, Regular):
-            if fam.degree < flag:
-                return Violation(f"degree {fam.degree} < {flag}", ORIGIN)
-            return None
-        if isinstance(fam, Line):
-            if flag > 2:
-                return Violation(f"degree 2 < {flag}", ORIGIN)
-            return None
-        if isinstance(fam, RayPeriodic):
-            for n, d in enumerate(fam.ray_degrees):
-                if d < flag:
-                    return Violation(f"ray degree {d} < {flag}", VertexAddress(n, ()))
-            for i, d in enumerate(fam.off_ray_degrees):
-                if d < flag:
-                    witness = VertexAddress(0, (0,) * (i + 1))
-                    return Violation(f"off-ray degree {d} < {flag}", witness)
-            return None
-        if isinstance(fam, ExplicitCore):
-            return self._validate_core(fam, flag)
-        for v in self.ball(radius):
-            d = self._degree(v)
-            if d < flag:
-                return Violation(f"degree {d} < {flag}", v)
-        return None
-
-    def _validate_core(self, fam: ExplicitCore, flag: int) -> Violation | None:
-        listed = set(fam.degree_map)
-        derived: list[VertexAddress] = []
-        seen = {ORIGIN}
-        frontier = [ORIGIN]
-        derived.append(ORIGIN)
-        for _ in range(fam.radius):
-            nxt = []
-            for v in frontier:
-                if str(v) not in fam.degree_map:
-                    return Violation("core is missing a reachable address", v)
-                for w in [gamma_ward(v)] + self.up_neighbors(v):
-                    if origin_dist(w) <= fam.radius and w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            derived.extend(nxt)
-            frontier = nxt
-        derived_texts = {str(v) for v in derived}
-        for v in derived:
-            if str(v) not in listed:
-                return Violation("core is missing a reachable address", v)
-        extra = sorted(listed - derived_texts)
-        if extra:
-            return Violation("core lists an unreachable address",
-                             VertexAddress.parse(extra[0]))
-        for v in derived:
-            d = fam.degree_map[str(v)]
-            if d < flag:
-                return Violation(f"degree {d} < {flag}", v)
-        if fam.tail_degree < flag:
-            return Violation(f"tail degree {fam.tail_degree} < {flag}",
-                             VertexAddress(fam.radius + 1, ()))
-        return None
+        return self.family.violation(self, radius)
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        fam = self.family
-        if isinstance(fam, Regular):
-            return {"family": "regular", "degree": fam.degree,
-                    "min_degree": self.min_degree}
-        if isinstance(fam, Line):
-            return {"family": "line", "min_degree": self.min_degree}
-        if isinstance(fam, RayPeriodic):
-            return {"family": "ray_periodic",
-                    "ray_degrees": list(fam.ray_degrees),
-                    "off_ray_degrees": list(fam.off_ray_degrees),
-                    "min_degree": self.min_degree}
-        if isinstance(fam, ExplicitCore):
-            return {"family": "explicit_core",
-                    "core": {t: d for t, d in fam.entries},
-                    "radius": fam.radius,
-                    "tail_degree": fam.tail_degree,
-                    "min_degree": self.min_degree}
-        raise SpecError("custom degree rules are not serializable")
+        return {"family": self.family.kind, **self.family.to_json(),
+                "min_degree": self.min_degree}
 
     @classmethod
     def from_json(cls, data: dict) -> "TreeSpec":
         try:
             kind = data["family"]
             min_degree = int(data.get("min_degree", 2))
-            if kind == "regular":
-                return cls(Regular(int(data["degree"])), min_degree)
-            if kind == "line":
-                return cls(Line(), min_degree)
-            if kind == "ray_periodic":
-                return cls(RayPeriodic(tuple(int(d) for d in data["ray_degrees"]),
-                                       tuple(int(d) for d in data["off_ray_degrees"])),
-                           min_degree)
-            if kind == "explicit_core":
-                entries = tuple(sorted((t, int(d)) for t, d in data["core"].items()))
-                return cls(ExplicitCore(entries, int(data["radius"]),
-                                        int(data["tail_degree"])), min_degree)
-        except (KeyError, TypeError) as exc:
+            if kind not in TREE_FAMILIES:
+                raise SpecError(f"unknown tree family {kind!r}")
+            return cls(TREE_FAMILIES[kind].from_json(data), min_degree)
+        except (KeyError, TypeError, AttributeError) as exc:
             raise SpecError(f"malformed tree description: {exc}") from exc
-        raise SpecError(f"unknown tree family {kind!r}")
 
     def to_text(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)

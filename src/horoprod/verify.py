@@ -30,13 +30,13 @@ from .rays import (
 )
 from .product import HoroProduct, product_busemann, product_dist
 from .boundary import (
+    HoroFunction,
     boundary_limit_check,
     evaluate,
     level_point,
     ray_point1,
     ray_point2,
     standard_catalog,
-    theta,
     vertex_point1,
 )
 from .limits import (
@@ -378,7 +378,7 @@ def fset_suite(max_radius: int = 12, witness_levels: int = 5,
         n0 = stabilization_bound(dl33, family, witness_radius)
         emp = empirical_pointwise_check(dl33, family, (n0, n0 + 30),
                                         witness_radius,
-                                        theta(level_point(k)))
+                                        HoroFunction(level_point(k)))
         if not (emp.convergent and emp.matched_target):
             witness_ok = False
             witness_detail = {"k": k, "violations": list(emp.violations)}
@@ -400,17 +400,17 @@ def closure_suite(radius: int = 4, level_span: int = 10) -> SuiteResult:
 
     up = boundary_limit_check(
         product, [level_point(k) for k in range(1, level_span + 1)],
-        theta(ray_point1(GAMMA)), radius)
+        ray_point1(GAMMA), radius)
     down = boundary_limit_check(
         product, [level_point(-k) for k in range(1, level_span + 1)],
-        theta(ray_point2(GAMMA)), radius)
+        ray_point2(GAMMA), radius)
     details["levels_up_to_height1"] = up.ok
     details["levels_down_to_height2"] = down.ok
     ok = ok and up.ok and down.ok
 
     ray = BranchingRay(0, (), (0,))
     marching = [vertex_point1(ray_vertex(ray, n)) for n in range(1, 14)]
-    to_ray = boundary_limit_check(product, marching, theta(ray_point1(ray)), radius)
+    to_ray = boundary_limit_check(product, marching, ray_point1(ray), radius)
     details["pinned_to_ray_limit"] = to_ray.ok
     ok = ok and to_ray.ok
 
@@ -420,7 +420,7 @@ def closure_suite(radius: int = 4, level_span: int = 10) -> SuiteResult:
             seq.append(vertex_point1(v))
             if v.branch > radius + 1 and i > 4:
                 break
-        to_level = boundary_limit_check(product, seq, theta(level_point(k)), radius)
+        to_level = boundary_limit_check(product, seq, level_point(k), radius)
         details[f"pinned_to_level_{k}"] = to_level.ok
         ok = ok and to_level.ok
         if not to_level.ok:

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tree import CustomRule, Line, Regular, SpecError, TreeSpec, gamma_ward
+from .tree import TreeSpec, gamma_ward
 from .rays import GammaEnd, Ray, parse_ray, require_valid_ray
 from .product import HoroProduct, ProductVertex
 
@@ -81,14 +81,8 @@ class WalkConfig:
             raise ValueError("trajectories must be >= 1")
         if self.record_stride < 0:
             raise ValueError("record_stride must be >= 0")
-        for label, spec in (("tree1", self.product.tree1),
-                            ("tree2", self.product.tree2)):
-            # a CustomRule is only checked out to a radius, so not here
-            if not isinstance(spec.family, CustomRule):
-                violation = spec.validate()
-                if violation is not None:
-                    raise SpecError(f"{label}: {violation.message}"
-                                    f" at {violation.witness}")
+        if self.max_total_steps is not None and self.max_total_steps < 0:
+            raise ValueError("max_total_steps must be >= 0")
         for tree, ray in self.probes:
             if tree not in (1, 2):
                 raise ValueError("probe tree must be 1 or 2")
@@ -149,16 +143,6 @@ def _trajectory_seed(seed: int, index: int) -> int:
     return (seed << 32) ^ (index * 0x9E3779B1)
 
 
-def _label_counts(spec: TreeSpec):
-    """(at origin, at ray vertex, at suffix vertex) label counts, or
-    None when they depend on more than the position type."""
-    fam = spec.family
-    if isinstance(fam, (Regular, Line)):
-        return (fam.label_count(0, ()), fam.label_count(1, ()),
-                fam.label_count(0, (0,)))
-    return None
-
-
 def _choose(rng: Random, count: int) -> int:
     # shared drawing discipline so simulate() runs replay through step()
     if count == 1:
@@ -196,8 +180,8 @@ def _run_trajectory(config: WalkConfig, index: int,
     p = float(config.p_up)
     steps = config.steps if budget is None else min(config.steps, budget)
     stride = config.record_stride
-    fast1 = _label_counts(config.product.tree1)
-    fast2 = _label_counts(config.product.tree2)
+    fast1 = config.product.tree1.family.constant_counts()
+    fast2 = config.product.tree2.family.constant_counts()
     count1 = config.product.tree1.family.label_count
     count2 = config.product.tree2.family.label_count
     probes = tuple(_compile_probe(config.product, t, r)

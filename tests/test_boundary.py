@@ -6,6 +6,7 @@ import math
 import pytest
 
 from horoprod.boundary import (
+    HoroFunction,
     PointKind,
     boundary_limit_check,
     evaluate,
@@ -16,7 +17,6 @@ from horoprod.boundary import (
     ray_point1,
     ray_point2,
     standard_catalog,
-    theta,
     vertex_point1,
     vertex_point2,
 )
@@ -71,7 +71,7 @@ def test_theta_round_trip():
         level_point(0),
     ]
     for p in points:
-        assert theta(p).anchor == p
+        assert HoroFunction(p).anchor == p
         assert point_from_hm(hm_coordinates(p)) == p
 
 
@@ -127,19 +127,19 @@ def test_catalog_shape():
 
 def test_levels_drain_into_heights():
     seq_up = [level_point(k) for k in range(1, 9)]
-    rep = boundary_limit_check(DL33, seq_up, theta(ray_point1(GAMMA)), 4)
+    rep = boundary_limit_check(DL33, seq_up, HoroFunction(ray_point1(GAMMA)), 4)
     assert rep.ok
     # stabilization happens once the level clears the ball's heights
     assert max(i for _, i in rep.entries) <= 4
     seq_down = [level_point(-k) for k in range(1, 9)]
-    rep = boundary_limit_check(DL33, seq_down, theta(ray_point2(GAMMA)), 4)
+    rep = boundary_limit_check(DL33, seq_down, HoroFunction(ray_point2(GAMMA)), 4)
     assert rep.ok
 
 
 def test_pinned_points_march_to_ray():
     ray = BranchingRay(0, (), (1,))
     seq = [vertex_point1(ray_vertex(ray, n)) for n in range(1, 12)]
-    rep = boundary_limit_check(DL33, seq, theta(ray_point1(ray)), 3)
+    rep = boundary_limit_check(DL33, seq, HoroFunction(ray_point1(ray)), 3)
     assert rep.ok
 
 
@@ -148,16 +148,16 @@ def test_ray_families_closed_under_ray_limits():
     # onto the limit ray's function, in both coordinates
     limit = BranchingRay(0, (), (0,))
     seq1 = [ray_point1(BranchingRay(0, (0,) * n, (1,))) for n in range(1, 10)]
-    rep = boundary_limit_check(DL33, seq1, theta(ray_point1(limit)), 3)
+    rep = boundary_limit_check(DL33, seq1, HoroFunction(ray_point1(limit)), 3)
     assert rep.ok
     seq2 = [ray_point2(BranchingRay(0, (0,) * n, (1,))) for n in range(1, 10)]
-    rep = boundary_limit_check(DL33, seq2, theta(ray_point2(limit)), 3)
+    rep = boundary_limit_check(DL33, seq2, HoroFunction(ray_point2(limit)), 3)
     assert rep.ok
 
 
 def test_limit_check_reports_violations():
     rep = boundary_limit_check(DL33, [level_point(0)] * 4,
-                               theta(level_point(1)), 2)
+                               HoroFunction(level_point(1)), 2)
     assert not rep.ok
     witness = rep.violations[0]
     assert witness["expected"] != witness["last_value"]

@@ -219,3 +219,44 @@ def test_walk_invalid_spec_usage_error(capsys, tmp_path):
     code, out, err = _walk_error(capsys, tmp_path, config)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "off-ray degree 1 < 2" in err
+
+
+BAD_CORE = {"family": "explicit_core", "core": [1], "radius": 1,
+            "tail_degree": 3}
+DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
+                        "off_ray_degrees": [1]},
+              "tree2": DL33["tree2"]}
+
+
+@pytest.mark.parametrize("argv,data,message", [
+    (["validate", "--spec"], {"tree1": BAD_CORE, "tree2": DL33["tree2"]},
+     "malformed tree description"),
+    (["classify", "--family"],
+     {"spec": DL33, "family": {"kind": "radial_ray", "tree": 1, "ray": 5}},
+     "malformed family description"),
+    (["classify", "--family"], {"spec": DL33, "family": ["x"]},
+     "malformed family description"),
+    (["classify", "--family"], {"spec": [1], "family": {}},
+     "does not describe a product"),
+    (["ball", "--radius", "2", "--spec"], DEGREE_ONE, "off-ray degree 1 < 2"),
+    (["dist", "0;|0;", "0;0|1;", "--spec"], DEGREE_ONE,
+     "off-ray degree 1 < 2"),
+    (["walk", "--config"],
+     {"spec": DL33, "p_up": "1/2", "steps": 10, "seed": 1,
+      "trajectories": 1, "max_total_steps": -1}, "max_total_steps"),
+    (["walk", "--max-total-steps", "-1", "--config"],
+     {"spec": DL33, "p_up": "1/2", "steps": 10, "seed": 1,
+      "trajectories": 1}, "max_total_steps"),
+    (["validate", "--spec"], [DL33], "does not hold a JSON object"),
+], ids=["validate-bad-core", "classify-ray-not-text",
+        "classify-family-not-object", "classify-spec-not-object",
+        "ball-invalid-spec", "dist-invalid-spec", "walk-negative-cap",
+        "walk-negative-cap-flag", "validate-not-object"])
+def test_malformed_input_usage_error(capsys, tmp_path, argv, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = main(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+

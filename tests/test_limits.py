@@ -5,10 +5,10 @@ import math
 import pytest
 
 from horoprod.boundary import (
+    HoroFunction,
     level_point,
     ray_point1,
     ray_point2,
-    theta,
     vertex_point1,
     vertex_point2,
 )
@@ -21,11 +21,9 @@ from horoprod.limits import (
     FixedSecond,
     Horocyclic,
     RadialRay,
-    busemann_limit,
     classify,
     empirical_pointwise_check,
     family_from_json,
-    family_to_json,
     isomorphism_check,
     random_families,
     realizability,
@@ -134,12 +132,12 @@ def test_classify_pinned():
 
 
 def test_busemann_limit_wrapper():
-    assert busemann_limit(DL33, Horocyclic(-2)).anchor == level_point(-2)
-    assert busemann_limit(DL33, FixedSecond(va("1;"))).anchor == \
+    assert classify(DL33, Horocyclic(-2)).busemann.anchor == level_point(-2)
+    assert classify(DL33, FixedSecond(va("1;"))).busemann.anchor == \
         vertex_point2(va("1;"))
     ray = BranchingRay(1, (), (0,))
-    assert busemann_limit(DL33, RadialRay(2, ray)).anchor == ray_point2(ray)
-    assert busemann_limit(DL33, Alternating((0, 1))) is None
+    assert classify(DL33, RadialRay(2, ray)).busemann.anchor == ray_point2(ray)
+    assert classify(DL33, Alternating((0, 1))).busemann is None
 
 
 def test_classify_alternating():
@@ -200,7 +198,7 @@ def test_diagonal_customs_reach_the_distinguished_ends():
 
 def test_empirical_constant():
     emp = empirical_pointwise_check(DL33, EventuallyConstant(BASE), (0, 10), 2,
-                                    theta(BASE))
+                                    HoroFunction(BASE))
     assert emp.convergent and emp.matched_target
 
 
@@ -208,7 +206,7 @@ def test_empirical_horocyclic():
     fam = Horocyclic(1)
     n0 = stabilization_bound(DL33, fam, 3)
     emp = empirical_pointwise_check(DL33, fam, (n0, n0 + 30), 3,
-                                    theta(level_point(1)))
+                                    HoroFunction(level_point(1)))
     assert emp.convergent and emp.matched_target
     assert emp.violations == ()
 
@@ -224,7 +222,7 @@ def test_empirical_rejects_wrong_target():
     fam = Horocyclic(1)
     n0 = stabilization_bound(DL33, fam, 3)
     emp = empirical_pointwise_check(DL33, fam, (n0, n0 + 20), 3,
-                                    theta(level_point(0)))
+                                    HoroFunction(level_point(0)))
     assert emp.convergent and emp.matched_target is False
 
 
@@ -294,11 +292,17 @@ def test_realizability_monotone_under_tree_growth():
     FixedFirst(VertexAddress.parse("1;0")),
     FixedSecond(VertexAddress.parse("2;")),
     Alternating((0, 1)),
+    EventuallyConstant(ProductVertex.parse("2;|0;1.0")),
+    RadialRay(1, BranchingRay(0, (1,), (0, 1)), BranchingRay(2, (), (1,))),
+    Horocyclic(0),
+    FixedFirst(VertexAddress.parse("0;")),
+    FixedSecond(VertexAddress.parse("0;1.0.1")),
+    Alternating((2, -1, 2)),
 ])
 def test_family_json_round_trip(family):
-    assert family_from_json(family_to_json(family)) == family
+    assert family_from_json(family.to_json()) == family
 
 
 def test_custom_not_serializable():
     with pytest.raises(ValueError):
-        family_to_json(Custom(lambda n: BASE))
+        Custom(lambda n: BASE).to_json()

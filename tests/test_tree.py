@@ -280,6 +280,10 @@ def test_core_rule_reports_unlisted_address():
     R3, R4, LINE,
     TreeSpec.ray_periodic([3, 2], [2, 3]),
     TreeSpec.explicit_core_of(R3, 2, 2),
+    TreeSpec.regular(2),
+    TreeSpec(Line(), 3),
+    TreeSpec.ray_periodic([4], [3, 5, 3], min_degree=3),
+    TreeSpec.explicit_core_of(TreeSpec.ray_periodic([3, 4], [3]), 3, 4, 3),
 ])
 def test_spec_json_round_trip(spec):
     data = spec.to_json()

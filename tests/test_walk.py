@@ -14,7 +14,6 @@ from horoprod.walk import (
     WalkConfig,
     _chunk_sums,
     _half_slope,
-    _label_counts,
     _trajectory_seed,
     drift_report,
     estimate_speed,
@@ -227,7 +226,7 @@ def test_replay_across_core_boundary():
 
 @pytest.mark.parametrize("spec", [R3, TreeSpec.line()])
 def test_constant_counts_match_family_rule(spec):
-    origin, ray, suffix = _label_counts(spec)
+    origin, ray, suffix = spec.family.constant_counts()
     for a in spec.ball(6):
         expected = suffix if a.suffix else ray if a.branch else origin
         assert spec.label_count(a) == expected
