@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator, Sequence
 
-from .tree import FieldCodec, VertexAddress, height, int_tuple
+from .tree import FieldCodec, VertexAddress, height, int_tuple, strict_int
 from .rays import (
     BranchingRay,
     FSet,
@@ -235,7 +235,7 @@ class EventuallyConstant(SequenceFamily):
 @dataclass(frozen=True)
 class RadialRay(SequenceFamily):
     kind = "radial_ray"
-    parsers = {"tree": int, "ray": parse_ray, "pairing": parse_ray}
+    parsers = {"tree": strict_int, "ray": parse_ray, "pairing": parse_ray}
     tree: int  # 1 or 2: which coordinate marches along the end
     ray: Ray
     pairing: Ray | None = None
@@ -284,7 +284,7 @@ class RadialRay(SequenceFamily):
 @dataclass(frozen=True)
 class Horocyclic(SequenceFamily):
     kind = "horocyclic"
-    parsers = {"level": int}
+    parsers = {"level": strict_int}
     level: int
 
     def stream(self, product):

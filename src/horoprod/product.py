@@ -12,17 +12,21 @@ single-tree Busemann values plus height corrections.  Both facts are
 verified against a breadth-first oracle by the test-suite; the library
 itself always uses the closed forms.
 
-Ball enumeration never materializes the trees: neighbors are generated
-lazily from the two degree rules, and output order is deterministic
-(breadth-first layers, each layer sorted by the textual form).
+Enumeration never materializes the trees.  It runs on keys, the plain
+tuples (branch1, suffix1, branch2, suffix2), through one key-level edge
+relation built from the two degree rules; ``neighbors``, ``ball``,
+``ball_graph`` and ``dist_bfs`` all read it, and a ProductVertex is
+built only for a vertex that is handed out.  Output order is
+deterministic: breadth-first layers, each sorted by the textual form.
+``ball_graph`` numbers the ball in that order and gives the induced
+graph as integer adjacency lists, which the metric oracle sweeps.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .tree import (SpecError, TreeSpec, VertexAddress, gamma_ward, height,
+from .tree import (SpecError, TreeSpec, VertexAddress, address_text, height,
                    origin_dist, tree_dist)
 
 
@@ -33,7 +37,7 @@ class HeightMismatch(ValueError):
         self.h2 = h2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductVertex:
     x1: VertexAddress
     x2: VertexAddress
@@ -55,6 +59,34 @@ class ProductVertex:
 
 
 BASE = ProductVertex(VertexAddress(0, ()), VertexAddress(0, ()))
+
+Key = tuple     # (branch1, suffix1, branch2, suffix2)
+BASE_KEY = (0, (), 0, ())
+
+
+def _key(v: ProductVertex) -> Key:
+    return (v.x1.branch, v.x1.suffix, v.x2.branch, v.x2.suffix)
+
+
+def _vertices(keys: list[Key]) -> list[ProductVertex]:
+    """The vertices with these keys.  Vertices with an equal coordinate
+    share its VertexAddress, so a large ball holds fewer objects."""
+    addresses: dict[tuple, VertexAddress] = {}
+
+    def address(branch, suffix):
+        a = addresses.get((branch, suffix))
+        if a is None:
+            a = addresses[branch, suffix] = VertexAddress(branch, suffix)
+        return a
+
+    return [ProductVertex(address(b1, s1), address(b2, s2))
+            for b1, s1, b2, s2 in keys]
+
+
+def _sort_key(key: Key) -> tuple[str, str]:
+    """(str(x1), str(x2)) of the vertex with this key."""
+    b1, s1, b2, s2 = key
+    return address_text(b1, s1), address_text(b2, s2)
 
 
 def product_height(v: ProductVertex) -> int:
@@ -116,35 +148,59 @@ class HoroProduct:
     def degree(self, v: ProductVertex) -> int:
         return self.tree1._degree(v.x1) + self.tree2._degree(v.x2) - 2
 
+    def _key_neighbors(self, key: Key) -> list[Key]:
+        """The edge relation on keys: up moves (the first coordinate
+        climbs while the second steps toward its end), then down moves."""
+        b1, s1, b2, s2 = key
+        down1 = (b1, s1[:-1]) if s1 else (b1 + 1, ())
+        down2 = (b2, s2[:-1]) if s2 else (b2 + 1, ())
+        out = [(b1 - 1, (), *down2)] if b1 and not s1 else []
+        out.extend((b1, s1 + (j,), *down2)
+                   for j in range(self.tree1.family.label_count(b1, s1)))
+        if b2 and not s2:
+            out.append((*down1, b2 - 1, ()))
+        out.extend((*down1, b2, s2 + (j,))
+                   for j in range(self.tree2.family.label_count(b2, s2)))
+        return out
+
     def neighbors(self, v: ProductVertex) -> list[ProductVertex]:
         """Up moves (first coordinate climbs) then down moves."""
-        down2 = gamma_ward(v.x2)
-        out = [ProductVertex(u, down2) for u in self.tree1.up_neighbors(v.x1)]
-        down1 = gamma_ward(v.x1)
-        out.extend(ProductVertex(down1, u) for u in self.tree2.up_neighbors(v.x2))
-        return out
+        return _vertices(self._key_neighbors(_key(v)))
+
+    def _ball_keys(self, radius: int, adj: list | None = None) -> list[Key]:
+        """The radius ball as keys in output order.  Given a list, ``adj``
+        also receives the ids (output positions) of the in-ball
+        neighbours of each vertex, in output order."""
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        index = {BASE_KEY: 0}
+        keys = [BASE_KEY]
+        frontier = [BASE_KEY]
+
+        def link(layer):
+            # the edges are generated again once the next layer has ids,
+            # so no layer's neighbour keys are held at once
+            if adj is not None:
+                adj.extend([j for j in map(index.get, self._key_neighbors(k))
+                            if j is not None] for k in layer)
+
+        for _ in range(radius):
+            # text is unique per vertex, so the sort fixes the order
+            nxt = sorted({n for k in frontier for n in self._key_neighbors(k)
+                          if n not in index}, key=_sort_key)
+            index.update(zip(nxt, range(len(keys), len(keys) + len(nxt))))
+            keys.extend(nxt)
+            link(frontier)
+            frontier = nxt
+        link(frontier)
+        return keys
 
     def ball(self, radius: int) -> list[ProductVertex]:
         """All vertices within the radius of the base point.
 
         Breadth-first layers; each layer sorted by textual form.
         """
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
-        seen = {BASE}
-        out = [BASE]
-        frontier = [BASE]
-        for _ in range(radius):
-            nxt = []
-            for v in frontier:
-                for w in self.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            nxt.sort(key=lambda w: (str(w.x1), str(w.x2)))
-            out.extend(nxt)
-            frontier = nxt
-        return out
+        return _vertices(self._ball_keys(radius))
 
     def dist_bfs(self, v: ProductVertex, w: ProductVertex,
                  radius_cap: int) -> int | None:
@@ -152,39 +208,42 @@ class HoroProduct:
 
         Returns None when the distance exceeds the cap.  This is the
         independent oracle for the closed-form distance; it never calls
-        ``product_dist``.
+        ``product_dist``.  The search grows from both ends, a whole layer
+        of the smaller side at a time, and the two sides stay disjoint
+        until one touches the other: a path shorter than that first
+        contact would have met an earlier layer, so it gives the distance.
         """
         if radius_cap < 0:
             raise ValueError("radius_cap must be >= 0")
-        if v == w:
+        start, goal = _key(v), _key(w)
+        if start == goal:
             return 0
-        dist = {v: 0}
-        queue = deque([v])
-        while queue:
-            cur = queue.popleft()
-            d = dist[cur]
-            if d == radius_cap:
-                continue
-            for nxt in self.neighbors(cur):
-                if nxt not in dist:
-                    if nxt == w:
-                        return d + 1
-                    dist[nxt] = d + 1
-                    queue.append(nxt)
+        near, far = {start: 0}, {goal: 0}
+        near_layer, far_layer = [start], [goal]
+        for _ in range(radius_cap):     # each pass deepens one side by a layer
+            if len(near_layer) > len(far_layer):
+                near, far, near_layer, far_layer = far, near, far_layer, near_layer
+            depth = near[near_layer[0]] + 1
+            nxt = []
+            for k in near_layer:
+                for n in self._key_neighbors(k):
+                    if n in far:
+                        return depth + far[n]
+                    if n not in near:
+                        near[n] = depth
+                        nxt.append(n)
+            if not nxt:
+                return None
+            near_layer = nxt
         return None
 
     def ball_graph(self, radius: int) -> tuple[list[ProductVertex], list[list[int]]]:
         """The induced graph on the radius ball, as integer adjacency lists.
 
-        Built from the edge relation alone so breadth-first sweeps over
-        it stay independent of the closed-form distance.
+        Vertex i is ``ball(radius)[i]``.  Built from the edge relation
+        alone, so breadth-first sweeps over it stay independent of the
+        closed-form distance.
         """
-        verts = self.ball(radius)
-        index = {v: i for i, v in enumerate(verts)}
-        adj: list[list[int]] = [[] for _ in verts]
-        for v, i in index.items():
-            for w in self.neighbors(v):
-                j = index.get(w)
-                if j is not None:
-                    adj[i].append(j)
-        return verts, adj
+        adj: list[list[int]] = []
+        keys = self._ball_keys(radius, adj)
+        return _vertices(keys), adj

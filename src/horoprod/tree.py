@@ -36,7 +36,7 @@ class SpecError(ValueError):
     """Raised for structurally malformed tree descriptions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexAddress:
     """Canonical coordinates of a tree vertex: ray index plus child word."""
 
@@ -50,7 +50,7 @@ class VertexAddress:
             raise AddressError(f"negative child label in {self.suffix!r}")
 
     def __str__(self):
-        return f"{self.branch};" + ".".join(str(c) for c in self.suffix)
+        return address_text(self.branch, self.suffix)
 
     @classmethod
     def parse(cls, text: str) -> "VertexAddress":
@@ -69,6 +69,11 @@ class VertexAddress:
 
 
 ORIGIN = VertexAddress(0, ())
+
+
+def address_text(branch: int, suffix: Sequence[int]) -> str:
+    """The text form of the address (branch, suffix)."""
+    return f"{branch};" + ".".join(map(str, suffix))
 
 
 def origin_dist(v: VertexAddress) -> int:
@@ -153,13 +158,29 @@ class FieldCodec:
 
     @classmethod
     def from_json(cls, data: dict):
-        return cls(**{name: parse(data[name])
+        return cls(**{name: read_field(name, parse, data[name])
                       for name, parse in cls.parsers.items()
                       if data.get(name) is not None})
 
 
+def read_field(name: str, parse: Callable, value):
+    """parse(value), with a TypeError that names the field."""
+    try:
+        return parse(value)
+    except TypeError as exc:
+        raise TypeError(f"{name}: {exc}") from None
+
+
+def strict_int(value) -> int:
+    """A JSON integer as it stands: bool, float and text are refused, as
+    in walk configs, rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def int_tuple(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    return tuple(strict_int(v) for v in values)
 
 
 # -- tree families -----------------------------------------------------------
@@ -203,7 +224,7 @@ class DegreeRule(FieldCodec):
 @dataclass(frozen=True)
 class Regular(DegreeRule):
     kind = "regular"
-    parsers = {"degree": int}
+    parsers = {"degree": strict_int}
     degree: int
 
     def __post_init__(self):
@@ -359,8 +380,10 @@ class ExplicitCore(DegreeRule):
 
     @classmethod
     def from_json(cls, data: dict) -> "ExplicitCore":
-        entries = tuple((t, int(d)) for t, d in data["core"].items())
-        return cls(entries, int(data["radius"]), int(data["tail_degree"]))
+        entries = tuple((t, read_field(f"core {t}", strict_int, d))
+                        for t, d in data["core"].items())
+        return cls(entries, read_field("radius", strict_int, data["radius"]),
+                   read_field("tail_degree", strict_int, data["tail_degree"]))
 
 
 @dataclass(frozen=True)
@@ -512,7 +535,8 @@ class TreeSpec:
     def from_json(cls, data: dict) -> "TreeSpec":
         try:
             kind = data["family"]
-            min_degree = int(data.get("min_degree", 2))
+            min_degree = read_field("min_degree", strict_int,
+                                    data.get("min_degree", 2))
             if kind not in TREE_FAMILIES:
                 raise SpecError(f"unknown tree family {kind!r}")
             return cls(TREE_FAMILIES[kind].from_json(data), min_degree)

@@ -81,11 +81,11 @@ class WalkConfig:
             raise ValueError("trajectories must be >= 1")
         if self.record_stride < 0:
             raise ValueError("record_stride must be >= 0")
-        if self.max_total_steps is not None and self.max_total_steps < 0:
-            raise ValueError("max_total_steps must be >= 0")
+        if self.max_total_steps is not None and self.max_total_steps < 1:
+            raise ValueError("max_total_steps must be >= 1")
         for tree, ray in self.probes:
-            if tree not in (1, 2):
-                raise ValueError("probe tree must be 1 or 2")
+            if type(tree) is not int or tree not in (1, 2):
+                raise ValueError(f"probe tree must be 1 or 2, got {tree!r}")
             spec = self.product.tree1 if tree == 1 else self.product.tree2
             require_valid_ray(spec, ray)
 

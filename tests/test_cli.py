@@ -248,10 +248,49 @@ DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
      {"spec": DL33, "p_up": "1/2", "steps": 10, "seed": 1,
       "trajectories": 1}, "max_total_steps"),
     (["validate", "--spec"], [DL33], "does not hold a JSON object"),
+    (["walk", "--config"],
+     {"spec": DL33, "p_up": "1/2", "steps": 10, "seed": 1,
+      "trajectories": 1, "max_total_steps": 0}, "max_total_steps"),
+    (["validate", "--spec"],
+     {"tree1": {"family": "regular", "degree": 3.7}, "tree2": DL33["tree2"]},
+     "degree: expected an integer, got 3.7"),
+    (["ball", "--radius", "1", "--spec"],
+     {"tree1": {"family": "regular", "degree": "3"}, "tree2": DL33["tree2"]},
+     "degree: expected an integer, got '3'"),
+    (["validate", "--spec"],
+     {"tree1": {"family": "ray_periodic", "ray_degrees": [3, 4.0],
+                "off_ray_degrees": [3]}, "tree2": DL33["tree2"]},
+     "ray_degrees: expected an integer, got 4.0"),
+    (["validate", "--spec"],
+     {"tree1": {"family": "explicit_core", "core": {"0;": 3.0}, "radius": 0,
+                "tail_degree": 3}, "tree2": DL33["tree2"]},
+     "core 0;: expected an integer, got 3.0"),
+    (["validate", "--spec"],
+     {"tree1": {"family": "explicit_core", "core": {"0;": 3}, "radius": 0,
+                "tail_degree": True}, "tree2": DL33["tree2"]},
+     "tail_degree: expected an integer, got True"),
+    (["validate", "--spec"],
+     {"tree1": {**DL33["tree1"], "min_degree": 3.0}, "tree2": DL33["tree2"]},
+     "min_degree: expected an integer, got 3.0"),
+    (["classify", "--family"],
+     {"spec": DL33, "family": {"kind": "horocyclic", "level": 1.5}},
+     "level: expected an integer, got 1.5"),
+    (["classify", "--family"],
+     {"spec": DL33, "family": {"kind": "radial_ray", "tree": "2",
+                               "ray": "gamma"}},
+     "tree: expected an integer, got '2'"),
+    (["walk", "--config"],
+     {"spec": DL33, "p_up": "1/2", "steps": 10, "seed": 1, "trajectories": 1,
+      "probes": [{"tree": True, "ray": "gamma"}]},
+     "probe tree must be 1 or 2, got True"),
 ], ids=["validate-bad-core", "classify-ray-not-text",
         "classify-family-not-object", "classify-spec-not-object",
         "ball-invalid-spec", "dist-invalid-spec", "walk-negative-cap",
-        "walk-negative-cap-flag", "validate-not-object"])
+        "walk-negative-cap-flag", "validate-not-object", "walk-zero-cap",
+        "validate-float-degree", "ball-text-degree", "validate-float-ray-degree",
+        "validate-float-core-degree", "validate-bool-tail-degree",
+        "validate-float-min-degree", "classify-float-level",
+        "classify-text-tree", "walk-bool-probe-tree"])
 def test_malformed_input_usage_error(capsys, tmp_path, argv, data, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))

@@ -1,8 +1,10 @@
 """Product vertices, adjacency, the closed-form metric and its oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from horoprod import verify
 from horoprod.product import (
     BASE,
     HeightMismatch,
@@ -12,7 +14,8 @@ from horoprod.product import (
     product_dist,
     product_height,
 )
-from horoprod.tree import TreeSpec, VertexAddress, height, tree_dist
+from horoprod.tree import (CustomRule, TreeSpec, VertexAddress, gamma_ward,
+                           height, tree_dist)
 
 R3 = TreeSpec.regular(3)
 R4 = TreeSpec.regular(4)
@@ -20,6 +23,8 @@ LINE = TreeSpec.line()
 DL33 = HoroProduct(R3, R3)
 DL34 = HoroProduct(R3, R4)
 DL3LINE = HoroProduct(R3, LINE)
+MIXED = HoroProduct(TreeSpec.ray_periodic((3, 4), (3,)),
+                    TreeSpec.explicit_core_of(R3, 3, 3))
 
 
 def pv(text):
@@ -137,3 +142,100 @@ def test_ball_graph_is_the_edge_relation():
     for v, i in index.items():
         expected = sorted(index[w] for w in DL33.neighbors(v) if w in index)
         assert sorted(adj[i]) == expected
+
+
+def _tree_level_neighbors(product, v):
+    """The product edge relation written out from the two trees' own
+    neighbour rules: up moves first, then down moves."""
+    down1, down2 = gamma_ward(v.x1), gamma_ward(v.x2)
+    return ([ProductVertex(u, down2) for u in product.tree1.up_neighbors(v.x1)]
+            + [ProductVertex(down1, u) for u in product.tree2.up_neighbors(v.x2)])
+
+
+@pytest.mark.parametrize("product,radius", [
+    # the core ends at origin distance 2, well inside the ball
+    (HoroProduct(TreeSpec.explicit_core_of(R4, 2, 3), R3), 5),
+    (HoroProduct(TreeSpec.ray_periodic((2, 3), (3, 2)),
+                 TreeSpec.ray_periodic((4,), (3,))), 5),
+    (HoroProduct(TreeSpec(CustomRule(
+        lambda a: 4 if (a.branch + len(a.suffix)) % 3 == 0 else 3), 3), R3), 4),
+], ids=["explicit-core", "ray-periodic", "custom-rule"])
+def test_key_relation_matches_tree_relation(product, radius):
+    verts, adj = product.ball_graph(radius)
+    assert verts == product.ball(radius)
+    index = {v: i for i, v in enumerate(verts)}
+    for v, i in index.items():
+        neighbors = product.neighbors(v)
+        assert neighbors == _tree_level_neighbors(product, v)
+        assert adj[i] == [index[w] for w in neighbors if w in index]
+
+
+def test_ball_order_is_layers_sorted_by_text():
+    ball = MIXED.ball(4)
+    depths = [MIXED.dist_bfs(BASE, v, 4) for v in ball]
+    assert depths == sorted(depths)
+    for d in range(5):
+        layer = [v for v, k in zip(ball, depths) if k == d]
+        assert layer == sorted(layer, key=lambda v: (str(v.x1), str(v.x2)))
+    # nothing within the radius is left out
+    inside = set(ball)
+    for v in ball:
+        for w in MIXED.neighbors(v):
+            assert w in inside or MIXED.dist_bfs(BASE, w, 4) is None
+
+
+def test_dist_bfs_respects_cap():
+    ball = MIXED.ball(3)
+    for v in ball[::5]:
+        for w in ball:
+            d = product_dist(v, w)
+            for cap in range(d - 1, d + 2):
+                if cap >= 0:
+                    assert MIXED.dist_bfs(v, w, cap) == (d if d <= cap else None)
+
+
+def test_bitset_sweep_matches_dist_bfs():
+    # 104 sources: two uint64 words, and degrees 4 and 5 plus the cut at
+    # the ball's rim give a ragged neighbour table
+    radius = 4
+    verts, adj = MIXED.ball_graph(2 * radius)
+    sources = len(MIXED.ball(radius))
+    assert sources > 64 and len(set(map(len, adj))) > 2
+    dist, levels = verify._bitset_distances(adj, sources)
+    assert (dist == dist.T).all() and (np.diag(dist) == 0).all()
+    assert levels == dist.max() == 2 * radius
+    for i in range(sources):
+        for j in range(i + 1, sources):
+            assert dist[i, j] == MIXED.dist_bfs(verts[i], verts[j], 2 * radius)
+
+
+def test_oracle_reports_first_corrupted_pair(monkeypatch):
+    targets = DL33.ball(2)
+    v, w = targets[3], targets[7]
+    true_dist = product_dist
+
+    def off_by_one(a, b):
+        return true_dist(a, b) + (a == v and b == w)
+
+    monkeypatch.setattr(verify, "product_dist", off_by_one)
+    result = verify.metric_oracle_suite(radius33=2, radius34=1)
+    assert not result.ok
+    details = result.details["dl33"]
+    assert details["pairs_checked"] == 3 * len(targets) + 7 + 1
+    assert details["witness"] == {"v": str(v), "w": str(w),
+                                  "formula": true_dist(v, w) + 1,
+                                  "bfs": true_dist(v, w)}
+    assert details["witness"]["bfs"] == DL33.dist_bfs(v, w, 4)
+    assert details["bfs_levels"] == 4
+    assert details["graph_vertices"] == len(DL33.ball(4))
+
+
+def test_oracle_counters():
+    result = verify.metric_oracle_suite(radius33=2, radius34=2)
+    assert result.ok
+    for label, product in (("dl33", DL33), ("dl34", DL34)):
+        details = result.details[label]
+        assert details["ball_size"] == len(product.ball(2))
+        assert details["pairs_checked"] == details["ball_size"] ** 2
+        assert details["graph_vertices"] == len(product.ball(4))
+        assert details["bfs_levels"] == 4
