@@ -31,7 +31,7 @@ def main():
     for name in ("metric-oracle", "lemma41", "pointwise-limits",
                  "boundary-functions", "isomorphism", "fset", "closure",
                  "walk-drift"):
-        result = verify.run_suite(name, **overrides.get(name, {}))
+        result = verify.SUITES[name](**overrides.get(name, {}))
         results.append(result)
         print(f"{'PASS' if result.ok else 'FAIL'} {name:20s} "
               f"({result.seconds:6.1f}s)")

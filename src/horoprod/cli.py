@@ -18,13 +18,7 @@ from .tree import AddressError, SpecError, TreeSpec
 from .rays import UndecidableFamilyError
 from .product import HeightMismatch, HoroProduct, product_dist
 from .boundary import evaluate, parse_point, require_valid_point
-from .limits import (
-    NOT_DECIDED,
-    classify,
-    empirical_pointwise_check,
-    family_from_json,
-    stabilization_bound,
-)
+from .limits import NOT_DECIDED, agreement, classify, family_from_json
 from .walk import WalkConfig, drift_report, simulate, write_trace_csv
 from . import verify
 
@@ -137,19 +131,9 @@ def cmd_classify(args) -> int:
     if report.status == NOT_DECIDED:
         payload["agreement"] = None
     else:
-        if args.window:
-            n0, n1 = args.window
-        else:
-            n0 = stabilization_bound(product, family, args.radius)
-            n1 = n0 + 55
-        target = report.busemann
-        emp = empirical_pointwise_check(product, family, (n0, n1),
-                                        args.radius, target)
+        emp, agreed = agreement(product, family, report, args.radius,
+                                args.window)
         payload["empirical"] = emp.payload()
-        if report.status in ("interior", "boundary"):
-            agreed = emp.convergent and emp.matched_target is True
-        else:
-            agreed = not emp.convergent
         payload["agreement"] = agreed
         if not agreed:
             code = 1

@@ -627,25 +627,43 @@ class IsomorphismSummary:
         }
 
 
+EXTRA_WINDOW = 55
+
+
+def agreement(product: HoroProduct, family: SequenceFamily, rep: LimitReport,
+              radius: int, window: tuple[int, int] | None = None,
+              extra_window: int = EXTRA_WINDOW) -> tuple[EmpiricalReport, bool]:
+    """The empirical check of a decided classification ``rep`` of the
+    family, and whether the two routes agree.
+
+    The window defaults to the family's stabilization bound and
+    ``extra_window`` indices past it.  Agreement means: both routes
+    converge and the empirical values equal the classified limit
+    function pointwise, or both routes report non-convergence.
+    """
+    if window is None:
+        n0 = stabilization_bound(product, family, radius)
+        window = (n0, n0 + extra_window)
+    emp = empirical_pointwise_check(product, family, window, radius,
+                                    rep.busemann)
+    if rep.status in (INTERIOR, BOUNDARY):
+        return emp, emp.convergent and emp.matched_target is True
+    return emp, not emp.convergent
+
+
 def isomorphism_check(product: HoroProduct,
                       families: Sequence[SequenceFamily],
                       radius: int = 4,
-                      extra_window: int = 55) -> IsomorphismSummary:
-    """Symbolic classification against empirical pointwise convergence.
-
-    Each family's window starts at its stabilization bound and runs
-    ``extra_window`` further.  Agreement means: both routes converge
-    and the empirical values equal the classified limit function
-    pointwise, or both routes report non-convergence.  Families the
-    window heuristic cannot decide are counted separately.
+                      extra_window: int = EXTRA_WINDOW) -> IsomorphismSummary:
+    """Symbolic classification against empirical pointwise convergence,
+    family by family through ``agreement``.  Families the window
+    heuristic cannot decide are counted separately.
     """
     entries = []
     disagreements = []
     undecided = 0
     for family in families:
         rep = classify(product, family)
-        n0 = stabilization_bound(product, family, radius)
-        window = (n0, n0 + extra_window)
         if rep.status == NOT_DECIDED:
             undecided += 1
             entry = IsomorphismEntry(family.describe(), rep.status,
@@ -653,16 +671,12 @@ def isomorphism_check(product: HoroProduct,
                                      {"note": "window heuristic undecided"})
             entries.append(entry)
             continue
-        target = rep.busemann if rep.status in (INTERIOR, BOUNDARY) else None
-        emp = empirical_pointwise_check(product, family, window, radius, target)
-        if rep.status in (INTERIOR, BOUNDARY):
-            agreed = emp.convergent and emp.matched_target is True
-        else:
-            agreed = not emp.convergent
+        emp, agreed = agreement(product, family, rep, radius,
+                                extra_window=extra_window)
         entry = IsomorphismEntry(
             family.describe(), rep.status, emp.convergent, agreed,
             rep.heuristic,
-            {"window": list(window),
+            {"window": list(emp.window),
              "violations": list(emp.violations)} if not agreed else {})
         entries.append(entry)
         if not agreed:
@@ -682,34 +696,25 @@ def realizability(product: HoroProduct, p: BoundaryPoint) -> tuple[bool, str | N
     are always reachable; a distinguished end needs its own tree's
     level sets infinite (heights must climb while hugging the ray).
     """
-    all1 = f_set(product.tree1) == FSet.ALL
-    all2 = f_set(product.tree2) == FSet.ALL
+    infinite = {side: f_set(_tree(product, side)) == FSet.ALL for side in (1, 2)}
+    own = 1 if p.kind in (PointKind.RAY1, PointKind.VERTEX1) else 2
+    is_ray = p.kind in (PointKind.RAY1, PointKind.RAY2)
     if p.kind is PointKind.LEVEL:
-        if all1 and all2:
-            return True, None
-        side = "first" if not all1 else "second"
-        return False, f"the {side} tree has finite horocycle levels"
-    if p.kind is PointKind.VERTEX1:
-        if all2:
-            return True, None
-        return False, "the second tree has finite horocycle levels"
-    if p.kind is PointKind.VERTEX2:
-        if all1:
-            return True, None
-        return False, "the first tree has finite horocycle levels"
-    if p.kind is PointKind.RAY1:
-        if not isinstance(p.payload, GammaEnd):
-            return True, None
-        if all1:
-            return True, None
-        return False, ("heights cannot climb along the first tree's "
+        needed = (1, 2)
+    elif not is_ray:
+        needed = (3 - own,)
+    elif isinstance(p.payload, GammaEnd):
+        needed = (own,)
+    else:
+        return True, None
+    finite = [side for side in needed if not infinite[side]]
+    if not finite:
+        return True, None
+    name = "first" if finite[0] == 1 else "second"
+    if is_ray:
+        return False, (f"heights cannot climb along the {name} tree's "
                        "distinguished ray: its levels are finite")
-    if not isinstance(p.payload, GammaEnd):
-        return True, None
-    if all2:
-        return True, None
-    return False, ("heights cannot climb along the second tree's "
-                   "distinguished ray: its levels are finite")
+    return False, f"the {name} tree has finite horocycle levels"
 
 
 # -- randomized family generation ----------------------------------------------

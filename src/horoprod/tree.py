@@ -64,9 +64,6 @@ class VertexAddress:
             raise AddressError(f"unparsable vertex address {text!r}") from exc
         return cls(branch, suffix)
 
-    def sort_key(self):
-        return (self.branch + len(self.suffix), self.branch, self.suffix)
-
 
 ORIGIN = VertexAddress(0, ())
 

@@ -41,6 +41,7 @@ from .boundary import (
     vertex_point1,
 )
 from .limits import (
+    EXTRA_WINDOW,
     Horocyclic,
     empirical_pointwise_check,
     isomorphism_check,
@@ -348,7 +349,7 @@ def boundary_function_suite(lipschitz_radius: int = 4,
 
 @_timed
 def isomorphism_suite(count_per_product: int = 120, radius: int = 4,
-                      extra_window: int = 55, seed: int = 20260811,
+                      extra_window: int = EXTRA_WINDOW, seed: int = 20260811,
                       ) -> SuiteResult:
     """Symbolic classification vs empirical limits on randomized families."""
     details = {"seed": seed}
@@ -518,9 +519,3 @@ SUITES = {
     "boundary-functions": boundary_function_suite,
     "closure": closure_suite,
 }
-
-
-def run_suite(name: str, **kwargs) -> SuiteResult:
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name](**kwargs)

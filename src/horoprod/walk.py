@@ -12,7 +12,10 @@ asks the tree family how many children a position has: a constant
 triple for Regular and Line, the degree cycles for RayPeriodic, the
 core table for ExplicitCore only inside its radius.  Only a CustomRule
 builds an address per step, so a step costs O(1) for every decidable
-family.
+family.  The up move is written once, in ``_climber``, and both
+coordinates and ``step`` use it.  The height moves by one per step, and
+the distance from the base is read as 2(m1 + m2) - |h| from the two ray
+indices m1, m2 and the height h, since the two heights cancel.
 
 Walks instantiate integrable ergodic increments over a Bernoulli
 source, which makes the law-of-large-numbers drift identities testable:
@@ -45,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tree import TreeSpec, gamma_ward
+from .tree import TreeSpec, VertexAddress, gamma_ward
 from .rays import GammaEnd, Ray, parse_ray, require_valid_ray
 from .product import HoroProduct, ProductVertex
 
@@ -143,26 +146,60 @@ def _trajectory_seed(seed: int, index: int) -> int:
     return (seed << 32) ^ (index * 0x9E3779B1)
 
 
-def _choose(rng: Random, count: int) -> int:
-    # shared drawing discipline so simulate() runs replay through step()
-    if count == 1:
-        return 0
-    if count == 2:
-        return rng.getrandbits(1)
-    return rng.randrange(count)
+def _climber(rng: Random):
+    """The up move of one coordinate, drawing from ``rng``.
+
+    ``climb(m, s, fast, count)`` moves the position (ray index ``m``,
+    suffix list ``s``, extended in place) to a uniformly drawn upward
+    neighbor and returns its ray index.  The neighbors are numbered as
+    ``TreeSpec.up_neighbors`` lists them: the ray vertex above first,
+    then the labeled children.  ``fast`` is the family's constant
+    counts or None, ``count`` its ``label_count``.  One neighbor takes
+    no draw, two take one bit, more take one ``randrange``.
+    """
+    getrandbits = rng.getrandbits
+    randrange = rng.randrange
+
+    def climb(m: int, s: list[int], fast, count) -> int:
+        if s:
+            cnt = fast[2] if fast else count(m, s)
+            s.append(0 if cnt == 1 else
+                     getrandbits(1) if cnt == 2 else randrange(cnt))
+            return m
+        if fast:
+            cnt = fast[0] if m == 0 else fast[1] + 1
+        else:
+            cnt = count(m, s) + (1 if m else 0)
+        c = 0 if cnt == 1 else getrandbits(1) if cnt == 2 else randrange(cnt)
+        if m:
+            if c == 0:
+                return m - 1
+            c -= 1
+        s.append(c)
+        return m
+
+    return climb
 
 
 def step(product: HoroProduct, v: ProductVertex, rng: Random,
          p_up: float) -> ProductVertex:
-    """One walk step; deterministic in the rng state and history."""
-    if rng.random() < p_up:
-        ups = product.tree1.up_neighbors(v.x1)
-        return ProductVertex(ups[_choose(rng, len(ups))], gamma_ward(v.x2))
-    ups = product.tree2.up_neighbors(v.x2)
-    return ProductVertex(gamma_ward(v.x1), ups[_choose(rng, len(ups))])
+    """One walk step; deterministic in the rng state and history.
+
+    It draws exactly as ``simulate`` does, through the same up move, so
+    a trajectory replays step by step from its rng seed.
+    """
+    up = rng.random() < p_up
+    x, other, tree = ((v.x1, v.x2, product.tree1) if up
+                      else (v.x2, v.x1, product.tree2))
+    suffix = list(x.suffix)
+    branch = _climber(rng)(x.branch, suffix, None, tree.family.label_count)
+    moved = VertexAddress(branch, tuple(suffix))
+    if up:
+        return ProductVertex(moved, gamma_ward(other))
+    return ProductVertex(gamma_ward(other), moved)
 
 
-def _compile_probe(product: HoroProduct, tree: int, ray: Ray):
+def _compile_probe(tree: int, ray: Ray):
     """(coordinate index, gamma flag, branch, letter function)."""
     if isinstance(ray, GammaEnd):
         return (tree, True, 0, None)
@@ -184,8 +221,7 @@ def _run_trajectory(config: WalkConfig, index: int,
     fast2 = config.product.tree2.family.constant_counts()
     count1 = config.product.tree1.family.label_count
     count2 = config.product.tree2.family.label_count
-    probes = tuple(_compile_probe(config.product, t, r)
-                   for t, r in config.probes)
+    probes = tuple(_compile_probe(t, r) for t, r in config.probes)
 
     # Per-step values of dist, height and each probe, since the last fold.
     # A fold keeps every stride-th value and adds the values of the
@@ -207,60 +243,28 @@ def _run_trajectory(config: WalkConfig, index: int,
     s2: list[int] = []
     dist = h = 0
     rand = rng.random
-    getrandbits = rng.getrandbits
-    randrange = rng.randrange
+    climb = _climber(rng)
     done = 0
     for end in sorted(e for e in ends if e > 0):
         for _ in range(end - done):
             if rand() < p:
                 # first coordinate climbs, second slides toward its end
-                if s1:
-                    cnt = fast1[2] if fast1 else count1(m1, s1)
-                    s1.append(0 if cnt == 1 else
-                              getrandbits(1) if cnt == 2 else randrange(cnt))
-                else:
-                    if fast1:
-                        cnt = fast1[0] if m1 == 0 else fast1[1] + 1
-                    else:
-                        cnt = count1(m1, s1) + (1 if m1 else 0)
-                    c = (0 if cnt == 1 else
-                         getrandbits(1) if cnt == 2 else randrange(cnt))
-                    if m1:
-                        if c == 0:
-                            m1 -= 1
-                        else:
-                            s1.append(c - 1)
-                    else:
-                        s1.append(c)
+                m1 = climb(m1, s1, fast1, count1)
                 if s2:
                     s2.pop()
                 else:
                     m2 += 1
+                h += 1
             else:
-                if s2:
-                    cnt = fast2[2] if fast2 else count2(m2, s2)
-                    s2.append(0 if cnt == 1 else
-                              getrandbits(1) if cnt == 2 else randrange(cnt))
-                else:
-                    if fast2:
-                        cnt = fast2[0] if m2 == 0 else fast2[1] + 1
-                    else:
-                        cnt = count2(m2, s2) + (1 if m2 else 0)
-                    c = (0 if cnt == 1 else
-                         getrandbits(1) if cnt == 2 else randrange(cnt))
-                    if m2:
-                        if c == 0:
-                            m2 -= 1
-                        else:
-                            s2.append(c - 1)
-                    else:
-                        s2.append(c)
+                m2 = climb(m2, s2, fast2, count2)
                 if s1:
                     s1.pop()
                 else:
                     m1 += 1
-            h = len(s1) - m1
-            dist = m1 + len(s1) + m2 + len(s2) - (h if h >= 0 else -h)
+                h -= 1
+            # len(s1) = m1 + h and len(s2) = m2 - h, so the two origin
+            # distances add up to 2 * (m1 + m2)
+            dist = 2 * (m1 + m2) - (h if h >= 0 else -h)
             add_dist(dist)
             add_height(h)
             for append, which, is_gamma, rb, letter in probe_slots:

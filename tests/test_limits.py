@@ -271,6 +271,28 @@ def test_realizability_rays_and_vertices():
     assert not realizability(DL3LINE, vertex_point1(va("0;0")))[0]
 
 
+def test_realizability_messages_for_both_factor_orders():
+    first = "the first tree has finite horocycle levels"
+    second = "the second tree has finite horocycle levels"
+    climb = ("heights cannot climb along the {} tree's distinguished ray: "
+             "its levels are finite")
+    delta = BranchingRay(0, (), (0,))
+    points = [level_point(2), vertex_point1(va("0;0")), vertex_point2(va("1;")),
+              ray_point1(GAMMA), ray_point2(GAMMA), ray_point1(delta),
+              ray_point2(delta)]
+    expected = {
+        DL3LINE: [second, second, None, None, climb.format("second"),
+                  None, None],
+        HoroProduct(LINE, R3): [first, None, first, climb.format("first"),
+                                None, None, None],
+        HoroProduct(LINE, LINE): [first, second, first, climb.format("first"),
+                                  climb.format("second"), None, None],
+    }
+    for product, messages in expected.items():
+        for p, message in zip(points, messages):
+            assert realizability(product, p) == (message is None, message)
+
+
 def test_realizability_monotone_under_tree_growth():
     # replacing the path by a bushier tree never kills realizability
     points = [level_point(0), level_point(2), vertex_point1(va("0;0")),

@@ -9,7 +9,8 @@ import pytest
 
 from horoprod.product import BASE, HoroProduct, product_dist, product_height
 from horoprod.rays import BranchingRay, GAMMA
-from horoprod.tree import TreeSpec, VertexAddress, height, origin_dist
+from horoprod.tree import (CustomRule, TreeSpec, VertexAddress, height,
+                           origin_dist)
 from horoprod.walk import (
     WalkConfig,
     _chunk_sums,
@@ -104,18 +105,24 @@ def test_records_match_walk_replay():
     assert height(v.x1) + height(v.x2) == 0
 
 
+BUMPY = HoroProduct(TreeSpec.ray_periodic([3, 4], [4, 3]), R3)
+CUSTOM_PRODUCT = HoroProduct(TreeSpec(CustomRule(
+    lambda a: 4 if (a.branch + len(a.suffix)) % 3 == 0 else 3), 3), R3)
+
+
 def test_replay_on_irregular_trees():
-    # degree rules without constant label counts use the generic path
-    bumpy = HoroProduct(TreeSpec.ray_periodic([3, 4], [4, 3]), R3)
-    config = WalkConfig(bumpy, Fraction(3, 5), 80, 13, 1, PROBES)
-    t = simulate(config).trajectories[0]
-    rng = Random(_trajectory_seed(13, 0))
-    v = bumpy.base
-    for n in range(1, 81):
-        v = step(bumpy, v, rng, 0.6)
-        assert product_dist(bumpy.base, v) == t.dist[n]
-        assert product_height(v) == t.height[n]
-    assert np.all(np.abs(np.diff(t.height)) == 1)
+    # degree rules without constant label counts use the generic path;
+    # a custom rule answers each count from an address
+    for product in (BUMPY, CUSTOM_PRODUCT):
+        config = WalkConfig(product, Fraction(3, 5), 80, 13, 1, PROBES)
+        t = simulate(config).trajectories[0]
+        rng = Random(_trajectory_seed(13, 0))
+        v = product.base
+        for n in range(1, 81):
+            v = step(product, v, rng, 0.6)
+            assert product_dist(product.base, v) == t.dist[n]
+            assert product_height(v) == t.height[n]
+        assert np.all(np.abs(np.diff(t.height)) == 1)
 
 
 def test_bit_identical_reruns():
@@ -222,6 +229,27 @@ def test_replay_across_core_boundary():
         assert product_height(v) == t.height[n]
     assert deepest > 3
     assert t.final_dist == product_dist(CORE_PRODUCT.base, v)
+
+
+@pytest.mark.parametrize("product", [DL33, BUMPY, CORE_PRODUCT, CUSTOM_PRODUCT],
+                         ids=["regular", "ray-periodic", "explicit-core",
+                              "custom-rule"])
+def test_step_moves_along_edge_relation(product):
+    # product.neighbors is the key-level edge relation of the product,
+    # written without the walk's up move
+    rng = Random(17)
+    v = product.base
+    for p_up, count in ((0.5, 1000), (0.8, 500), (0.2, 1000)):
+        for _ in range(count):
+            peek = Random()
+            peek.setstate(rng.getstate())
+            rise = 1 if peek.random() < p_up else -1
+            w = step(product, v, rng, p_up)
+            assert w in product.neighbors(v)
+            assert product_height(w) - product_height(v) == rise
+            v = w
+    # the last phase climbed the second tree far past CORE_PRODUCT's core
+    assert product_height(v) < -100
 
 
 @pytest.mark.parametrize("spec", [R3, TreeSpec.line()])
