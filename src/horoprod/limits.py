@@ -696,7 +696,6 @@ def realizability(product: HoroProduct, p: BoundaryPoint) -> tuple[bool, str | N
     are always reachable; a distinguished end needs its own tree's
     level sets infinite (heights must climb while hugging the ray).
     """
-    infinite = {side: f_set(_tree(product, side)) == FSet.ALL for side in (1, 2)}
     own = 1 if p.kind in (PointKind.RAY1, PointKind.VERTEX1) else 2
     is_ray = p.kind in (PointKind.RAY1, PointKind.RAY2)
     if p.kind is PointKind.LEVEL:
@@ -707,7 +706,8 @@ def realizability(product: HoroProduct, p: BoundaryPoint) -> tuple[bool, str | N
         needed = (own,)
     else:
         return True, None
-    finite = [side for side in needed if not infinite[side]]
+    finite = [side for side in needed
+              if f_set(_tree(product, side)) != FSet.ALL]
     if not finite:
         return True, None
     name = "first" if finite[0] == 1 else "second"

@@ -7,15 +7,23 @@ its distance from the base point (closed form, never breadth-first),
 its height, and the Busemann value of each configured probe end, and
 keeps every ``record_stride``-th of them (none at stride 0).
 
-The walker holds each coordinate as a (branch, suffix) position and
-asks the tree family how many children a position has: a constant
-triple for Regular and Line, the degree cycles for RayPeriodic, the
-core table for ExplicitCore only inside its radius.  Only a CustomRule
-builds an address per step, so a step costs O(1) for every decidable
-family.  The up move is written once, in ``_climber``, and both
-coordinates and ``step`` use it.  The height moves by one per step, and
-the distance from the base is read as 2(m1 + m2) - |h| from the two ray
-indices m1, m2 and the height h, since the two heights cancel.
+A coordinate is its ray index m and the stack of child labels below
+z_m.  The height h fixes both stack depths, m1 + h on tree 1 and m2 - h
+on tree 2, so the distance from the base is 2(m1 + m2) - |h|.  When
+both families have constant label counts (Regular and Line) the walker
+keeps only (m1, m2, h): the letters on a stack never matter there, and
+a walk that records nothing (stride 0) runs in flat memory.  Any other
+family keeps each suffix as a list and asks the family how many
+children a position has (the degree cycles for RayPeriodic, the core
+table for ExplicitCore inside its radius; only a CustomRule builds an
+address per step).  The up move is written once per path: ``_climber``
+for suffix lists, which ``step`` shares, and the inline draws of
+``_depth_steps``.
+
+Probes cost O(1) per step.  A gamma probe is the height on tree 1 and
+minus the height on tree 2, so its series and slope are the height's.
+A branching-ray probe keeps the length of the prefix of the suffix that
+follows the ray (``_advance_rays``).
 
 Walks instantiate integrable ergodic increments over a Bernoulli
 source, which makes the law-of-large-numbers drift identities testable:
@@ -40,9 +48,9 @@ values it records.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 from typing import Sequence
 
@@ -147,38 +155,43 @@ def _trajectory_seed(seed: int, index: int) -> int:
 
 
 def _climber(rng: Random):
-    """The up move of one coordinate, drawing from ``rng``.
+    """The up move of one coordinate of any family, drawing from ``rng``.
 
-    ``climb(m, s, fast, count)`` moves the position (ray index ``m``,
-    suffix list ``s``, extended in place) to a uniformly drawn upward
-    neighbor and returns its ray index.  The neighbors are numbered as
+    ``climb(m, s, count)`` moves the position (ray index ``m``, suffix
+    list ``s``, extended in place) to a uniformly drawn upward neighbor
+    and returns its ray index.  The neighbors are numbered as
     ``TreeSpec.up_neighbors`` lists them: the ray vertex above first,
-    then the labeled children.  ``fast`` is the family's constant
-    counts or None, ``count`` its ``label_count``.  One neighbor takes
-    no draw, two take one bit, more take one ``randrange``.
+    then the labeled children.  ``count`` is the family's
+    ``label_count``.  One neighbor takes no draw, two take one bit, more
+    take one ``randrange``; ``_draw`` is the same rule for a fixed count.
     """
     getrandbits = rng.getrandbits
     randrange = rng.randrange
 
-    def climb(m: int, s: list[int], fast, count) -> int:
-        if s:
-            cnt = fast[2] if fast else count(m, s)
-            s.append(0 if cnt == 1 else
-                     getrandbits(1) if cnt == 2 else randrange(cnt))
-            return m
-        if fast:
-            cnt = fast[0] if m == 0 else fast[1] + 1
-        else:
-            cnt = count(m, s) + (1 if m else 0)
+    def climb(m: int, s: list[int], count) -> int:
+        ray = 1 if m and not s else 0
+        cnt = count(m, s) + ray
         c = 0 if cnt == 1 else getrandbits(1) if cnt == 2 else randrange(cnt)
-        if m:
-            if c == 0:
-                return m - 1
-            c -= 1
-        s.append(c)
+        if c < ray:
+            return m - 1
+        s.append(c - ray)
         return m
 
     return climb
+
+
+def _no_draw(_count: int) -> int:
+    return 0
+
+
+def _draw(rng: Random, count: int):
+    """``(fn, arg)`` such that ``fn(arg)`` draws uniformly from
+    ``range(count)`` by ``_climber``'s rule."""
+    if count == 1:
+        return _no_draw, count
+    if count == 2:
+        return rng.getrandbits, 1
+    return rng.randrange, count
 
 
 def step(product: HoroProduct, v: ProductVertex, rng: Random,
@@ -192,18 +205,163 @@ def step(product: HoroProduct, v: ProductVertex, rng: Random,
     x, other, tree = ((v.x1, v.x2, product.tree1) if up
                       else (v.x2, v.x1, product.tree2))
     suffix = list(x.suffix)
-    branch = _climber(rng)(x.branch, suffix, None, tree.family.label_count)
+    branch = _climber(rng)(x.branch, suffix, tree.family.label_count)
     moved = VertexAddress(branch, tuple(suffix))
     if up:
         return ProductVertex(moved, gamma_ward(other))
     return ProductVertex(gamma_ward(other), moved)
 
 
-def _compile_probe(tree: int, ray: Ray):
-    """(coordinate index, gamma flag, branch, letter function)."""
-    if isinstance(ray, GammaEnd):
-        return (tree, True, 0, None)
-    return (tree, False, ray.branch, ray.letter)
+def _advance_rays(rays: list[list], m: int, depth: int, c: int) -> None:
+    """Step the branching-ray probes of one coordinate and record their
+    values, in O(1) each.
+
+    A probe is ``[L, branch, want, letter, append]``: ``L`` is the
+    length of the prefix of the coordinate's suffix that follows the
+    ray's letters, and ``want = letter(L)`` the letter that extends it.
+    The coordinate is now at ray index ``m`` and stack depth ``depth``.
+    ``c`` is the letter this step pushed, or else -1 or the top letter,
+    neither of which can extend the match (a top letter at index ``L``
+    already failed to).  A pop clamps ``L`` to the depth, and a push of
+    ``want`` at depth ``L`` extends it.  ``L`` matters only where ``m``
+    is the ray's branch, and ``m`` changes only at depth 0, where ``L``
+    is 0; so it is updated only there.  The value is the Busemann
+    function m + depth - 2 meet.
+    """
+    for probe in rays:
+        L, branch, want, letter, append = probe
+        if m != branch:
+            append(m + depth - 2 * (m if m < branch else branch))
+            continue
+        if L > depth:
+            probe[0] = L = depth
+            probe[2] = letter(L)
+        elif L == depth - 1 and c == want:
+            probe[0] = L = depth
+            probe[2] = letter(L)
+        append(depth - m - 2 * L)
+
+
+def _depth_steps(rng: Random, p: float, counts1, counts2, add_dist,
+                 add_height, rays1, rays2):
+    """The walk on two constant-count trees, as a generator: ``send(n)``
+    runs n more steps and returns the distance and height after them.
+
+    A coordinate is its ray index alone: the height fixes its stack
+    depth, m1 + h on tree 1 and m2 - h on tree 2, and with constant
+    counts the letters on the stack never matter.  A climb draws as
+    ``_climber`` does; its letter is kept only for the ray probes.
+    """
+    rand = rng.random
+    root1, n_root1 = _draw(rng, counts1[0])
+    ray1, n_ray1 = _draw(rng, counts1[1] + 1)
+    up1, n_up1 = _draw(rng, counts1[2])
+    root2, n_root2 = _draw(rng, counts2[0])
+    ray2, n_ray2 = _draw(rng, counts2[1] + 1)
+    up2, n_up2 = _draw(rng, counts2[2])
+    probing = bool(rays1 or rays2)
+    m1 = m2 = h = dist = 0
+    n = yield
+    while True:
+        for _ in range(n):
+            if rand() < p:
+                # tree 1 pushes letter c1, or climbs to the ray vertex above
+                # (c1 = -1); tree 2 pops or slides toward its end
+                if m1 + h:
+                    c1 = up1(n_up1)
+                elif m1:
+                    c1 = ray1(n_ray1) - 1
+                    if c1 < 0:
+                        m1 -= 1
+                else:
+                    c1 = root1(n_root1)
+                c2 = -1
+                if m2 <= h:
+                    m2 += 1
+                h += 1
+            else:
+                if m2 - h:
+                    c2 = up2(n_up2)
+                elif m2:
+                    c2 = ray2(n_ray2) - 1
+                    if c2 < 0:
+                        m2 -= 1
+                else:
+                    c2 = root2(n_root2)
+                c1 = -1
+                if m1 + h <= 0:
+                    m1 += 1
+                h -= 1
+            # the two origin distances add up to 2 * (m1 + m2)
+            dist = 2 * (m1 + m2) - (h if h >= 0 else -h)
+            add_dist(dist)
+            add_height(h)
+            if probing:
+                # _advance_rays, written out per coordinate
+                e = m1 + h
+                for probe in rays1:
+                    L, branch, want, letter, append = probe
+                    if m1 != branch:
+                        append(m1 + e - 2 * (m1 if m1 < branch else branch))
+                        continue
+                    if L > e:
+                        probe[0] = L = e
+                        probe[2] = letter(L)
+                    elif L == e - 1 and c1 == want:
+                        probe[0] = L = e
+                        probe[2] = letter(L)
+                    append(e - m1 - 2 * L)
+                e = m2 - h
+                for probe in rays2:
+                    L, branch, want, letter, append = probe
+                    if m2 != branch:
+                        append(m2 + e - 2 * (m2 if m2 < branch else branch))
+                        continue
+                    if L > e:
+                        probe[0] = L = e
+                        probe[2] = letter(L)
+                    elif L == e - 1 and c2 == want:
+                        probe[0] = L = e
+                        probe[2] = letter(L)
+                    append(e - m2 - 2 * L)
+        n = yield dist, h
+
+
+def _suffix_steps(rng: Random, p: float, count1, count2, add_dist,
+                  add_height, rays1, rays2):
+    """``_depth_steps`` for any families: each coordinate keeps its
+    suffix list, which ``count1``/``count2`` (the families'
+    ``label_count``) read."""
+    rand = rng.random
+    climb = _climber(rng)
+    probing = bool(rays1 or rays2)
+    m1 = m2 = h = dist = 0
+    s1: list[int] = []
+    s2: list[int] = []
+    n = yield
+    while True:
+        for _ in range(n):
+            if rand() < p:
+                m1 = climb(m1, s1, count1)
+                if s2:
+                    s2.pop()
+                else:
+                    m2 += 1
+                h += 1
+            else:
+                m2 = climb(m2, s2, count2)
+                if s1:
+                    s1.pop()
+                else:
+                    m1 += 1
+                h -= 1
+            dist = 2 * (m1 + m2) - (h if h >= 0 else -h)
+            add_dist(dist)
+            add_height(h)
+            if probing:
+                _advance_rays(rays1, m1, len(s1), s1[-1] if s1 else -1)
+                _advance_rays(rays2, m2, len(s2), s2[-1] if s2 else -1)
+        n = yield dist, h
 
 
 # Steps between folds of the per-step values into records and sums; it
@@ -214,77 +372,49 @@ _CHUNK = 8192
 def _run_trajectory(config: WalkConfig, index: int,
                     budget: int | None) -> tuple[TrajectoryStats, int]:
     rng = Random(_trajectory_seed(config.seed, index))
-    p = float(config.p_up)
     steps = config.steps if budget is None else min(config.steps, budget)
     stride = config.record_stride
-    fast1 = config.product.tree1.family.constant_counts()
-    fast2 = config.product.tree2.family.constant_counts()
-    count1 = config.product.tree1.family.label_count
-    count2 = config.product.tree2.family.label_count
-    probes = tuple(_compile_probe(t, r) for t, r in config.probes)
 
-    # Per-step values of dist, height and each probe, since the last fold.
+    # Per-step values of dist, height and each branching-ray probe, since
+    # the last fold.  A gamma probe reads the height: h on tree 1 and -h
+    # on tree 2, since len(s1) - m1 = h and len(s2) - m2 = -h.  So each
+    # probe reads one series with a sign.
+    chunks: list[list[int]] = [[], []]
+    rays: tuple[list, list] = ([], [])
+    reads = []
+    for tree, ray in config.probes:
+        if isinstance(ray, GammaEnd):
+            reads.append((1, 1 if tree == 1 else -1))
+            continue
+        chunk: list[int] = []
+        rays[tree - 1].append([0, ray.branch, ray.letter(0), ray.letter,
+                                chunk.append])
+        reads.append((len(chunks), 1))
+        chunks.append(chunk)
+
+    family1 = config.product.tree1.family
+    family2 = config.product.tree2.family
+    counts1 = family1.constant_counts()
+    counts2 = family2.constant_counts()
+    p = float(config.p_up)
+    add = (chunks[0].append, chunks[1].append) + rays
+    if counts1 and counts2:
+        walk = _depth_steps(rng, p, counts1, counts2, *add)
+    else:
+        walk = _suffix_steps(rng, p, family1.label_count, family2.label_count,
+                             *add)
+    next(walk)
+
     # A fold keeps every stride-th value and adds the values of the
     # fitted half (steps half..steps) to exact sums for the slopes; a
     # chunk ends at half - 1 so that it never straddles that boundary.
-    chunks: list[list[int]] = [[] for _ in range(2 + len(probes))]
     records: list[list[int]] = [[0] for _ in chunks]
     sums = [[0, 0] for _ in chunks]
-    add_dist = chunks[0].append
-    add_height = chunks[1].append
-    probe_slots = [(chunk.append,) + spec
-                   for chunk, spec in zip(chunks[2:], probes)]
     half = steps // 2
     ends = {steps, half - 1, *range(_CHUNK, steps, _CHUNK)}
-
-    m1 = 0
-    s1: list[int] = []
-    m2 = 0
-    s2: list[int] = []
-    dist = h = 0
-    rand = rng.random
-    climb = _climber(rng)
-    done = 0
+    dist = h = done = 0
     for end in sorted(e for e in ends if e > 0):
-        for _ in range(end - done):
-            if rand() < p:
-                # first coordinate climbs, second slides toward its end
-                m1 = climb(m1, s1, fast1, count1)
-                if s2:
-                    s2.pop()
-                else:
-                    m2 += 1
-                h += 1
-            else:
-                m2 = climb(m2, s2, fast2, count2)
-                if s1:
-                    s1.pop()
-                else:
-                    m1 += 1
-                h -= 1
-            # len(s1) = m1 + h and len(s2) = m2 - h, so the two origin
-            # distances add up to 2 * (m1 + m2)
-            dist = 2 * (m1 + m2) - (h if h >= 0 else -h)
-            add_dist(dist)
-            add_height(h)
-            for append, which, is_gamma, rb, letter in probe_slots:
-                if which == 1:
-                    m, s = m1, s1
-                else:
-                    m, s = m2, s2
-                if is_gamma:
-                    append(len(s) - m)
-                    continue
-                if m != rb:
-                    meet = m if m < rb else rb
-                else:
-                    i = 0
-                    for letter_val in s:
-                        if letter_val != letter(i):
-                            break
-                        i += 1
-                    meet = m + i
-                append(m + len(s) - 2 * meet)
+        dist, h = walk.send(end - done)
         first = done + 1        # step index of each chunk's first value
         for chunk, record, total in zip(chunks, records, sums):
             if stride:
@@ -301,18 +431,22 @@ def _run_trajectory(config: WalkConfig, index: int,
     stats = TrajectoryStats(
         index=index, steps=steps, record_stride=stride,
         dist=arrays[0], height=arrays[1],
-        probe_values=tuple(arrays[2:]) if stride else (),
+        probe_values=tuple(sign * arrays[i] for i, sign in reads)
+        if stride else (),
         dist_slope=slopes[0], height_slope=slopes[1],
-        probe_slopes=tuple(slopes[2:]),
+        probe_slopes=tuple(None if slopes[i] is None else sign * slopes[i]
+                           for i, sign in reads),
         final_dist=dist, final_height=h)
     return stats, steps
 
 
 def _chunk_sums(values: list[int], first: int) -> tuple[int, int]:
     """sum(y_n) and sum(n * y_n) for values y_first, y_first+1, ...,
-    as exact Python ints."""
+    as exact Python ints.  The prefix sums P_k add up to
+    sum((len - k) * y_k), whence sum(n * y_n) = (first + len) * sum_y
+    - sum(P_k)."""
     sum_y = sum(values)
-    return sum_y, first * sum_y + sum(map(operator.mul, range(len(values)), values))
+    return sum_y, (first + len(values)) * sum_y - sum(accumulate(values))
 
 
 def _sum_squares(n: int) -> int:

@@ -32,7 +32,8 @@ from horoprod.limits import (
 )
 from horoprod.product import BASE, HoroProduct, ProductVertex, product_height
 from horoprod.rays import BranchingRay, GAMMA
-from horoprod.tree import TreeSpec, VertexAddress, height
+from horoprod.tree import (CustomRule, TreeSpec, UndecidableFamilyError,
+                           VertexAddress, height)
 
 R3 = TreeSpec.regular(3)
 R4 = TreeSpec.regular(4)
@@ -291,6 +292,19 @@ def test_realizability_messages_for_both_factor_orders():
     for product, messages in expected.items():
         for p, message in zip(points, messages):
             assert realizability(product, p) == (message is None, message)
+
+
+def test_realizability_decides_only_the_needed_level_sets():
+    # a custom rule's level sets are undecidable, but a non-distinguished
+    # end and every point that needs only the other tree ask nothing of them
+    custom = HoroProduct(TreeSpec(CustomRule(lambda a: 3), 2), R3)
+    assert realizability(custom, ray_point2(BranchingRay(0, (), (1,)))) \
+        == (True, None)
+    assert realizability(custom, ray_point2(GAMMA)) == (True, None)
+    assert realizability(custom, vertex_point1(va("0;0"))) == (True, None)
+    for p in (level_point(1), ray_point1(GAMMA), vertex_point2(va("1;"))):
+        with pytest.raises(UndecidableFamilyError):
+            realizability(custom, p)
 
 
 def test_realizability_monotone_under_tree_growth():

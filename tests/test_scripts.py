@@ -1,0 +1,35 @@
+"""The experiment scripts run end to end on small inputs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from horoprod.walk import WalkConfig, simulate
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_walk_drift_experiment(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "walk_drift_experiment.py"),
+         "--outdir", str(tmp_path), "--steps", "2000", "--trajectories", "2"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    reports = sorted(tmp_path.glob("drift_p*.json"))
+    assert [r.name for r in reports] == ["drift_p1.json", "drift_p1_2.json",
+                                         "drift_p1_5.json", "drift_p4_5.json"]
+    assert len(run.stdout.splitlines()) == 4
+    for report_path in reports:
+        report = json.loads(report_path.read_text())
+        assert report["ok"], report
+        # the trace is the first trajectory, recorded to its last step
+        trace = report_path.with_name(
+            report_path.name.replace("drift", "trace")).with_suffix(".csv")
+        last = trace.read_text().splitlines()[-1].split(",")
+        first = simulate(WalkConfig.from_json(report["config"])).trajectories[0]
+        assert int(last[0]) == first.steps == 2000
+        assert int(last[1]) == first.final_dist

@@ -1,6 +1,7 @@
 """Walk simulator: determinism, exact degenerate cases, drift checks."""
 
 import operator
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 from horoprod.product import BASE, HoroProduct, product_dist, product_height
-from horoprod.rays import BranchingRay, GAMMA
+from horoprod.rays import BranchingRay, GAMMA, ray_busemann
 from horoprod.tree import (CustomRule, TreeSpec, VertexAddress, height,
                            origin_dist)
 from horoprod.walk import (
+    TrajectoryStats,
     WalkConfig,
     _chunk_sums,
     _half_slope,
@@ -323,3 +325,87 @@ def test_slope_exact_past_int64():
     slope = _half_slope(n_total, sum_y, sum_ny)
     assert slope == reference_half_slope(values)
     assert abs(float(slope) - 0.6) < 0.01
+
+
+def assert_same_stats(a, b):
+    for name in TrajectoryStats.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if name == "probe_values":
+            assert len(x) == len(y)
+            assert all(np.array_equal(u, v) for u, v in zip(x, y))
+        elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert np.array_equal(x, y), name
+        else:
+            assert x == y, name
+
+
+def constant_rule(degree):
+    return TreeSpec(CustomRule(lambda a: degree), 2)
+
+
+@pytest.mark.parametrize("degrees", [(3, 3), (4, 4), (3, 4), (2, 4), (3, 2)],
+                         ids=lambda d: f"deg{d[0]}x{d[1]}")
+def test_constant_custom_rule_walks_like_regular(degrees):
+    # a constant-degree custom rule keeps suffix lists and asks its rule,
+    # the regular tree walks on depths: the two must draw alike
+    regular = HoroProduct(*(TreeSpec.regular(d) for d in degrees))
+    custom = HoroProduct(*(constant_rule(d) for d in degrees))
+    assert regular.tree1.family.constant_counts() is not None
+    assert custom.tree1.family.constant_counts() is None
+    probes = [(1, GAMMA), (2, GAMMA)]
+    for tree, degree in enumerate(degrees, 1):
+        if degree >= 3:
+            probes += [(tree, BranchingRay(2, (0, 1), (1, 0))),
+                       (tree, BranchingRay(1, (0,), (1,))),
+                       (tree, BranchingRay(0, (1,), (0,)))]
+    for p_up in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
+        for stride in (1, 7):
+            a, b = (simulate(WalkConfig(product, p_up, 1500, 8, 2, probes,
+                                        record_stride=stride))
+                    for product in (regular, custom))
+            assert a.partial == b.partial
+            for ta, tb in zip(a.trajectories, b.trajectories, strict=True):
+                assert_same_stats(ta, tb)
+
+
+# branching ends past the origin, with a prefix, on both trees
+REGULAR_RAYS = ((1, BranchingRay(2, (0, 1), (1, 0))),
+                (2, BranchingRay(1, (0,), (1,))))
+BUMPY_RAYS = REGULAR_RAYS + ((1, BranchingRay(1, (1,), (2, 1))),)
+
+
+@pytest.mark.parametrize("product, rays", [(DL33, REGULAR_RAYS),
+                                           (BUMPY, BUMPY_RAYS)],
+                         ids=["regular", "ray-periodic"])
+def test_probe_values_match_busemann_along_replay(product, rays):
+    probes = PROBES + rays
+    for p_up, seed in ((Fraction(3, 5), 5), (Fraction(1, 5), 6),
+                       (Fraction(1, 2), 7)):
+        config = WalkConfig(product, p_up, 300, seed, 1, probes)
+        t = simulate(config).trajectories[0]
+        rng = Random(_trajectory_seed(seed, 0))
+        v = product.base
+        for n in range(1, 301):
+            v = step(product, v, rng, float(p_up))
+            for (tree, ray), series in zip(probes, t.probe_values):
+                x = v.x1 if tree == 1 else v.x2
+                assert series[n] == ray_busemann(ray, x), (n, tree, str(ray))
+
+
+def test_constant_count_walk_memory_is_flat():
+    # a walk on depths keeps no suffix list: doubling the steps of an
+    # unrecorded walk leaves its peak allocation where it was.  With a
+    # suffix list the peak grows by about a fifth here (tracemalloc makes
+    # each step some 50 times slower, hence the short walks).
+    def peak(steps):
+        config = WalkConfig(DL33, Fraction(4, 5), steps, 3, 1,
+                            record_stride=0)
+        tracemalloc.start()
+        try:
+            simulate(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(30_000), peak(60_000)
+    assert long <= 1.1 * short, (short, long)
