@@ -212,9 +212,9 @@ class DegreeRule(FieldCodec):
         d = self.degree_at(branch, suffix)
         return max(0, d - 2 if branch and not suffix else d - 1)
 
-    def constant_counts(self) -> tuple[int, int, int] | None:
-        """(at origin, at ray vertex, at suffix vertex) label counts, or
-        None when they depend on more than the position type."""
+    def constant_counts(self) -> int | None:
+        """The number of upward neighbors every vertex has, or None when
+        it varies (or is not known up front)."""
         return None
 
 
@@ -243,8 +243,7 @@ class Regular(DegreeRule):
         return len(ray.prefix) + len(ray.cycle)
 
     def constant_counts(self):
-        return (self.label_count(0, ()), self.label_count(1, ()),
-                self.label_count(0, (0,)))
+        return self.degree - 1
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,34 @@ keeps every ``record_stride``-th of them (none at stride 0).
 
 A coordinate is its ray index m and the stack of child labels below
 z_m.  The height h fixes both stack depths, m1 + h on tree 1 and m2 - h
-on tree 2, so the distance from the base is 2(m1 + m2) - |h|.  When
-both families have constant label counts (Regular and Line) the walker
-keeps only (m1, m2, h): the letters on a stack never matter there, and
-a walk that records nothing (stride 0) runs in flat memory.  Any other
-family keeps each suffix as a list and asks the family how many
-children a position has (the degree cycles for RayPeriodic, the core
-table for ExplicitCore inside its radius; only a CustomRule builds an
-address per step).  The up move is written once per path: ``_climber``
-for suffix lists, which ``step`` shares, and the inline draws of
-``_depth_steps``.
+on tree 2, so the distance from the base is 2(m1 + m2) - |h|.  There
+are two step paths, chosen from the families' ``constant_counts``:
 
-Probes cost O(1) per step.  A gamma probe is the height on tree 1 and
-minus the height on tree 2, so its series and slope are the height's.
-A branching-ray probe keeps the length of the prefix of the suffix that
-follows the ray (``_advance_rays``).
+- Regular and Line trees give every vertex d - 1 upward neighbors, so
+  the letters on a stack never matter and a block of steps is solved in
+  numpy (``_block_steps``).  The block's draws come first.  When every
+  step takes the same number of MT19937 words (three on two trees of
+  degree 3: two for ``random()``, one for ``getrandbits(1)``; two on two
+  lines) they are sliced from one ``getrandbits`` call
+  (``_decode_words``); otherwise they are drawn call by call.  The
+  height is their running sum, and each ray index is minus a floor of
+  the height walk: the floor follows the height, except that a climb
+  that pushes a letter opens an excursion, and the floor stays at its
+  level until the height returns to it.  Only the outermost excursions
+  count (``_floor``).  A walk that records nothing (stride 0) runs in
+  flat memory.
+- Any other family keeps each suffix as a list and asks the family how
+  many children a position has (the degree cycles for RayPeriodic, the
+  core table for ExplicitCore inside its radius; only a CustomRule
+  builds an address per step), one step at a time (``_suffix_steps``).
+  Its up move, ``_climber``, is the one ``step`` replays.
+
+A gamma probe is the height on tree 1 and minus the height on tree 2,
+so its series and slope are the height's.  A branching-ray probe tracks
+L, the length of the prefix of the suffix that follows the ray: in
+O(1) per step on suffix lists (``_advance_rays``), and in a block as
+the floor of the stack depth, whose excursions open at the pushes of a
+letter other than the ray's.
 
 Walks instantiate integrable ergodic increments over a Bernoulli
 source, which makes the law-of-large-numbers drift identities testable:
@@ -41,16 +54,16 @@ trajectories are independent and merged in index order.
 Slopes are exact rationals: integer least squares over the second half
 of each trajectory (the first half is discarded as burn-in), averaged
 across trajectories with the spread reported as a standard error.  The
-sums behind them are Python ints, folded in chunk by chunk as the walk
+sums behind them are Python ints, folded in block by block as the walk
 runs, so slopes are exact at every length and a walk keeps only the
 values it records.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from random import Random
 from typing import Sequence
 
@@ -154,21 +167,35 @@ def _trajectory_seed(seed: int, index: int) -> int:
     return (seed << 32) ^ (index * 0x9E3779B1)
 
 
-def _climber(rng: Random):
-    """The up move of one coordinate of any family, drawing from ``rng``.
+def _climber(rng: Random, family):
+    """The up move of one coordinate of ``family``, drawing from ``rng``.
 
-    ``climb(m, s, count)`` moves the position (ray index ``m``, suffix
-    list ``s``, extended in place) to a uniformly drawn upward neighbor
-    and returns its ray index.  The neighbors are numbered as
+    ``climb(m, s)`` moves the position (ray index ``m``, suffix list
+    ``s``, extended in place) to a uniformly drawn upward neighbor and
+    returns its ray index.  The neighbors are numbered as
     ``TreeSpec.up_neighbors`` lists them: the ray vertex above first,
-    then the labeled children.  ``count`` is the family's
-    ``label_count``.  One neighbor takes no draw, two take one bit, more
-    take one ``randrange``; ``_draw`` is the same rule for a fixed count.
+    then the labeled children.  One neighbor takes no draw, two take one
+    bit, more take one ``randrange`` (``_draw``).  A family with
+    ``constant_counts`` draws from that count without asking its rule.
     """
+    up = family.constant_counts()
+    if up is not None:
+        draw, arg = _draw(rng, up)
+
+        def climb(m: int, s: list[int]) -> int:
+            ray = 1 if m and not s else 0
+            c = draw(arg)
+            if c < ray:
+                return m - 1
+            s.append(c - ray)
+            return m
+
+        return climb
     getrandbits = rng.getrandbits
     randrange = rng.randrange
+    count = family.label_count
 
-    def climb(m: int, s: list[int], count) -> int:
+    def climb(m: int, s: list[int]) -> int:
         ray = 1 if m and not s else 0
         cnt = count(m, s) + ray
         c = 0 if cnt == 1 else getrandbits(1) if cnt == 2 else randrange(cnt)
@@ -205,7 +232,7 @@ def step(product: HoroProduct, v: ProductVertex, rng: Random,
     x, other, tree = ((v.x1, v.x2, product.tree1) if up
                       else (v.x2, v.x1, product.tree2))
     suffix = list(x.suffix)
-    branch = _climber(rng)(x.branch, suffix, tree.family.label_count)
+    branch = _climber(rng, tree.family)(x.branch, suffix)
     moved = VertexAddress(branch, tuple(suffix))
     if up:
         return ProductVertex(moved, gamma_ward(other))
@@ -242,130 +269,197 @@ def _advance_rays(rays: list[list], m: int, depth: int, c: int) -> None:
         append(depth - m - 2 * L)
 
 
-def _depth_steps(rng: Random, p: float, counts1, counts2, add_dist,
-                 add_height, rays1, rays2):
-    """The walk on two constant-count trees, as a generator: ``send(n)``
-    runs n more steps and returns the distance and height after them.
+def _suffix_steps(rng: Random, p: float, family1, family2, rays):
+    """The walk on any two families, as a generator: ``send(n)`` runs n
+    more steps and returns their per-step dist, height and branching-ray
+    probe values (``rays``, in order) as int64 arrays.
 
-    A coordinate is its ray index alone: the height fixes its stack
-    depth, m1 + h on tree 1 and m2 - h on tree 2, and with constant
-    counts the letters on the stack never matter.  A climb draws as
-    ``_climber`` does; its letter is kept only for the ray probes.
+    Each coordinate keeps its suffix list, which the families' rules
+    read through ``_climber``.
     """
     rand = rng.random
-    root1, n_root1 = _draw(rng, counts1[0])
-    ray1, n_ray1 = _draw(rng, counts1[1] + 1)
-    up1, n_up1 = _draw(rng, counts1[2])
-    root2, n_root2 = _draw(rng, counts2[0])
-    ray2, n_ray2 = _draw(rng, counts2[1] + 1)
-    up2, n_up2 = _draw(rng, counts2[2])
-    probing = bool(rays1 or rays2)
-    m1 = m2 = h = dist = 0
-    n = yield
-    while True:
-        for _ in range(n):
-            if rand() < p:
-                # tree 1 pushes letter c1, or climbs to the ray vertex above
-                # (c1 = -1); tree 2 pops or slides toward its end
-                if m1 + h:
-                    c1 = up1(n_up1)
-                elif m1:
-                    c1 = ray1(n_ray1) - 1
-                    if c1 < 0:
-                        m1 -= 1
-                else:
-                    c1 = root1(n_root1)
-                c2 = -1
-                if m2 <= h:
-                    m2 += 1
-                h += 1
-            else:
-                if m2 - h:
-                    c2 = up2(n_up2)
-                elif m2:
-                    c2 = ray2(n_ray2) - 1
-                    if c2 < 0:
-                        m2 -= 1
-                else:
-                    c2 = root2(n_root2)
-                c1 = -1
-                if m1 + h <= 0:
-                    m1 += 1
-                h -= 1
-            # the two origin distances add up to 2 * (m1 + m2)
-            dist = 2 * (m1 + m2) - (h if h >= 0 else -h)
-            add_dist(dist)
-            add_height(h)
-            if probing:
-                # _advance_rays, written out per coordinate
-                e = m1 + h
-                for probe in rays1:
-                    L, branch, want, letter, append = probe
-                    if m1 != branch:
-                        append(m1 + e - 2 * (m1 if m1 < branch else branch))
-                        continue
-                    if L > e:
-                        probe[0] = L = e
-                        probe[2] = letter(L)
-                    elif L == e - 1 and c1 == want:
-                        probe[0] = L = e
-                        probe[2] = letter(L)
-                    append(e - m1 - 2 * L)
-                e = m2 - h
-                for probe in rays2:
-                    L, branch, want, letter, append = probe
-                    if m2 != branch:
-                        append(m2 + e - 2 * (m2 if m2 < branch else branch))
-                        continue
-                    if L > e:
-                        probe[0] = L = e
-                        probe[2] = letter(L)
-                    elif L == e - 1 and c2 == want:
-                        probe[0] = L = e
-                        probe[2] = letter(L)
-                    append(e - m2 - 2 * L)
-        n = yield dist, h
-
-
-def _suffix_steps(rng: Random, p: float, count1, count2, add_dist,
-                  add_height, rays1, rays2):
-    """``_depth_steps`` for any families: each coordinate keeps its
-    suffix list, which ``count1``/``count2`` (the families'
-    ``label_count``) read."""
-    rand = rng.random
-    climb = _climber(rng)
-    probing = bool(rays1 or rays2)
-    m1 = m2 = h = dist = 0
+    climb1 = _climber(rng, family1)
+    climb2 = _climber(rng, family2)
+    series: list[list[int]] = [[], []]
+    add_dist, add_height = series[0].append, series[1].append
+    rays1: list[list] = []
+    rays2: list[list] = []
+    for tree, ray in rays:
+        chunk: list[int] = []
+        (rays1 if tree == 1 else rays2).append(
+            [0, ray.branch, ray.letter(0), ray.letter, chunk.append])
+        series.append(chunk)
+    probing = bool(rays)
+    m1 = m2 = h = 0
     s1: list[int] = []
     s2: list[int] = []
     n = yield
     while True:
         for _ in range(n):
             if rand() < p:
-                m1 = climb(m1, s1, count1)
+                m1 = climb1(m1, s1)
                 if s2:
                     s2.pop()
                 else:
                     m2 += 1
                 h += 1
             else:
-                m2 = climb(m2, s2, count2)
+                m2 = climb2(m2, s2)
                 if s1:
                     s1.pop()
                 else:
                     m1 += 1
                 h -= 1
-            dist = 2 * (m1 + m2) - (h if h >= 0 else -h)
-            add_dist(dist)
+            # the two origin distances add up to 2 * (m1 + m2)
+            add_dist(2 * (m1 + m2) - (h if h >= 0 else -h))
             add_height(h)
             if probing:
                 _advance_rays(rays1, m1, len(s1), s1[-1] if s1 else -1)
                 _advance_rays(rays2, m2, len(s2), s2[-1] if s2 else -1)
-        n = yield dist, h
+        out = [np.array(chunk, dtype=np.int64) for chunk in series]
+        for chunk in series:
+            chunk.clear()
+        n = yield out
 
 
-# Steps between folds of the per-step values into records and sums; it
-# bounds the walk's memory when record_stride is 0.
+def _decode_words(rng: Random, n: int, words: int,
+                  p: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(up, c)`` of the next n steps at ``words`` words per step, sliced
+    from one ``getrandbits(32 * words * n)``, which returns the words
+    least significant first.  ``random()`` is (w0 >> 5) * 2**26 +
+    (w1 >> 6) over 2**53, so it falls below p exactly when that integer
+    falls below ceil(p * 2**53); ``getrandbits(1)`` is the top bit of its
+    word."""
+    raw = rng.getrandbits(32 * words * n).to_bytes(4 * words * n, "little")
+    w = np.frombuffer(raw, dtype="<u4").reshape(n, words)
+    r = (w[:, 0] >> 5).astype(np.int64) << 26 | w[:, 1] >> 6
+    up = r < math.ceil(p * 2 ** 53)
+    c = w[:, 2] >> 31 if words == 3 else np.zeros(n, dtype=np.uint32)
+    return up, c.astype(np.int64)
+
+
+def _crossings(keys: np.ndarray) -> np.ndarray:
+    """For each step, the index of the next step that crosses the same
+    edge (``keys`` holds each edge's lower end), or ``len(keys)``."""
+    n = len(keys)
+    # a block spans fewer than 2**15 levels, so the stable sort is a
+    # radix sort on int16
+    order = np.argsort((keys - keys.min()).astype(np.int16), kind="stable")
+    ordered = keys[order]
+    following = np.full(n, n, dtype=np.int64)
+    following[:-1] = np.where(ordered[1:] == ordered[:-1], order[1:], n)
+    after = np.empty(n, dtype=np.int64)
+    after[order] = following
+    return after
+
+
+def _floor(x: np.ndarray, keys: np.ndarray, after: np.ndarray,
+           opens: np.ndarray, f0: int) -> np.ndarray:
+    """The floor f <= x of a walk ``x`` over one block, whose steps are
+    -1, 0 or +1 (a step of 0 crosses no edge; its key matches no edge's).
+
+    On the floor (f = x) f follows x, except that an up step in
+    ``opens`` opens an excursion: f keeps its level until x next returns
+    to it, at the next crossing of the same edge (``after``).  Inside an
+    excursion f is x at its start.  Excursions nest, so a time lies
+    inside one exactly when the running maximum of the ends of those
+    opened so far lies beyond it.  ``f0`` is f at time 0, below x[0]
+    when an excursion from the last block is still open.
+    """
+    n = len(keys)
+    # index j holds time j - 1; index 0 is a floor point at level f0
+    xs = np.concatenate(([f0], x))
+    end = np.zeros(n + 2, dtype=np.int64)
+    if x[0] > f0:
+        back = np.flatnonzero(keys == f0)
+        end[1] = back[0] + 2 if len(back) else n + 2
+    starts = np.flatnonzero(opens)
+    end[starts + 2] = after[starts] + 2
+    index = np.arange(n + 2)
+    inside = np.maximum.accumulate(end) > index
+    return xs[np.maximum.accumulate(np.where(inside, 0, index))][1:]
+
+
+def _letters(ray, depth: np.ndarray) -> np.ndarray:
+    """``ray.letter`` at each depth."""
+    pre, cyc = len(ray.prefix), len(ray.cycle)
+    table = np.array(ray.prefix + ray.cycle, dtype=np.int64)
+    return table[np.where(depth < pre, depth, pre + (depth - pre) % cyc)]
+
+
+def _block_steps(rng: Random, p: float, count1: int, count2: int, rays):
+    """``_suffix_steps`` on two trees whose every vertex has ``count1``
+    (``count2``) upward neighbors, solved a block at a time in numpy.
+
+    The draws come first: sliced from one run of words when each step
+    takes the same number of them (``_decode_words``), else drawn call
+    by call.  The height is their running sum.  Each tree's ray index
+    is minus the floor of its height walk (h on tree 1, -h on tree 2),
+    whose excursions open at the climbs that push a letter: all of them
+    but a climb from a ray vertex to the one above (``c == 0`` there).
+    A branching-ray probe's matched length L is the floor of the stack
+    depth, whose excursions open at the pushes of a letter other than
+    the ray's at that depth; the letter pushed at a ray vertex is
+    ``c - 1``.
+    """
+    # MT19937 words per step when that number is fixed: two for random()
+    # and, on two trees of degree 3, one for the climb's getrandbits(1)
+    words = 3 if count1 == count2 == 2 else 2 if count1 == count2 == 1 else 0
+    rand = rng.random
+    draw1, arg1 = _draw(rng, count1)
+    draw2, arg2 = _draw(rng, count2)
+    h = 0
+    floors = [0, 0]             # -m1 and -m2
+    matched = [0] * len(rays)   # each probe's L
+    n = yield
+    while True:
+        if words:
+            up, c = _decode_words(rng, n, words, p)
+        else:
+            # each step's climb draw and direction, packed as c << 1 | up
+            code = np.array([draw1(arg1) << 1 | 1 if rand() < p
+                             else draw2(arg2) << 1 for _ in range(n)],
+                            dtype=np.int64)
+            up, c = code & 1 == 1, code >> 1
+        hs = np.empty(n + 1, dtype=np.int64)
+        hs[0] = h
+        np.cumsum(2 * up - 1, out=hs[1:])
+        hs[1:] += h
+        keys = hs[:-1] - ~up        # lower end of each step's edge
+        after = _crossings(keys)
+        walks = []              # (stack depth, ray index) of each tree
+        for i, (x, climbs, edge) in enumerate(((hs, up, keys),
+                                               (-hs, ~up, -1 - keys))):
+            opens = climbs & ((x[:-1] >= 0) | (c != 0))
+            f = _floor(x, edge, after, opens, floors[i])
+            floors[i] = int(f[-1])
+            walks.append((x - f, -f))
+        (_, m1), (_, m2) = walks
+        out = [2 * (m1 + m2)[1:] - np.abs(hs[1:]), hs[1:]]
+        depths = {}
+        for j, (tree, ray) in enumerate(rays):
+            e, m = walks[tree - 1]
+            if tree not in depths:
+                rise = np.diff(e)
+                depth_keys = np.where(rise != 0, e[:-1] - (rise < 0), -1)
+                letter = c - ((e[:-1] == 0) & (m[:-1] > 0))
+                depths[tree] = (rise > 0, letter, depth_keys,
+                                _crossings(depth_keys))
+            pushes, letter, depth_keys, depth_after = depths[tree]
+            opens = pushes & (letter != _letters(ray, e[:-1]))
+            L = _floor(e, depth_keys, depth_after, opens, matched[j])
+            matched[j] = int(L[-1])
+            b = ray.branch
+            value = np.where(m != b, m + e - 2 * np.minimum(m, b),
+                             e - m - 2 * L)
+            out.append(value[1:])
+        h = int(hs[-1])
+        n = yield out
+
+
+# Steps in a block: the unit of the block kernel and of the folds of the
+# per-step values into records and sums.  It bounds the walk's memory
+# when record_stride is 0.
 _CHUNK = 8192
 
 
@@ -375,59 +469,52 @@ def _run_trajectory(config: WalkConfig, index: int,
     steps = config.steps if budget is None else min(config.steps, budget)
     stride = config.record_stride
 
-    # Per-step values of dist, height and each branching-ray probe, since
-    # the last fold.  A gamma probe reads the height: h on tree 1 and -h
-    # on tree 2, since len(s1) - m1 = h and len(s2) - m2 = -h.  So each
-    # probe reads one series with a sign.
-    chunks: list[list[int]] = [[], []]
-    rays: tuple[list, list] = ([], [])
+    # The series are dist, height and each branching-ray probe.  A gamma
+    # probe reads the height: h on tree 1 and -h on tree 2, since
+    # len(s1) - m1 = h and len(s2) - m2 = -h.  So each probe reads one
+    # series with a sign.
+    rays = []
     reads = []
     for tree, ray in config.probes:
         if isinstance(ray, GammaEnd):
             reads.append((1, 1 if tree == 1 else -1))
-            continue
-        chunk: list[int] = []
-        rays[tree - 1].append([0, ray.branch, ray.letter(0), ray.letter,
-                                chunk.append])
-        reads.append((len(chunks), 1))
-        chunks.append(chunk)
+        else:
+            reads.append((2 + len(rays), 1))
+            rays.append((tree, ray))
 
     family1 = config.product.tree1.family
     family2 = config.product.tree2.family
-    counts1 = family1.constant_counts()
-    counts2 = family2.constant_counts()
+    count1 = family1.constant_counts()
+    count2 = family2.constant_counts()
     p = float(config.p_up)
-    add = (chunks[0].append, chunks[1].append) + rays
-    if counts1 and counts2:
-        walk = _depth_steps(rng, p, counts1, counts2, *add)
+    if count1 is not None and count2 is not None:
+        walk = _block_steps(rng, p, count1, count2, rays)
     else:
-        walk = _suffix_steps(rng, p, family1.label_count, family2.label_count,
-                             *add)
+        walk = _suffix_steps(rng, p, family1, family2, rays)
     next(walk)
 
     # A fold keeps every stride-th value and adds the values of the
-    # fitted half (steps half..steps) to exact sums for the slopes; a
-    # chunk ends at half - 1 so that it never straddles that boundary.
-    records: list[list[int]] = [[0] for _ in chunks]
-    sums = [[0, 0] for _ in chunks]
+    # fitted half (steps half..steps) to exact sums for the slopes.
+    zero = np.zeros(1, dtype=np.int64)
+    records = [[zero] for _ in range(2 + len(rays))]
+    sums = [[0, 0] for _ in records]
     half = steps // 2
-    ends = {steps, half - 1, *range(_CHUNK, steps, _CHUNK)}
-    dist = h = done = 0
-    for end in sorted(e for e in ends if e > 0):
-        dist, h = walk.send(end - done)
-        first = done + 1        # step index of each chunk's first value
-        for chunk, record, total in zip(chunks, records, sums):
+    dist = h = 0
+    # first: the step index of each block's first value
+    for first in range(1, steps + 1, _CHUNK):
+        series = walk.send(min(_CHUNK, steps + 1 - first))
+        skip = max(0, half - first)
+        for values, record, total in zip(series, records, sums):
             if stride:
-                record.extend(chunk[-first % stride::stride])
-            if first >= half:
-                sum_y, sum_ny = _chunk_sums(chunk, first)
+                record.append(values[-first % stride::stride].copy())
+            if skip < len(values):
+                sum_y, sum_ny = _chunk_sums(values[skip:], first + skip)
                 total[0] += sum_y
                 total[1] += sum_ny
-            chunk.clear()
-        done = end
+        dist, h = int(series[0][-1]), int(series[1][-1])
 
     slopes = [_half_slope(steps, sum_y, sum_ny) for sum_y, sum_ny in sums]
-    arrays = [np.array(r, dtype=np.int64) if stride else None for r in records]
+    arrays = [np.concatenate(r) if stride else None for r in records]
     stats = TrajectoryStats(
         index=index, steps=steps, record_stride=stride,
         dist=arrays[0], height=arrays[1],
@@ -440,13 +527,19 @@ def _run_trajectory(config: WalkConfig, index: int,
     return stats, steps
 
 
-def _chunk_sums(values: list[int], first: int) -> tuple[int, int]:
+def _chunk_sums(values, first: int) -> tuple[int, int]:
     """sum(y_n) and sum(n * y_n) for values y_first, y_first+1, ...,
     as exact Python ints.  The prefix sums P_k add up to
     sum((len - k) * y_k), whence sum(n * y_n) = (first + len) * sum_y
-    - sum(P_k)."""
-    sum_y = sum(values)
-    return sum_y, (first + len(values)) * sum_y - sum(accumulate(values))
+    - sum(P_k).  They are taken in int64 on y - y_first, which moves by
+    at most one a step, so they cannot wrap at any length."""
+    values = np.asarray(values, dtype=np.int64)
+    size = len(values)
+    y0 = int(values[0])
+    prefix = np.cumsum(values - y0)
+    sum_y = int(prefix[-1]) + size * y0
+    sum_prefix = int(prefix.sum()) + y0 * size * (size + 1) // 2
+    return sum_y, (first + size) * sum_y - sum_prefix
 
 
 def _sum_squares(n: int) -> int:

@@ -16,6 +16,7 @@ from horoprod.walk import (
     TrajectoryStats,
     WalkConfig,
     _chunk_sums,
+    _decode_words,
     _half_slope,
     _trajectory_seed,
     drift_report,
@@ -256,10 +257,9 @@ def test_step_moves_along_edge_relation(product):
 
 @pytest.mark.parametrize("spec", [R3, TreeSpec.line()])
 def test_constant_counts_match_family_rule(spec):
-    origin, ray, suffix = spec.family.constant_counts()
+    up = spec.family.constant_counts()
     for a in spec.ball(6):
-        expected = suffix if a.suffix else ray if a.branch else origin
-        assert spec.label_count(a) == expected
+        assert len(spec.up_neighbors(a)) == up
 
 
 def test_general_walk_builds_no_addresses(monkeypatch):
@@ -347,25 +347,39 @@ def constant_rule(degree):
                          ids=lambda d: f"deg{d[0]}x{d[1]}")
 def test_constant_custom_rule_walks_like_regular(degrees):
     # a constant-degree custom rule keeps suffix lists and asks its rule,
-    # the regular tree walks on depths: the two must draw alike
+    # the regular tree walks in numpy blocks: the two must draw alike.
+    # Past the first block the reference is the same constant degree as
+    # a ray-periodic family, also on suffix lists: a custom rule builds
+    # an address of the whole suffix per climb, which is quadratic there.
     regular = HoroProduct(*(TreeSpec.regular(d) for d in degrees))
     custom = HoroProduct(*(constant_rule(d) for d in degrees))
+    periodic = HoroProduct(*(TreeSpec.ray_periodic((d,), (d,))
+                             for d in degrees))
     assert regular.tree1.family.constant_counts() is not None
     assert custom.tree1.family.constant_counts() is None
+    assert periodic.tree1.family.constant_counts() is None
     probes = [(1, GAMMA), (2, GAMMA)]
     for tree, degree in enumerate(degrees, 1):
         if degree >= 3:
             probes += [(tree, BranchingRay(2, (0, 1), (1, 0))),
                        (tree, BranchingRay(1, (0,), (1,))),
                        (tree, BranchingRay(0, (1,), (0,)))]
-    for p_up in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
-        for stride in (1, 7):
-            a, b = (simulate(WalkConfig(product, p_up, 1500, 8, 2, probes,
-                                        record_stride=stride))
-                    for product in (regular, custom))
-            assert a.partial == b.partial
-            for ta, tb in zip(a.trajectories, b.trajectories, strict=True):
-                assert_same_stats(ta, tb)
+    runs = [(custom, p_up, 1500, 2, stride, None)
+            for p_up in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+            for stride in (1, 7)]
+    # longer than two blocks, and a budget that ends the second
+    # trajectory inside a block
+    runs += [(periodic, p_up, 20_000, 1, stride, None)
+             for p_up in (Fraction(1, 2), Fraction(4, 5)) for stride in (0, 7)]
+    runs.append((periodic, Fraction(3, 5), 20_000, 2, 7, 31_000))
+    for reference, p_up, steps, trajectories, stride, budget in runs:
+        a, b = (simulate(WalkConfig(product, p_up, steps, 8, trajectories,
+                                    probes, record_stride=stride,
+                                    max_total_steps=budget))
+                for product in (regular, reference))
+        assert a.partial == b.partial == (budget is not None)
+        for ta, tb in zip(a.trajectories, b.trajectories, strict=True):
+            assert_same_stats(ta, tb)
 
 
 # branching ends past the origin, with a prefix, on both trees
@@ -393,10 +407,9 @@ def test_probe_values_match_busemann_along_replay(product, rays):
 
 
 def test_constant_count_walk_memory_is_flat():
-    # a walk on depths keeps no suffix list: doubling the steps of an
-    # unrecorded walk leaves its peak allocation where it was.  With a
-    # suffix list the peak grows by about a fifth here (tracemalloc makes
-    # each step some 50 times slower, hence the short walks).
+    # a walk in numpy blocks keeps no suffix list and no per-step Python
+    # object: doubling the steps of an unrecorded walk leaves its peak
+    # allocation where it was
     def peak(steps):
         config = WalkConfig(DL33, Fraction(4, 5), steps, 3, 1,
                             record_stride=0)
@@ -407,5 +420,24 @@ def test_constant_count_walk_memory_is_flat():
         finally:
             tracemalloc.stop()
 
-    short, long = peak(30_000), peak(60_000)
+    short, long = peak(400_000), peak(800_000)
     assert long <= 1.1 * short, (short, long)
+
+
+@pytest.mark.parametrize("p_up", [0.0, 1 / 3, 0.5, 0.8, 1.0])
+def test_block_decoder_matches_draws_call_by_call(p_up):
+    # On DL(3,3) every step takes three words of the Mersenne Twister:
+    # random() takes two, the climb's getrandbits(1) is the top bit of
+    # the third, and getrandbits(32 * N) returns N words least
+    # significant first.  The blocks must read the stream as the calls do.
+    bulk, calls = Random(41), Random(41)
+    for n in (1, 2500, 8192):
+        up, c = _decode_words(bulk, n, 3, p_up)
+        expected = [(calls.random() < p_up, calls.getrandbits(1))
+                    for _ in range(n)]
+        assert list(zip(up.tolist(), c.tolist())) == expected
+    # on two lines a step takes the two words of random() alone
+    up, c = _decode_words(bulk, 1000, 2, p_up)
+    assert up.tolist() == [calls.random() < p_up for _ in range(1000)]
+    assert not c.any()
+    assert bulk.getstate() == calls.getstate()
