@@ -32,14 +32,12 @@ from .rays import (
     FSet,
     GAMMA,
     GammaEnd,
-    LevelSetReport,
     Ray,
     canonical_at_height,
     f_set,
     level_busemann,
     level_count,
     level_sequence,
-    level_set_report,
     parse_ray,
     ray_busemann,
     ray_confluent,
@@ -68,11 +66,9 @@ from .boundary import (
     level_point,
     parse_point,
     point_from_hm,
-    ray_point1,
-    ray_point2,
+    ray_point,
     standard_catalog,
-    vertex_point1,
-    vertex_point2,
+    vertex_point,
 )
 from .limits import (
     Alternating,

@@ -1,27 +1,31 @@
 """Boundary points of the product compactification and their functions.
 
-A boundary point carries one of five payloads, written on the wire as
-``C1:<ray>``, ``C2:<ray>``, ``T1:<vertex>``, ``T2:<vertex>``, ``Z:<k>``:
+A boundary point is a payload plus the side it lives on.  Its tag, on
+the wire ``C1:<ray>``, ``C2:<ray>``, ``T1:<vertex>``, ``T2:<vertex>`` or
+``Z:<k>``, is the payload's kind (C an end, T a vertex, Z a level)
+followed by its side, the tree the payload lives in:
 
-  RAY1     an end of the first tree; the height coordinate is +infinity
-  RAY2     an end of the second tree; height coordinate -infinity
-  VERTEX1  a vertex of the first tree, reached when the second
-           coordinate runs off to its end while the first stays put
-  VERTEX2  symmetric, a vertex of the second tree
-  LEVEL    an integer horocycle level reached by sequences whose height
-           freezes while both coordinates diverge
+  C<side>  an end of tree <side>; the height coordinate is +infinity on
+           side 1 and -infinity on side 2
+  T<side>  a vertex of tree <side>, reached when the other coordinate
+           runs off to its end: the vertex pins its own coordinate, and
+           the height coordinate is its height, negated on side 2
+  Z        an integer horocycle level, on neither side, reached by
+           sequences whose height freezes while both coordinates diverge
 
-Each point evaluates as an integer-valued function on product vertices
-(``evaluate``); these are exactly the pointwise limits of the
-vertex-anchored Busemann functions.  The VERTEX2 evaluation applies the
-level correction to the second coordinate with the payload's own
-height; through the height-sum law this is the same number as the
-first-coordinate correction with the negated level, and the empirical
-limit suite pins the choice down against direct Busemann limits.
+``PointKind.side`` and ``PointKind.is_ray`` read the tag, and every rule
+below reads the side once.  Each point evaluates as an integer-valued
+function on product vertices (``evaluate``); these are exactly the
+pointwise limits of the vertex-anchored Busemann functions.  A vertex
+point applies the level correction to its own coordinate with its own
+height; on side 2 this is, through the height-sum law, the same number
+as the first-coordinate correction with the negated level, and the
+empirical limit suite pins the choice down against direct Busemann
+limits.
 
 The closure points at height +/-infinity over the pair (gamma1, gamma2)
-are represented as RAY1(gamma) and RAY2(gamma); they already belong to
-the ray families, so no extra variants exist.
+are represented as C1:gamma and C2:gamma; they already belong to the
+ray families, so no extra variants exist.
 """
 
 from __future__ import annotations
@@ -50,6 +54,21 @@ class PointKind(Enum):
     VERTEX2 = "T2"
     LEVEL = "Z"
 
+    def __init__(self, tag: str):
+        # the tag is the payload's kind letter followed by its side
+        self._side = int(tag[1:]) if tag[1:] else None
+        self._is_ray = tag[0] == "C"
+
+    @property
+    def side(self) -> int | None:
+        """The tree the payload lives in: 1, 2, or None for a level."""
+        return self._side
+
+    @property
+    def is_ray(self) -> bool:
+        """Whether the payload is an end, not a vertex or a level."""
+        return self._is_ray
+
 
 @dataclass(frozen=True)
 class BoundaryPoint:
@@ -60,76 +79,66 @@ class BoundaryPoint:
         return f"{self.kind.value}:{self.payload}"
 
 
-def ray_point1(ray: Ray) -> BoundaryPoint:
-    return BoundaryPoint(PointKind.RAY1, ray)
+def ray_point(side: int, ray: Ray) -> BoundaryPoint:
+    return BoundaryPoint(PointKind(f"C{side}"), ray)
 
 
-def ray_point2(ray: Ray) -> BoundaryPoint:
-    return BoundaryPoint(PointKind.RAY2, ray)
-
-
-def vertex_point1(v: VertexAddress) -> BoundaryPoint:
-    return BoundaryPoint(PointKind.VERTEX1, v)
-
-
-def vertex_point2(v: VertexAddress) -> BoundaryPoint:
-    return BoundaryPoint(PointKind.VERTEX2, v)
+def vertex_point(side: int, v: VertexAddress) -> BoundaryPoint:
+    return BoundaryPoint(PointKind(f"T{side}"), v)
 
 
 def level_point(k: int) -> BoundaryPoint:
-    return BoundaryPoint(PointKind.LEVEL, k)
+    return BoundaryPoint(PointKind("Z"), k)
 
 
 def parse_point(text: str) -> BoundaryPoint:
     tag, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"unparsable boundary point {text!r}")
-    if tag in ("C1", "C2"):
-        ray = parse_ray(rest)
-        return ray_point1(ray) if tag == "C1" else ray_point2(ray)
-    if tag in ("T1", "T2"):
-        v = VertexAddress.parse(rest)
-        return vertex_point1(v) if tag == "T1" else vertex_point2(v)
-    if tag == "Z":
+    try:
+        kind = PointKind(tag)
+    except ValueError:
+        raise ValueError(f"unknown boundary tag {tag!r}") from None
+    if kind.is_ray:
+        return BoundaryPoint(kind, parse_ray(rest))
+    if kind.side is not None:
+        return BoundaryPoint(kind, VertexAddress.parse(rest))
+    try:
         return level_point(int(rest))
-    raise ValueError(f"unknown boundary tag {tag!r}")
+    except ValueError:
+        raise ValueError(f"unparsable boundary point {text!r}") from None
 
 
 def require_valid_point(product: HoroProduct, p: BoundaryPoint) -> None:
-    if p.kind is PointKind.RAY1:
-        require_valid_ray(product.tree1, p.payload)
-    elif p.kind is PointKind.RAY2:
-        require_valid_ray(product.tree2, p.payload)
-    elif p.kind is PointKind.VERTEX1:
-        product.tree1.require_valid(p.payload)
-    elif p.kind is PointKind.VERTEX2:
-        product.tree2.require_valid(p.payload)
+    if p.kind.side is None:
+        return
+    spec = product.tree(p.kind.side)
+    if p.kind.is_ray:
+        require_valid_ray(spec, p.payload)
+    else:
+        spec.require_valid(p.payload)
 
 
 def hm_coordinates(p: BoundaryPoint):
     """The triple (first-tree part, second-tree part, height coordinate)."""
-    if p.kind is PointKind.RAY1:
-        return (p.payload, GAMMA, math.inf)
-    if p.kind is PointKind.RAY2:
-        return (GAMMA, p.payload, -math.inf)
-    if p.kind is PointKind.VERTEX1:
-        return (p.payload, GAMMA, height(p.payload))
-    if p.kind is PointKind.VERTEX2:
-        return (GAMMA, p.payload, -height(p.payload))
-    return (GAMMA, GAMMA, p.payload)
+    side = p.kind.side
+    if side is None:
+        return (GAMMA, GAMMA, p.payload)
+    eta = math.inf if p.kind.is_ray else height(p.payload)
+    return (p.payload, GAMMA, eta) if side == 1 else (GAMMA, p.payload, -eta)
 
 
 def point_from_hm(coords) -> BoundaryPoint:
     """Inverse of ``hm_coordinates`` on boundary triples."""
     first, second, eta = coords
     if eta == math.inf:
-        return ray_point1(first)
+        return ray_point(1, first)
     if eta == -math.inf:
-        return ray_point2(second)
+        return ray_point(2, second)
     if isinstance(first, VertexAddress):
-        return vertex_point1(first)
+        return vertex_point(1, first)
     if isinstance(second, VertexAddress):
-        return vertex_point2(second)
+        return vertex_point(2, second)
     return level_point(eta)
 
 
@@ -141,19 +150,15 @@ def evaluate(anchor: BoundaryPoint | ProductVertex, y: ProductVertex) -> int:
     """
     if isinstance(anchor, ProductVertex):
         return product_busemann(anchor, y)
-    k = anchor.kind
     p = anchor.payload
-    if k is PointKind.RAY1:
-        return ray_busemann(p, y.x1)
-    if k is PointKind.RAY2:
-        return ray_busemann(p, y.x2)
-    if k is PointKind.VERTEX1:
-        return (vertex_busemann(p, y.x1) + height(y.x2)
-                + level_busemann(height(p), y.x1))
-    if k is PointKind.VERTEX2:
-        return (vertex_busemann(p, y.x2) + height(y.x1)
-                + level_busemann(height(p), y.x2))
-    return level_busemann(p, y.x1)
+    side = anchor.kind.side
+    if side is None:
+        return level_busemann(p, y.x1)
+    own, other = (y.x1, y.x2) if side == 1 else (y.x2, y.x1)
+    if anchor.kind.is_ray:
+        return ray_busemann(p, own)
+    return (vertex_busemann(p, own) + height(other)
+            + level_busemann(height(p), own))
 
 
 @dataclass(frozen=True)
@@ -255,9 +260,11 @@ def standard_catalog(product: HoroProduct,
         BranchingRay(2, (), (0,)),
     ]
     catalog: list[BoundaryPoint] = [level_point(k) for k in levels]
-    catalog.extend(ray_point1(r) for r in recipes if validate_ray(product.tree1, r))
-    catalog.extend(ray_point2(r) for r in recipes if validate_ray(product.tree2, r))
-    for spec, make in ((product.tree1, vertex_point1), (product.tree2, vertex_point2)):
-        catalog.extend(make(v) for v in spec.ball(vertex_radius)
+    for side in (1, 2):
+        catalog.extend(ray_point(side, r) for r in recipes
+                       if validate_ray(product.tree(side), r))
+    for side in (1, 2):
+        catalog.extend(vertex_point(side, v)
+                       for v in product.tree(side).ball(vertex_radius)
                        if v.suffix or v.branch < 2)
     return catalog

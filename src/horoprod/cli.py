@@ -125,6 +125,7 @@ def cmd_classify(args) -> int:
         family = family_from_json(data["family"])
     except ValueError as exc:
         raise UsageError(f"bad family file: {exc}") from exc
+    family.require_valid(product)
     report = classify(product, family)
     payload = {"symbolic": report.payload()}
     code = 0

@@ -56,18 +56,17 @@ from .rays import (
     level_sequence,
     parse_ray,
     ray_vertex,
+    require_valid_ray,
     validate_ray,
 )
 from .product import HoroProduct, ProductVertex, product_busemann, product_height
 from .boundary import (
     BoundaryPoint,
     HoroFunction,
-    PointKind,
+    hm_coordinates,
     level_point,
-    ray_point1,
-    ray_point2,
-    vertex_point1,
-    vertex_point2,
+    ray_point,
+    vertex_point,
 )
 
 
@@ -143,10 +142,6 @@ class EmpiricalReport:
 
 # -- helpers shared by the families --------------------------------------------
 
-def _tree(product: HoroProduct, side: int):
-    return product.tree1 if side == 1 else product.tree2
-
-
 def _pair(side: int, v: VertexAddress, other: VertexAddress) -> ProductVertex:
     """The product vertex with v at the given side and other at the other."""
     return ProductVertex(v, other) if side == 1 else ProductVertex(other, v)
@@ -180,6 +175,40 @@ def _flags(product, eta1, eta2, divergent1, divergent2) -> dict:
     }
 
 
+def _interior(product, v: ProductVertex, **extra) -> LimitReport:
+    """The report of a sequence that settles at the vertex v."""
+    eta = product_height(v)
+    return LimitReport(INTERIOR, interior=v, component1=v.x1, component2=v.x2,
+                       eta=eta, busemann=HoroFunction(v),
+                       f_flags=_flags(product, eta, -eta, False, False),
+                       **extra)
+
+
+def _boundary(product, point: BoundaryPoint, **extra) -> LimitReport:
+    """The report of a sequence converging to the boundary point.
+
+    Components and height are the point's ``hm_coordinates``; every
+    coordinate diverges except the one a vertex point pins.
+    """
+    comp1, comp2, eta = hm_coordinates(point)
+    pinned = None if point.kind.is_ray else point.kind.side
+    return LimitReport(BOUNDARY, hm_point=point, component1=comp1,
+                       component2=comp2, eta=eta, busemann=HoroFunction(point),
+                       f_flags=_flags(product, eta, -eta, pinned != 1,
+                                      pinned != 2),
+                       **extra)
+
+
+def _reached(report: LimitReport, note: str) -> LimitReport:
+    """The boundary report, unless a divergent coordinate's level set
+    is finite: then no sequence gets there, and the verdict is
+    NOT_CONVERGENT with the same height and flags."""
+    if report.f_flags["per_divergent_component"]:
+        return report
+    return LimitReport(NOT_CONVERGENT, eta=report.eta, f_flags=report.f_flags,
+                       notes=(note,))
+
+
 def _level_prefix_count(spec, k, radius) -> int:
     """How many level-k vertices have branch index <= radius."""
     count = 0
@@ -197,12 +226,16 @@ class SequenceFamily(FieldCodec):
 
     Each family answers ``stream(product)``, its terms from index 0;
     ``classify(product, window)``, where they go (only heuristic kinds
-    read the window); ``stabilization_bound(product, radius)``; and
-    ``describe()``, the label reports list it by.  In JSON it is its
-    ``kind`` plus its fields.
+    read the window); ``stabilization_bound(product, radius)``;
+    ``require_valid(product)``; and ``describe()``, the label reports
+    list it by.  In JSON it is its ``kind`` plus its fields.
     """
 
     kind: ClassVar[str | None] = None
+
+    def require_valid(self, product) -> None:
+        """Raise AddressError unless every vertex and end the family
+        names exists in the product, each in the tree of its side."""
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **super().to_json()}
@@ -217,13 +250,11 @@ class EventuallyConstant(SequenceFamily):
     def stream(self, product):
         return itertools.repeat(self.vertex)
 
+    def require_valid(self, product):
+        product.vertex(self.vertex.x1, self.vertex.x2)
+
     def classify(self, product, window):
-        v = self.vertex
-        return LimitReport(INTERIOR, interior=v, component1=v.x1,
-                           component2=v.x2, eta=product_height(v),
-                           busemann=HoroFunction(v),
-                           f_flags=_flags(product, product_height(v),
-                                          -product_height(v), False, False))
+        return _interior(product, self.vertex)
 
     def stabilization_bound(self, product, radius):
         return 1
@@ -245,30 +276,25 @@ class RadialRay(SequenceFamily):
             raise ValueError("tree must be 1 or 2")
 
     def stream(self, product):
-        other_spec = _tree(product, 3 - self.tree)
+        other_spec = product.tree(3 - self.tree)
         for n in itertools.count():
             v = ray_vertex(self.ray, n)
             yield _pair(self.tree, v,
                         _partner(other_spec, -height(v), self.pairing))
 
+    def require_valid(self, product):
+        require_valid_ray(product.tree(self.tree), self.ray)
+        if self.pairing is not None:
+            require_valid_ray(product.tree(3 - self.tree), self.pairing)
+
     def classify(self, product, window):
-        marching_gamma = isinstance(self.ray, GammaEnd)
-        eta = math.inf if (self.tree == 1) != marching_gamma else -math.inf
-        if not marching_gamma:
-            other_limit = GAMMA
-        elif isinstance(self.pairing, BranchingRay):
-            # the partner's heights rise along the pairing end
-            other_limit = self.pairing
-        else:
-            other_limit = BranchingRay(0, (), (0,))
-        if self.tree == 1:
-            comp1, comp2 = self.ray, other_limit
-        else:
-            comp1, comp2 = other_limit, self.ray
-        point = ray_point1(comp1) if eta == math.inf else ray_point2(comp2)
-        return LimitReport(BOUNDARY, hm_point=point, component1=comp1,
-                           component2=comp2, eta=eta, busemann=HoroFunction(point),
-                           f_flags=_flags(product, eta, -eta, True, True))
+        if not isinstance(self.ray, GammaEnd):
+            return _boundary(product, ray_point(self.tree, self.ray))
+        # marching to gamma, the partner climbs along the pairing end when
+        # one is given, else along the canonical end 0;(0)
+        end = (self.pairing if isinstance(self.pairing, BranchingRay)
+               else BranchingRay(0, (), (0,)))
+        return _boundary(product, ray_point(3 - self.tree, end))
 
     def stabilization_bound(self, product, radius):
         b_march = self.ray.branch if isinstance(self.ray, BranchingRay) else 0
@@ -296,16 +322,8 @@ class Horocyclic(SequenceFamily):
             yield ProductVertex(v1, v2)
 
     def classify(self, product, window):
-        k = self.level
-        flags = _flags(product, k, -k, True, True)
-        if not flags["per_divergent_component"]:
-            return LimitReport(
-                NOT_CONVERGENT, eta=k, f_flags=flags,
-                notes=("a level enumeration is finite, no divergent sequence exists",))
-        point = level_point(k)
-        return LimitReport(BOUNDARY, hm_point=point, component1=GAMMA,
-                           component2=GAMMA, eta=k, busemann=HoroFunction(point),
-                           f_flags=flags)
+        return _reached(_boundary(product, level_point(self.level)),
+                        "a level enumeration is finite, no divergent sequence exists")
 
     def stabilization_bound(self, product, radius):
         c1 = _level_prefix_count(product.tree1, self.level, radius)
@@ -329,28 +347,20 @@ class _Pinned(SequenceFamily):
         free = 3 - self.side
         k = -height(self.vertex)
         found = "empty"
-        for t in level_sequence(_tree(product, free), k):
+        for t in level_sequence(product.tree(free), k):
             found = "finite"
             yield _pair(self.side, self.vertex, t)
         raise FamilyExhausted(f"level set at height {k} of tree {free} is {found}")
 
+    def require_valid(self, product):
+        product.tree(self.side).require_valid(self.vertex)
+
     def classify(self, product, window):
-        v = self.vertex
-        if self.side == 1:
-            eta, point, comps = height(v), vertex_point1(v), (v, GAMMA)
-        else:
-            eta, point, comps = -height(v), vertex_point2(v), (GAMMA, v)
-        flags = _flags(product, eta, -eta, self.side == 2, self.side == 1)
-        if f_set(_tree(product, 3 - self.side)) != FSet.ALL:
-            return LimitReport(
-                NOT_CONVERGENT, eta=eta, f_flags=flags,
-                notes=("the divergent coordinate's level set is finite",))
-        return LimitReport(BOUNDARY, hm_point=point, component1=comps[0],
-                           component2=comps[1], eta=eta,
-                           busemann=HoroFunction(point), f_flags=flags)
+        return _reached(_boundary(product, vertex_point(self.side, self.vertex)),
+                        "the divergent coordinate's level set is finite")
 
     def stabilization_bound(self, product, radius):
-        return _level_prefix_count(_tree(product, 3 - self.side),
+        return _level_prefix_count(product.tree(3 - self.side),
                                    -height(self.vertex), radius)
 
     def describe(self):
@@ -431,13 +441,7 @@ class Custom(SequenceFamily):
         tail = seq[len(seq) // 2:]
         heights = [product_height(v) for v in tail]
         if all(v == tail[0] for v in tail):
-            v = tail[0]
-            return LimitReport(INTERIOR, interior=v, component1=v.x1,
-                               component2=v.x2, eta=heights[0],
-                               busemann=HoroFunction(v),
-                               heuristic=True, window=window,
-                               f_flags=_flags(product, heights[0], -heights[0],
-                                              False, False))
+            return _interior(product, tail[0], heuristic=True, window=window)
         if all(h == heights[0] for h in heights):
             return _window_bounded(product, window, tail, heights[0])
         up = all(b > a for a, b in zip(heights, heights[1:]))
@@ -503,25 +507,17 @@ def _window_bounded(product, window, tail, k):
     xs2 = [v.x2 for v in tail]
     const1 = all(x == xs1[0] for x in xs1)
     const2 = all(x == xs2[0] for x in xs2)
-    flags = _flags(product, k, -k, not const1, not const2)
     if const1 and _diverging(xs2):
-        point = vertex_point1(xs1[0])
-        return LimitReport(BOUNDARY, hm_point=point, component1=xs1[0],
-                           component2=GAMMA, eta=k, busemann=HoroFunction(point),
-                           heuristic=True, window=window, f_flags=flags)
-    if const2 and _diverging(xs1):
-        point = vertex_point2(xs2[0])
-        return LimitReport(BOUNDARY, hm_point=point, component1=GAMMA,
-                           component2=xs2[0], eta=k, busemann=HoroFunction(point),
-                           heuristic=True, window=window, f_flags=flags)
-    if _diverging(xs1) and _diverging(xs2):
+        point = vertex_point(1, xs1[0])
+    elif const2 and _diverging(xs1):
+        point = vertex_point(2, xs2[0])
+    elif _diverging(xs1) and _diverging(xs2):
         point = level_point(k)
-        return LimitReport(BOUNDARY, hm_point=point, component1=GAMMA,
-                           component2=GAMMA, eta=k, busemann=HoroFunction(point),
-                           heuristic=True, window=window, f_flags=flags)
-    return LimitReport(NOT_CONVERGENT, heuristic=True, window=window, eta=k,
-                       f_flags=flags,
-                       notes=("bounded height but components wander",))
+    else:
+        return LimitReport(NOT_CONVERGENT, heuristic=True, window=window, eta=k,
+                           f_flags=_flags(product, k, -k, not const1, not const2),
+                           notes=("bounded height but components wander",))
+    return _boundary(product, point, heuristic=True, window=window)
 
 
 def _window_unbounded(product, window, tail, up):
@@ -531,12 +527,9 @@ def _window_unbounded(product, window, tail, up):
     toward_gamma = (all(b2 >= b1 for b1, b2 in zip(branches, branches[1:]))
                     and branches[-1] - branches[0] >= max(2, len(tail) // 4))
     if toward_gamma:
-        point = ray_point1(GAMMA) if up else ray_point2(GAMMA)
-        return LimitReport(
-            BOUNDARY, hm_point=point,
-            component1=GAMMA, component2=GAMMA, eta=eta,
-            busemann=HoroFunction(point), heuristic=True, window=window,
-            f_flags=_flags(product, eta, -eta, True, True),
+        return _boundary(
+            product, ray_point(1 if up else 2, GAMMA), heuristic=True,
+            window=window,
             notes=("limit is the height function of a distinguished end",))
     return LimitReport(NOT_DECIDED, eta=eta, heuristic=True, window=window,
                        notes=("diverging heights, but the escaping end cannot "
@@ -696,22 +689,21 @@ def realizability(product: HoroProduct, p: BoundaryPoint) -> tuple[bool, str | N
     are always reachable; a distinguished end needs its own tree's
     level sets infinite (heights must climb while hugging the ray).
     """
-    own = 1 if p.kind in (PointKind.RAY1, PointKind.VERTEX1) else 2
-    is_ray = p.kind in (PointKind.RAY1, PointKind.RAY2)
-    if p.kind is PointKind.LEVEL:
+    own = p.kind.side
+    if own is None:
         needed = (1, 2)
-    elif not is_ray:
+    elif not p.kind.is_ray:
         needed = (3 - own,)
     elif isinstance(p.payload, GammaEnd):
         needed = (own,)
     else:
         return True, None
     finite = [side for side in needed
-              if f_set(_tree(product, side)) != FSet.ALL]
+              if f_set(product.tree(side)) != FSet.ALL]
     if not finite:
         return True, None
     name = "first" if finite[0] == 1 else "second"
-    if is_ray:
+    if p.kind.is_ray:
         return False, (f"heights cannot climb along the {name} tree's "
                        "distinguished ray: its levels are finite")
     return False, f"the {name} tree has finite horocycle levels"

@@ -133,6 +133,10 @@ class HoroProduct:
     def base(self) -> ProductVertex:
         return BASE
 
+    def tree(self, side: int) -> TreeSpec:
+        """The factor tree on the given side, 1 or 2."""
+        return self.tree1 if side == 1 else self.tree2
+
     def vertex(self, x1: VertexAddress, x2: VertexAddress) -> ProductVertex:
         """Construct a vertex, checking canonicality and the height law."""
         self.tree1.require_valid(x1)

@@ -250,29 +250,3 @@ def level_count(spec: TreeSpec, k: int, radius: int) -> int:
     """
     return sum(1 for v in spec.ball(radius) if height(v) == k)
 
-
-@dataclass(frozen=True)
-class LevelSetReport:
-    k: int
-    sampled_counts: tuple[tuple[int, int], ...]
-    verdict: str  # "finite" | "infinite"
-
-    def payload(self) -> dict:
-        return {"k": self.k, "sampled_counts": list(map(list, self.sampled_counts)),
-                "verdict": self.verdict}
-
-
-def level_set_report(spec: TreeSpec, k: int, radii: tuple[int, ...]) -> LevelSetReport:
-    """Sample level counts over growing radii and call the growth verdict.
-
-    The verdict compares the last two sampled radii: saturation means
-    finite.  Sound for the supported families once the largest radius
-    passes every branching ray vertex.
-    """
-    radii = tuple(sorted(radii))
-    counts = tuple((r, level_count(spec, k, r)) for r in radii)
-    if len(counts) >= 2 and counts[-1][1] > counts[-2][1]:
-        verdict = "infinite"
-    else:
-        verdict = "finite"
-    return LevelSetReport(k, counts, verdict)

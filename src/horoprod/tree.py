@@ -21,7 +21,6 @@ everything is safe to share between threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -538,10 +537,3 @@ class TreeSpec:
             return cls(TREE_FAMILIES[kind].from_json(data), min_degree)
         except (KeyError, TypeError, AttributeError) as exc:
             raise SpecError(f"malformed tree description: {exc}") from exc
-
-    def to_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def from_text(cls, text: str) -> "TreeSpec":
-        return cls.from_json(json.loads(text))

@@ -35,10 +35,9 @@ from .boundary import (
     boundary_limit_check,
     evaluate,
     level_point,
-    ray_point1,
-    ray_point2,
+    ray_point,
     standard_catalog,
-    vertex_point1,
+    vertex_point,
 )
 from .limits import (
     EXTRA_WINDOW,
@@ -445,24 +444,24 @@ def closure_suite(radius: int = 4, level_span: int = 10) -> SuiteResult:
 
     up = boundary_limit_check(
         product, [level_point(k) for k in range(1, level_span + 1)],
-        ray_point1(GAMMA), radius)
+        ray_point(1, GAMMA), radius)
     down = boundary_limit_check(
         product, [level_point(-k) for k in range(1, level_span + 1)],
-        ray_point2(GAMMA), radius)
+        ray_point(2, GAMMA), radius)
     details["levels_up_to_height1"] = up.ok
     details["levels_down_to_height2"] = down.ok
     ok = ok and up.ok and down.ok
 
     ray = BranchingRay(0, (), (0,))
-    marching = [vertex_point1(ray_vertex(ray, n)) for n in range(1, 14)]
-    to_ray = boundary_limit_check(product, marching, ray_point1(ray), radius)
+    marching = [vertex_point(1, ray_vertex(ray, n)) for n in range(1, 14)]
+    to_ray = boundary_limit_check(product, marching, ray_point(1, ray), radius)
     details["pinned_to_ray_limit"] = to_ray.ok
     ok = ok and to_ray.ok
 
     for k in (-1, 0, 2):
         seq = []
         for i, v in enumerate(level_sequence(product.tree1, k)):
-            seq.append(vertex_point1(v))
+            seq.append(vertex_point(1, v))
             if v.branch > radius + 1 and i > 4:
                 break
         to_level = boundary_limit_check(product, seq, level_point(k), radius)

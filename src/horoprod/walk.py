@@ -110,8 +110,7 @@ class WalkConfig:
         for tree, ray in self.probes:
             if type(tree) is not int or tree not in (1, 2):
                 raise ValueError(f"probe tree must be 1 or 2, got {tree!r}")
-            spec = self.product.tree1 if tree == 1 else self.product.tree2
-            require_valid_ray(spec, ray)
+            require_valid_ray(self.product.tree(tree), ray)
 
     def to_json(self) -> dict:
         return {

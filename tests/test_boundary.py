@@ -14,11 +14,9 @@ from horoprod.boundary import (
     level_point,
     parse_point,
     point_from_hm,
-    ray_point1,
-    ray_point2,
+    ray_point,
     standard_catalog,
-    vertex_point1,
-    vertex_point2,
+    vertex_point,
 )
 from horoprod.product import BASE, HoroProduct, ProductVertex, product_busemann
 from horoprod.rays import BranchingRay, GAMMA, level_sequence, ray_vertex
@@ -38,36 +36,40 @@ def va(text):
 
 def test_point_text_round_trip():
     points = [
-        ray_point1(GAMMA),
-        ray_point2(BranchingRay(0, (0,), (1,))),
-        vertex_point1(va("0;0")),
-        vertex_point2(va("1;")),
+        ray_point(1, GAMMA),
+        ray_point(2, BranchingRay(0, (0,), (1,))),
+        vertex_point(1, va("0;0")),
+        vertex_point(2, va("1;")),
         level_point(-2),
     ]
     for p in points:
         assert parse_point(str(p)) == p
+    assert [(p.kind.side, p.kind.is_ray) for p in points] == [
+        (1, True), (2, True), (1, False), (2, False), (None, False)]
     assert str(level_point(-2)) == "Z:-2"
-    assert str(ray_point1(GAMMA)) == "C1:gamma"
-    with pytest.raises(ValueError):
+    assert str(ray_point(1, GAMMA)) == "C1:gamma"
+    with pytest.raises(ValueError, match="unknown boundary tag"):
         parse_point("Q:3")
+    with pytest.raises(ValueError, match="unparsable boundary point 'Z:x'"):
+        parse_point("Z:x")
 
 
 def test_hm_coordinates():
     assert hm_coordinates(level_point(3)) == (GAMMA, GAMMA, 3)
     y1 = va("0;0")
-    assert hm_coordinates(vertex_point1(y1)) == (y1, GAMMA, 1)
+    assert hm_coordinates(vertex_point(1, y1)) == (y1, GAMMA, 1)
     xi2 = BranchingRay(0, (), (0,))
-    assert hm_coordinates(ray_point2(xi2)) == (GAMMA, xi2, -math.inf)
+    assert hm_coordinates(ray_point(2, xi2)) == (GAMMA, xi2, -math.inf)
     y2 = va("1;")
-    assert hm_coordinates(vertex_point2(y2)) == (GAMMA, y2, 1)
+    assert hm_coordinates(vertex_point(2, y2)) == (GAMMA, y2, 1)
 
 
 def test_theta_round_trip():
     points = [
-        ray_point1(BranchingRay(1, (), (0,))),
-        ray_point2(GAMMA),
-        vertex_point1(va("1;0")),
-        vertex_point2(va("2;")),
+        ray_point(1, BranchingRay(1, (), (0,))),
+        ray_point(2, GAMMA),
+        vertex_point(1, va("1;0")),
+        vertex_point(2, va("2;")),
         level_point(0),
     ]
     for p in points:
@@ -79,9 +81,9 @@ def test_eval_examples():
     y = pv("0;0|1;")
     assert evaluate(level_point(1), y) == 1
     for w in DL33.ball(3):
-        assert evaluate(ray_point1(GAMMA), w) == height(w.x1)
-        assert evaluate(ray_point2(GAMMA), w) == height(w.x2)
-    assert evaluate(vertex_point2(va("1;")), BASE) == 0
+        assert evaluate(ray_point(1, GAMMA), w) == height(w.x1)
+        assert evaluate(ray_point(2, GAMMA), w) == height(w.x2)
+    assert evaluate(vertex_point(2, va("1;")), BASE) == 0
 
 
 def test_eval_vanishes_at_base():
@@ -111,9 +113,9 @@ def test_pinned_vertex_formulas_match_direct_limits():
         anchors2 = [ProductVertex(t, payload) for t in tail[-3:]]
         anchors1 = [ProductVertex(payload, t) for t in tail[-3:]]
         for y in DL33.ball(3):
-            want2 = evaluate(vertex_point2(payload), y)
+            want2 = evaluate(vertex_point(2, payload), y)
             assert all(product_busemann(a, y) == want2 for a in anchors2)
-            want1 = evaluate(vertex_point1(payload), y)
+            want1 = evaluate(vertex_point(1, payload), y)
             assert all(product_busemann(a, y) == want1 for a in anchors1)
 
 
@@ -127,19 +129,19 @@ def test_catalog_shape():
 
 def test_levels_drain_into_heights():
     seq_up = [level_point(k) for k in range(1, 9)]
-    rep = boundary_limit_check(DL33, seq_up, HoroFunction(ray_point1(GAMMA)), 4)
+    rep = boundary_limit_check(DL33, seq_up, HoroFunction(ray_point(1, GAMMA)), 4)
     assert rep.ok
     # stabilization happens once the level clears the ball's heights
     assert max(i for _, i in rep.entries) <= 4
     seq_down = [level_point(-k) for k in range(1, 9)]
-    rep = boundary_limit_check(DL33, seq_down, HoroFunction(ray_point2(GAMMA)), 4)
+    rep = boundary_limit_check(DL33, seq_down, HoroFunction(ray_point(2, GAMMA)), 4)
     assert rep.ok
 
 
 def test_pinned_points_march_to_ray():
     ray = BranchingRay(0, (), (1,))
-    seq = [vertex_point1(ray_vertex(ray, n)) for n in range(1, 12)]
-    rep = boundary_limit_check(DL33, seq, HoroFunction(ray_point1(ray)), 3)
+    seq = [vertex_point(1, ray_vertex(ray, n)) for n in range(1, 12)]
+    rep = boundary_limit_check(DL33, seq, HoroFunction(ray_point(1, ray)), 3)
     assert rep.ok
 
 
@@ -147,11 +149,11 @@ def test_ray_families_closed_under_ray_limits():
     # descriptors along converging eventually periodic rays stabilize
     # onto the limit ray's function, in both coordinates
     limit = BranchingRay(0, (), (0,))
-    seq1 = [ray_point1(BranchingRay(0, (0,) * n, (1,))) for n in range(1, 10)]
-    rep = boundary_limit_check(DL33, seq1, HoroFunction(ray_point1(limit)), 3)
+    seq1 = [ray_point(1, BranchingRay(0, (0,) * n, (1,))) for n in range(1, 10)]
+    rep = boundary_limit_check(DL33, seq1, HoroFunction(ray_point(1, limit)), 3)
     assert rep.ok
-    seq2 = [ray_point2(BranchingRay(0, (0,) * n, (1,))) for n in range(1, 10)]
-    rep = boundary_limit_check(DL33, seq2, HoroFunction(ray_point2(limit)), 3)
+    seq2 = [ray_point(2, BranchingRay(0, (0,) * n, (1,))) for n in range(1, 10)]
+    rep = boundary_limit_check(DL33, seq2, HoroFunction(ray_point(2, limit)), 3)
     assert rep.ok
 
 

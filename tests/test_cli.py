@@ -283,6 +283,26 @@ DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
      {"spec": DL33, "p_up": "1/2", "steps": 10, "seed": 1, "trajectories": 1,
       "probes": [{"tree": True, "ray": "gamma"}]},
      "probe tree must be 1 or 2, got True"),
+    (["classify", "--family"],
+     {"spec": DL33, "family": {"kind": "radial_ray", "tree": 1,
+                               "ray": "0;(5)"}},
+     "ray 0;(5) does not exist"),
+    (["classify", "--family"],
+     {"spec": DL33, "family": {"kind": "radial_ray", "tree": 2,
+                               "ray": "gamma", "pairing": "0;(9)"}},
+     "ray 0;(9) does not exist"),
+    (["classify", "--family"],
+     {"spec": DL33, "family": {"kind": "fixed_first", "vertex": "0;7"}},
+     "address 0;7 does not exist"),
+    (["classify", "--family"],
+     {"spec": DL33, "family": {"kind": "fixed_second", "vertex": "0;0.9"}},
+     "address 0;0.9 does not exist"),
+    (["classify", "--family"],
+     {"spec": DL33, "family": {"kind": "eventually_constant",
+                               "vertex": "0;7|1;"}},
+     "address 0;7 does not exist"),
+    (["busemann", "Z:", "0;|0;", "--spec"], DL33,
+     "unparsable boundary point 'Z:'"),
 ], ids=["validate-bad-core", "classify-ray-not-text",
         "classify-family-not-object", "classify-spec-not-object",
         "ball-invalid-spec", "dist-invalid-spec", "walk-negative-cap",
@@ -290,7 +310,10 @@ DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
         "validate-float-degree", "ball-text-degree", "validate-float-ray-degree",
         "validate-float-core-degree", "validate-bool-tail-degree",
         "validate-float-min-degree", "classify-float-level",
-        "classify-text-tree", "walk-bool-probe-tree"])
+        "classify-text-tree", "walk-bool-probe-tree", "classify-missing-ray",
+        "classify-missing-pairing", "classify-missing-fixed-first",
+        "classify-missing-fixed-second", "classify-missing-constant",
+        "busemann-empty-level"])
 def test_malformed_input_usage_error(capsys, tmp_path, argv, data, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))

@@ -7,10 +7,8 @@ import pytest
 from horoprod.boundary import (
     HoroFunction,
     level_point,
-    ray_point1,
-    ray_point2,
-    vertex_point1,
-    vertex_point2,
+    ray_point,
+    vertex_point,
 )
 from horoprod.limits import (
     Alternating,
@@ -110,34 +108,34 @@ def test_classify_horocyclic():
 def test_classify_radial():
     ray = BranchingRay(0, (), (0,))
     rep = classify(DL33, RadialRay(1, ray))
-    assert rep.hm_point == ray_point1(ray)
+    assert rep.hm_point == ray_point(1, ray)
     assert rep.eta == math.inf
     rep = classify(DL33, RadialRay(2, ray))
-    assert rep.hm_point == ray_point2(ray)
+    assert rep.hm_point == ray_point(2, ray)
     assert rep.eta == -math.inf
     rep = classify(DL33, RadialRay(1, GAMMA))
-    assert rep.hm_point == ray_point2(BranchingRay(0, (), (0,)))
+    assert rep.hm_point == ray_point(2, BranchingRay(0, (), (0,)))
     assert rep.eta == -math.inf
     pairing = BranchingRay(1, (), (0,))
     rep = classify(DL33, RadialRay(1, GAMMA, pairing))
-    assert rep.hm_point == ray_point2(pairing)
+    assert rep.hm_point == ray_point(2, pairing)
 
 
 def test_classify_pinned():
     rep = classify(DL33, FixedSecond(va("1;")))
-    assert rep.hm_point == vertex_point2(va("1;"))
+    assert rep.hm_point == vertex_point(2, va("1;"))
     assert rep.eta == 1
     rep = classify(DL33, FixedFirst(va("0;0")))
-    assert rep.hm_point == vertex_point1(va("0;0"))
+    assert rep.hm_point == vertex_point(1, va("0;0"))
     assert rep.eta == 1
 
 
 def test_busemann_limit_wrapper():
     assert classify(DL33, Horocyclic(-2)).busemann.anchor == level_point(-2)
     assert classify(DL33, FixedSecond(va("1;"))).busemann.anchor == \
-        vertex_point2(va("1;"))
+        vertex_point(2, va("1;"))
     ray = BranchingRay(1, (), (0,))
-    assert classify(DL33, RadialRay(2, ray)).busemann.anchor == ray_point2(ray)
+    assert classify(DL33, RadialRay(2, ray)).busemann.anchor == ray_point(2, ray)
     assert classify(DL33, Alternating((0, 1))).busemann is None
 
 
@@ -187,7 +185,7 @@ def test_diagonal_customs_reach_the_distinguished_ends():
     fam = _diagonal_custom(DL33, toward_first=True)
     rep = classify(DL33, fam)
     assert rep.status == "boundary"
-    assert rep.hm_point == ray_point1(GAMMA)
+    assert rep.hm_point == ray_point(1, GAMMA)
     assert rep.heuristic
     assert any("height function" in note for note in rep.notes)
     n0 = stabilization_bound(DL33, fam, 3)
@@ -265,11 +263,11 @@ def test_realizability_levels():
 
 def test_realizability_rays_and_vertices():
     delta = BranchingRay(0, (), (0,))
-    assert realizability(DL3LINE, ray_point2(delta))[0]
-    assert not realizability(DL3LINE, ray_point2(GAMMA))[0]
-    assert realizability(DL3LINE, ray_point1(GAMMA))[0]
-    assert realizability(DL3LINE, vertex_point2(va("3;")))[0]
-    assert not realizability(DL3LINE, vertex_point1(va("0;0")))[0]
+    assert realizability(DL3LINE, ray_point(2, delta))[0]
+    assert not realizability(DL3LINE, ray_point(2, GAMMA))[0]
+    assert realizability(DL3LINE, ray_point(1, GAMMA))[0]
+    assert realizability(DL3LINE, vertex_point(2, va("3;")))[0]
+    assert not realizability(DL3LINE, vertex_point(1, va("0;0")))[0]
 
 
 def test_realizability_messages_for_both_factor_orders():
@@ -278,9 +276,9 @@ def test_realizability_messages_for_both_factor_orders():
     climb = ("heights cannot climb along the {} tree's distinguished ray: "
              "its levels are finite")
     delta = BranchingRay(0, (), (0,))
-    points = [level_point(2), vertex_point1(va("0;0")), vertex_point2(va("1;")),
-              ray_point1(GAMMA), ray_point2(GAMMA), ray_point1(delta),
-              ray_point2(delta)]
+    points = [level_point(2), vertex_point(1, va("0;0")), vertex_point(2, va("1;")),
+              ray_point(1, GAMMA), ray_point(2, GAMMA), ray_point(1, delta),
+              ray_point(2, delta)]
     expected = {
         DL3LINE: [second, second, None, None, climb.format("second"),
                   None, None],
@@ -298,20 +296,20 @@ def test_realizability_decides_only_the_needed_level_sets():
     # a custom rule's level sets are undecidable, but a non-distinguished
     # end and every point that needs only the other tree ask nothing of them
     custom = HoroProduct(TreeSpec(CustomRule(lambda a: 3), 2), R3)
-    assert realizability(custom, ray_point2(BranchingRay(0, (), (1,)))) \
+    assert realizability(custom, ray_point(2, BranchingRay(0, (), (1,)))) \
         == (True, None)
-    assert realizability(custom, ray_point2(GAMMA)) == (True, None)
-    assert realizability(custom, vertex_point1(va("0;0"))) == (True, None)
-    for p in (level_point(1), ray_point1(GAMMA), vertex_point2(va("1;"))):
+    assert realizability(custom, ray_point(2, GAMMA)) == (True, None)
+    assert realizability(custom, vertex_point(1, va("0;0"))) == (True, None)
+    for p in (level_point(1), ray_point(1, GAMMA), vertex_point(2, va("1;"))):
         with pytest.raises(UndecidableFamilyError):
             realizability(custom, p)
 
 
 def test_realizability_monotone_under_tree_growth():
     # replacing the path by a bushier tree never kills realizability
-    points = [level_point(0), level_point(2), vertex_point1(va("0;0")),
-              vertex_point2(va("1;")), ray_point1(GAMMA), ray_point2(GAMMA),
-              ray_point2(BranchingRay(0, (), (0,)))]
+    points = [level_point(0), level_point(2), vertex_point(1, va("0;0")),
+              vertex_point(2, va("1;")), ray_point(1, GAMMA), ray_point(2, GAMMA),
+              ray_point(2, BranchingRay(0, (), (0,)))]
     for p in points:
         before, _ = realizability(DL3LINE, p)
         after, _ = realizability(DL33, p)

@@ -14,7 +14,6 @@ from horoprod.rays import (
     level_busemann,
     level_count,
     level_sequence,
-    level_set_report,
     parse_ray,
     ray_busemann,
     ray_confluent,
@@ -190,15 +189,6 @@ def test_f_set_consistent_with_counting_oracle():
         for k in (-2, 0, 1):
             lo, hi = level_count(spec, k, 9), level_count(spec, k, 11)
             assert (hi > lo) == infinite, (spec, k, lo, hi)
-
-
-def test_level_set_report():
-    rep = level_set_report(R3, 1, (4, 6, 8))
-    assert rep.verdict == "infinite"
-    counts = [c for _, c in rep.sampled_counts]
-    assert counts == sorted(counts)
-    rep = level_set_report(LINE, 1, (4, 6, 8))
-    assert rep.verdict == "finite"
 
 
 def test_canonical_at_height():

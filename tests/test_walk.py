@@ -1,6 +1,8 @@
 """Walk simulator: determinism, exact degenerate cases, drift checks."""
 
 import operator
+import statistics
+import time
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -441,3 +443,25 @@ def test_block_decoder_matches_draws_call_by_call(p_up):
     assert up.tolist() == [calls.random() < p_up for _ in range(1000)]
     assert not c.any()
     assert bulk.getstate() == calls.getstate()
+
+
+def test_degree_lookups_cost_under_twice_constant_degree():
+    # on the suffix-list path a periodic degree sequence pays only for
+    # its degree lookups against a constant one: medians of five
+    # interleaved rounds of unprobed 20k-step walks, in CPU time
+    bumpy, flat = (HoroProduct(spec, spec)
+                   for spec in (TreeSpec.ray_periodic((3, 4), (4, 3)),
+                                TreeSpec.ray_periodic((3,), (3,))))
+    assert bumpy.tree1.family.constant_counts() is None
+    assert flat.tree1.family.constant_counts() is None
+    for p_up in (Fraction(1, 2), Fraction(4, 5)):
+        seconds = ([], [])
+        for seed in range(5):
+            for product, out in zip((bumpy, flat), seconds):
+                config = WalkConfig(product, p_up, 20_000, seed, 1,
+                                    record_stride=0)
+                start = time.process_time()
+                simulate(config)
+                out.append(time.process_time() - start)
+        ratio = statistics.median(seconds[0]) / statistics.median(seconds[1])
+        assert ratio < 2, (p_up, ratio, seconds)
