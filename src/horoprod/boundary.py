@@ -43,7 +43,7 @@ from .rays import (
     ray_busemann,
     require_valid_ray,
 )
-from .tree import VertexAddress, height, vertex_busemann
+from .tree import VertexAddress, height, parse_decimal, vertex_busemann
 from .product import HoroProduct, ProductVertex, product_busemann
 
 
@@ -92,6 +92,8 @@ def level_point(k: int) -> BoundaryPoint:
 
 
 def parse_point(text: str) -> BoundaryPoint:
+    """The point whose ``str`` is the text.  Any other text, an end not
+    in its shortest form included, raises ValueError."""
     tag, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"unparsable boundary point {text!r}")
@@ -100,11 +102,15 @@ def parse_point(text: str) -> BoundaryPoint:
     except ValueError:
         raise ValueError(f"unknown boundary tag {tag!r}") from None
     if kind.is_ray:
-        return BoundaryPoint(kind, parse_ray(rest))
+        ray = parse_ray(rest)
+        if str(ray) != rest:
+            raise ValueError(f"boundary point {text!r} is not in shortest"
+                             f" form, which is {kind.value}:{ray}")
+        return BoundaryPoint(kind, ray)
     if kind.side is not None:
         return BoundaryPoint(kind, VertexAddress.parse(rest))
     try:
-        return level_point(int(rest))
+        return level_point(parse_decimal(rest))
     except ValueError:
         raise ValueError(f"unparsable boundary point {text!r}") from None
 

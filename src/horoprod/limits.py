@@ -59,7 +59,7 @@ from .rays import (
     require_valid_ray,
     validate_ray,
 )
-from .product import HoroProduct, ProductVertex, product_busemann, product_height
+from .product import HoroProduct, ProductVertex, busemann_rows, product_height
 from .boundary import (
     BoundaryPoint,
     HoroFunction,
@@ -556,7 +556,10 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
 
     For every ball vertex the anchored Busemann values across the
     window must be constant and, when a target is supplied, equal to
-    the target's value.  Violations carry the witnessing index.
+    the target's value.  Violations carry the witnessing index.  The
+    values are the rows of ``busemann_rows``, so terms that agree on the
+    ball share one row, and only rows that differ from the first are
+    scanned vertex by vertex.
     """
     n0, n1 = window
     if not (0 <= n0 < n1):
@@ -567,15 +570,17 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
         return EmpiricalReport(False, window, radius, 0, None,
                                ({"reason": str(exc)},))
     ball = product.ball(radius)
+    rows = busemann_rows(seq, ball)
+    # only the terms whose row differs from the first can witness a jump
+    moved = [(n0 + i, row) for i, row in enumerate(rows) if row != rows[0]]
     violations: list[dict] = []
     matched = None if target is None else True
-    for y in ball:
-        first = product_busemann(seq[0], y)
-        for i, x in enumerate(seq):
-            val = product_busemann(x, y)
-            if val != first:
-                violations.append({"vertex": str(y), "index": n0 + i,
-                                   "value": val, "previous": first})
+    for j, y in enumerate(ball):
+        first = rows[0][j]
+        for index, row in moved:
+            if row[j] != first:
+                violations.append({"vertex": str(y), "index": index,
+                                   "value": row[j], "previous": first})
                 break
         else:
             if target is not None and first != target(y):
@@ -789,10 +794,17 @@ def random_families(product: HoroProduct, count: int, seed: int,
 def _shifted_custom(product, inner: SequenceFamily, offset: int) -> Custom:
     stream_cache: list[ProductVertex] = []
     stream = inner.stream(product)
+    ended: list[FamilyExhausted] = []   # a stream that raised is closed
 
     def gen(n: int) -> ProductVertex:
         while len(stream_cache) <= n + offset:
-            stream_cache.append(next(stream))
+            if ended:
+                raise FamilyExhausted(*ended[0].args)
+            try:
+                stream_cache.append(next(stream))
+            except FamilyExhausted as exc:
+                ended.append(exc)
+                raise
         return stream_cache[n + offset]
 
     return Custom(gen, label=f"shifted+{offset}:{inner.describe()}",

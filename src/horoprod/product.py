@@ -25,9 +25,10 @@ graph as integer adjacency lists, which the metric oracle sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .tree import (SpecError, TreeSpec, VertexAddress, address_text, height,
-                   origin_dist, tree_dist)
+                   meet_depth, origin_dist, path_vertex, tree_dist)
 
 
 class HeightMismatch(ValueError):
@@ -113,6 +114,50 @@ def product_busemann(z: ProductVertex, y: ProductVertex, *, check: bool = False)
         direct = product_dist(z, y) - product_dist(z, BASE)
         assert value == direct, (z, y, value, direct)
     return value
+
+
+def busemann_rows(anchors: Sequence[ProductVertex],
+                  ys: Sequence[ProductVertex]) -> list[list[int]]:
+    """``[[product_busemann(z, y) for y in ys] for z in anchors]``, where
+    anchors that no y can tell apart share one row object.
+
+    Here Ds is the largest origin_dist of a side-s coordinate of the ys
+    and H the largest |height| of the ys.  A row is the sum of three
+    tables: over the distinct first coordinates, the distinct second
+    coordinates, and the heights -H..H.  It is computed once per key
+    (path_vertex(z.x1, D1), path_vertex(z.x2, D2), clamp(h, -H, H)), with
+    h = height(z.x1).  The key fixes the row:
+
+    - per tree, tree_dist(z, u) - origin_dist(z) = origin_dist(u)
+      - 2 meet_depth(z, u), and meet_depth(z, u) <= origin_dist(u) <= D
+      reads z's origin path only up to depth D, which path_vertex(z, D)
+      keeps;
+    - with |hu| <= H, |h - hu| - |h| is -hu for every h >= H and hu for
+      every h <= -H, so the clamped height gives the same correction.
+    """
+    firsts = list(dict.fromkeys(y.x1 for y in ys))
+    seconds = list(dict.fromkeys(y.x2 for y in ys))
+    at1 = {u: i for i, u in enumerate(firsts)}
+    at2 = {u: i for i, u in enumerate(seconds)}
+    reach1 = max(map(origin_dist, firsts), default=0)
+    reach2 = max(map(origin_dist, seconds), default=0)
+    cap = max((abs(height(u)) for u in firsts), default=0)
+    # the third column indexes the heights -cap..cap
+    cols = [(at1[y.x1], at2[y.x2], height(y.x1) + cap) for y in ys]
+    rows: dict[tuple, list[int]] = {}
+    out = []
+    for z in anchors:
+        key = (path_vertex(z.x1, reach1), path_vertex(z.x2, reach2),
+               min(max(height(z.x1), -cap), cap))
+        row = rows.get(key)
+        if row is None:
+            p1, p2, h = key
+            t1 = [origin_dist(u) - 2 * meet_depth(p1, u) for u in firsts]
+            t2 = [origin_dist(u) - 2 * meet_depth(p2, u) for u in seconds]
+            t3 = [abs(h - k) - abs(h) for k in range(-cap, cap + 1)]
+            row = rows[key] = [t1[i] + t2[j] - t3[k] for i, j, k in cols]
+        out.append(row)
+    return out
 
 
 @dataclass(frozen=True)

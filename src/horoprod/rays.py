@@ -36,6 +36,7 @@ from .tree import (
     VertexAddress,
     height,
     origin_dist,
+    parse_decimal,
     path_vertex,
 )
 
@@ -103,9 +104,9 @@ def parse_ray(text: str) -> Ray:
         raise ValueError(f"unparsable ray {text!r}")
     pre_text, _, cyc_text = tail[:-1].partition("(")
     try:
-        branch = int(head)
-        prefix = tuple(int(c) for c in pre_text.split(".")) if pre_text else ()
-        cycle = tuple(int(c) for c in cyc_text.split(".")) if cyc_text else ()
+        branch = parse_decimal(head)
+        prefix = tuple(map(parse_decimal, pre_text.split("."))) if pre_text else ()
+        cycle = tuple(map(parse_decimal, cyc_text.split("."))) if cyc_text else ()
     except ValueError as exc:
         raise ValueError(f"unparsable ray {text!r}") from exc
     return BranchingRay(branch, prefix, cycle)

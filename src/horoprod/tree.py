@@ -22,6 +22,7 @@ everything is safe to share between threads.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, ClassVar, Sequence
@@ -57,14 +58,26 @@ class VertexAddress:
         if not sep:
             raise AddressError(f"missing ';' in vertex address {text!r}")
         try:
-            branch = int(head)
-            suffix = tuple(int(c) for c in tail.split(".")) if tail else ()
+            branch = parse_decimal(head)
+            suffix = tuple(map(parse_decimal, tail.split("."))) if tail else ()
         except ValueError as exc:
             raise AddressError(f"unparsable vertex address {text!r}") from exc
         return cls(branch, suffix)
 
 
 ORIGIN = VertexAddress(0, ())
+
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def parse_decimal(text: str) -> int:
+    """An integer written in canonical ASCII decimal: ``0``, or an
+    optional ``-`` and digits without a leading zero.  ``int()`` would
+    also take spaces, underscores, ``+``, leading zeros and non-ASCII
+    digits, and so read one number from many texts."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not a canonical decimal integer: {text!r}")
+    return int(text)
 
 
 def address_text(branch: int, suffix: Sequence[int]) -> str:

@@ -323,17 +323,16 @@ def boundary_function_suite(lipschitz_radius: int = 4,
                                {**details, "witness":
                                 {"point": str(p), "base_value": evaluate(p, product.base)}})
     ball = product.ball(lipschitz_radius)
-    values = {str(p): [evaluate(p, y) for y in ball] for p in catalog}
+    pairs = [(i, j, product_dist(v, ball[j]))
+             for i, v in enumerate(ball) for j in range(i + 1, len(ball))]
     for p in catalog:
-        vals = values[str(p)]
-        for i, v in enumerate(ball):
-            for j in range(i + 1, len(ball)):
-                if abs(vals[i] - vals[j]) > product_dist(v, ball[j]):
-                    return SuiteResult("boundary-functions", False, {
-                        **details, "witness": {
-                            "point": str(p), "v": str(v), "w": str(ball[j]),
-                            "gap": abs(vals[i] - vals[j]),
-                            "dist": product_dist(v, ball[j])}})
+        vals = [evaluate(p, y) for y in ball]
+        for i, j, dist in pairs:
+            if abs(vals[i] - vals[j]) > dist:
+                return SuiteResult("boundary-functions", False, {
+                    **details, "witness": {
+                        "point": str(p), "v": str(ball[i]), "w": str(ball[j]),
+                        "gap": abs(vals[i] - vals[j]), "dist": dist}})
     sep_ball = product.ball(separation_radius)
     profiles = [tuple(evaluate(p, y) for y in sep_ball) for p in catalog]
     for i in range(len(catalog)):

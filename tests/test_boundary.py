@@ -4,6 +4,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from horoprod.boundary import (
     HoroFunction,
@@ -52,6 +53,81 @@ def test_point_text_round_trip():
         parse_point("Q:3")
     with pytest.raises(ValueError, match="unparsable boundary point 'Z:x'"):
         parse_point("Z:x")
+
+
+# Numerals as typed: canonical ones, and texts that int() would also read.
+_NUMERALS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["00", "007", "-0", "+1", "1_0", " 2", "2 ", "\u0663",
+                     "", "x"]))
+
+
+@st.composite
+def _words(draw):
+    return ".".join(draw(st.lists(_NUMERALS, max_size=3)))
+
+
+@st.composite
+def _vertex_texts(draw):
+    sep = draw(st.sampled_from([";", ";", ";", "", ";;"]))
+    return draw(_NUMERALS) + sep + draw(_words())
+
+
+@st.composite
+def _ray_texts(draw):
+    return (draw(_NUMERALS) + ";" + draw(_words()) + "("
+            + draw(_words()) + draw(st.sampled_from([")", ")", "", ")("])))
+
+
+@st.composite
+def _point_texts(draw):
+    tag = draw(st.sampled_from(["C1", "C2", "T1", "T2", "Z", "C3", "z", ""]))
+    sep = draw(st.sampled_from([":", ":", "", "::"]))
+    payload = draw(st.one_of(_NUMERALS, _vertex_texts(), _ray_texts(),
+                             st.just("gamma"), st.text(max_size=6)))
+    return tag + sep + payload
+
+
+@st.composite
+def _edited(draw, texts):
+    """One of the texts, as it stands or with one character inserted,
+    replaced or dropped."""
+    text = draw(st.sampled_from(texts))
+    i = draw(st.integers(0, len(text)))
+    c = draw(st.sampled_from("0123456789-;.|():_ \u0663"))
+    return draw(st.sampled_from([text, text[:i] + c + text[i:],
+                                 text[:i] + c + text[i + 1:],
+                                 text[:i] + text[i + 1:]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_edited([str(p) for p in standard_catalog(DL33)]),
+                 _point_texts(), st.text(max_size=12)))
+@example("C2:1;0(1.0)")
+@example("C1:0;0(0)")
+@example("Z:-12")
+@example("Z:1_0")
+def test_parse_point_accepts_only_its_own_text(text):
+    try:
+        p = parse_point(text)
+    except ValueError:
+        return
+    assert str(p) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_edited([str(v) for v in DL33.ball(2)]),
+                 st.tuples(_vertex_texts(), _vertex_texts()).map("|".join),
+                 st.text(max_size=12)))
+@example("0;0.1|2;")
+@example("0;0|0;")
+@example("0;|0;0_1")
+def test_parse_vertex_accepts_only_its_own_text(text):
+    try:
+        v = ProductVertex.parse(text)
+    except ValueError:
+        return
+    assert str(v) == text
 
 
 def test_hm_coordinates():

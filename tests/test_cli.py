@@ -303,6 +303,24 @@ DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
      "address 0;7 does not exist"),
     (["busemann", "Z:", "0;|0;", "--spec"], DL33,
      "unparsable boundary point 'Z:'"),
+    (["busemann", "Z:1_0", "0;|0;", "--spec"], DL33,
+     "unparsable boundary point 'Z:1_0'"),
+    (["busemann", "Z: 2", "0;|0;", "--spec"], DL33,
+     "unparsable boundary point 'Z: 2'"),
+    (["busemann", "Z:\u0663", "0;|0;", "--spec"], DL33,
+     "unparsable boundary point 'Z:\u0663'"),
+    (["busemann", "Z:007", "0;|0;", "--spec"], DL33,
+     "unparsable boundary point 'Z:007'"),
+    (["busemann", "Z:-0", "0;|0;", "--spec"], DL33,
+     "unparsable boundary point 'Z:-0'"),
+    (["busemann", "Z:0", " 0;|0;", "--spec"], DL33,
+     "unparsable vertex address ' 0;'"),
+    (["dist", "0;|0;", "0;|0;1_0", "--spec"], DL33,
+     "unparsable vertex address '0;1_0'"),
+    (["busemann", "C1:0;(1_0)", "0;|0;", "--spec"], DL33,
+     "unparsable ray '0;(1_0)'"),
+    (["busemann", "C1:0;0(0)", "0;|0;", "--spec"], DL33,
+     "not in shortest form, which is C1:0;(0)"),
 ], ids=["validate-bad-core", "classify-ray-not-text",
         "classify-family-not-object", "classify-spec-not-object",
         "ball-invalid-spec", "dist-invalid-spec", "walk-negative-cap",
@@ -313,7 +331,11 @@ DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
         "classify-text-tree", "walk-bool-probe-tree", "classify-missing-ray",
         "classify-missing-pairing", "classify-missing-fixed-first",
         "classify-missing-fixed-second", "classify-missing-constant",
-        "busemann-empty-level"])
+        "busemann-empty-level", "busemann-underscore-level",
+        "busemann-space-level", "busemann-arabic-indic-level",
+        "busemann-leading-zero-level", "busemann-negative-zero-level",
+        "busemann-space-vertex", "dist-underscore-label",
+        "busemann-underscore-ray", "busemann-long-form-ray"])
 def test_malformed_input_usage_error(capsys, tmp_path, argv, data, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))

@@ -13,6 +13,7 @@ from horoprod.boundary import (
 from horoprod.limits import (
     Alternating,
     Custom,
+    EmpiricalReport,
     EventuallyConstant,
     FamilyExhausted,
     FixedFirst,
@@ -28,7 +29,8 @@ from horoprod.limits import (
     stabilization_bound,
     terms,
 )
-from horoprod.product import BASE, HoroProduct, ProductVertex, product_height
+from horoprod.product import (BASE, HoroProduct, ProductVertex, product_busemann,
+                              product_height)
 from horoprod.rays import BranchingRay, GAMMA
 from horoprod.tree import (CustomRule, TreeSpec, UndecidableFamilyError,
                            VertexAddress, height)
@@ -223,6 +225,58 @@ def test_empirical_rejects_wrong_target():
     emp = empirical_pointwise_check(DL33, fam, (n0, n0 + 20), 3,
                                     HoroFunction(level_point(0)))
     assert emp.convergent and emp.matched_target is False
+
+
+def _reference_check(product, family, window, radius, target=None,
+                     max_violations=8):
+    """The empirical check as a plain double loop of ``product_busemann``
+    calls, vertex-major, against which the row-based check is compared."""
+    n0, n1 = window
+    try:
+        seq = terms(product, family, n1, n0)
+    except FamilyExhausted as exc:
+        return EmpiricalReport(False, window, radius, 0, None,
+                               ({"reason": str(exc)},))
+    ball = product.ball(radius)
+    violations = []
+    matched = None if target is None else True
+    for y in ball:
+        first = product_busemann(seq[0], y)
+        for i, x in enumerate(seq):
+            val = product_busemann(x, y)
+            if val != first:
+                violations.append({"vertex": str(y), "index": n0 + i,
+                                   "value": val, "previous": first})
+                break
+        else:
+            if target is not None and first != target(y):
+                matched = False
+                violations.append({"vertex": str(y), "value": first,
+                                   "expected": target(y)})
+        if len(violations) >= max_violations:
+            break
+    convergent = not any("previous" in v or "reason" in v for v in violations)
+    return EmpiricalReport(convergent, window, radius, len(ball), matched,
+                           tuple(violations))
+
+
+@pytest.mark.parametrize("product", [DL33, DL34, DL3LINE],
+                         ids=["dl33", "dl34", "r3_line"])
+def test_empirical_check_matches_reference_loop(product):
+    radius = 3
+    wrong = HoroFunction(level_point(7))
+    families = random_families(product, 12, seed=5) + [Alternating((0, 1))]
+    violated = 0
+    for family in families:
+        n0 = stabilization_bound(product, family, radius)
+        for target in (classify(product, family).busemann, None, wrong):
+            for window in ((n0, n0 + 55), (0, 30), (3, 9)):
+                for cap in (1, 8):
+                    args = (product, family, window, radius, target, cap)
+                    emp = empirical_pointwise_check(*args)
+                    assert emp == _reference_check(*args), (family, window)
+                    violated += any("index" in v for v in emp.violations)
+    assert violated > 0
 
 
 # -- the isomorphism property ---------------------------------------------------------

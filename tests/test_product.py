@@ -10,12 +10,13 @@ from horoprod.product import (
     HeightMismatch,
     HoroProduct,
     ProductVertex,
+    busemann_rows,
     product_busemann,
     product_dist,
     product_height,
 )
 from horoprod.tree import (CustomRule, TreeSpec, VertexAddress, gamma_ward,
-                           height, tree_dist)
+                           height, origin_dist, tree_dist)
 
 R3 = TreeSpec.regular(3)
 R4 = TreeSpec.regular(4)
@@ -134,6 +135,65 @@ def ball_vertices(draw, product=DL33, radius=3):
 @given(ball_vertices(), ball_vertices())
 def test_formula_matches_bfs(v, w):
     assert DL33.dist_bfs(v, w, 12) == product_dist(v, w)
+
+
+def _coordinate(draw, spec, h, reach):
+    """A vertex of the tree at height h and origin distance >= reach.
+    Its labels are random, so it may share any prefix with a ball."""
+    lo = max(0, -h, -(-(reach - h) // 2))
+    branch = draw(st.integers(lo, lo + 3))
+    v = VertexAddress(branch, ())
+    for _ in range(branch + h):
+        label = draw(st.integers(0, spec.label_count(v) - 1))
+        v = VertexAddress(branch, v.suffix + (label,))
+    return v
+
+
+@st.composite
+def rows_inputs(draw):
+    """Ball vertices of a product (repeats allowed), their reaches and
+    height cap, and anchors on both sides of those bounds."""
+    product = draw(st.sampled_from([DL33, DL34, MIXED]))
+    ball = product.ball(draw(st.integers(0, 3)))
+    ys = draw(st.lists(st.sampled_from(ball), min_size=1, max_size=40))
+    reach1 = max(origin_dist(y.x1) for y in ys)
+    reach2 = max(origin_dist(y.x2) for y in ys)
+    cap = max(abs(product_height(y)) for y in ys)
+    anchors = []
+    for _ in range(draw(st.integers(1, 6))):
+        h = draw(st.integers(-cap - 3, cap + 3))
+        anchors.append(ProductVertex(
+            _coordinate(draw, product.tree1, h, draw(st.integers(0, reach1 + 3))),
+            _coordinate(draw, product.tree2, -h, draw(st.integers(0, reach2 + 3)))))
+    return product, ys, (reach1, reach2, cap), anchors
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_inputs())
+def test_busemann_rows_are_product_busemann(case):
+    _, ys, _, anchors = case
+    assert busemann_rows(anchors, ys) == [
+        [product_busemann(z, y) for y in ys] for z in anchors]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_inputs(), st.booleans(), st.data())
+def test_busemann_rows_share_past_reach_and_cap(case, up, data):
+    """An anchor past both reaches and the height cap, and its neighbour
+    one step further out, get one row object."""
+    product, ys, (reach1, reach2, cap), _ = case
+    h = data.draw(st.integers(cap, cap + 2)) * (1 if up else -1)
+    z = ProductVertex(_coordinate(data.draw, product.tree1, h, reach1 + 1),
+                      _coordinate(data.draw, product.tree2, -h, reach2 + 1))
+    if up:
+        w = ProductVertex(VertexAddress(z.x1.branch, z.x1.suffix + (0,)),
+                          gamma_ward(z.x2))
+    else:
+        w = ProductVertex(gamma_ward(z.x1),
+                          VertexAddress(z.x2.branch, z.x2.suffix + (0,)))
+    first, second = busemann_rows([z, w], ys)
+    assert first is second
+    assert second == [product_busemann(w, y) for y in ys]
 
 
 def test_ball_graph_is_the_edge_relation():
