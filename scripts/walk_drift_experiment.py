@@ -12,12 +12,12 @@ lighter step count.
 import argparse
 import json
 import pathlib
-from fractions import Fraction
 
 from horoprod.product import HoroProduct
 from horoprod.rays import BranchingRay, GAMMA
 from horoprod.tree import TreeSpec
-from horoprod.walk import WalkConfig, drift_report, simulate, write_trace_csv
+from horoprod.walk import (WalkConfig, drift_report, parse_p_up, simulate,
+                           write_trace_csv)
 
 
 def main():
@@ -27,31 +27,35 @@ def main():
     parser.add_argument("--trajectories", type=int, default=20)
     parser.add_argument("--seed", type=int, default=90125)
     parser.add_argument("--p-up", default="1,4/5,1/5,1/2",
-                        help="comma-separated up-biases as fractions")
+                        help="comma-separated up-biases, read as the p_up "
+                        "of a walk file")
     parser.add_argument("--stride", type=int, default=100,
                         help="record every N-th step in the CSV traces")
     args = parser.parse_args()
 
-    outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     r3 = TreeSpec.regular(3)
     product = HoroProduct(r3, r3)
     probes = ((1, GAMMA), (2, GAMMA),
               (1, BranchingRay(0, (), (1,))), (2, BranchingRay(0, (), (1,))))
+    try:
+        configs = [WalkConfig(product, parse_p_up(text), args.steps,
+                              args.seed, args.trajectories, probes,
+                              record_stride=args.stride)
+                   for text in args.p_up.split(",")]
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    for text in args.p_up.split(","):
-        p = Fraction(text)
-        tag = str(p).replace("/", "_")
-        config = WalkConfig(product, p, args.steps, args.seed,
-                            args.trajectories, probes,
-                            record_stride=args.stride)
+    outdir = pathlib.Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for config in configs:
+        tag = str(config.p_up).replace("/", "_")
         result = simulate(config)
         report = drift_report(result)
         (outdir / f"drift_p{tag}.json").write_text(
             json.dumps(report, indent=2, sort_keys=True))
         write_trace_csv(outdir / f"trace_p{tag}.csv",
                         result.trajectories[0], len(probes))
-        print(f"p_up={p}: regime={report['regime']} "
+        print(f"p_up={config.p_up}: regime={report['regime']} "
               f"speed={report['speed']['mean']:.4f} "
               f"height_slope={report['height_slope']['mean']:.4f} "
               f"ok={report['ok']}")

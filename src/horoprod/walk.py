@@ -9,34 +9,36 @@ keeps every ``record_stride``-th of them (none at stride 0).
 
 A coordinate is its ray index m and the stack of child labels below
 z_m.  The height h fixes both stack depths, m1 + h on tree 1 and m2 - h
-on tree 2, so the distance from the base is 2(m1 + m2) - |h|.  There
-are two step paths, chosen from the families' ``constant_counts``:
+on tree 2, so the distance from the base is 2(m1 + m2) - |h|.
+
+One solver (``_block_steps``) turns a block of draws, each step's
+direction ``up`` and the number ``c`` of the upward neighbor it climbs
+to, into these values in numpy.  The height is the running sum of the
+steps, and each ray index is minus a floor of the height walk: the
+floor follows the height, except that a climb that pushes a letter
+opens an excursion, and the floor stays at its level until the height
+returns to it.  Only the outermost excursions count (``_floor``).  A
+branching-ray probe tracks L, the length of the prefix of the suffix
+that follows the ray, as the floor of the stack depth, whose excursions
+open at the pushes of a letter other than the ray's.  A gamma probe is
+the height on tree 1 and minus the height on tree 2, so its series and
+slope are the height's.
+
+Two draw sources feed it, chosen from the families' ``constant_counts``:
 
 - Regular and Line trees give every vertex d - 1 upward neighbors, so
-  the letters on a stack never matter and a block of steps is solved in
-  numpy (``_block_steps``).  The block's draws come first.  When every
-  step takes the same number of MT19937 words (three on two trees of
-  degree 3: two for ``random()``, one for ``getrandbits(1)``; two on two
-  lines) they are sliced from one ``getrandbits`` call
-  (``_decode_words``); otherwise they are drawn call by call.  The
-  height is their running sum, and each ray index is minus a floor of
-  the height walk: the floor follows the height, except that a climb
-  that pushes a letter opens an excursion, and the floor stays at its
-  level until the height returns to it.  Only the outermost excursions
-  count (``_floor``).  A walk that records nothing (stride 0) runs in
-  flat memory.
+  the letters on a stack never matter and no stack is kept
+  (``_constant_draws``).  When every step takes the same number of
+  MT19937 words (three on two trees of degree 3: two for ``random()``,
+  one for ``getrandbits(1)``; two on two lines) a block's draws are
+  sliced from one ``getrandbits`` call (``_decode_words``); otherwise
+  they are drawn call by call.  A walk that records nothing (stride 0)
+  runs in flat memory.
 - Any other family keeps each suffix as a list and asks the family how
   many children a position has (the degree cycles for RayPeriodic, the
   core table for ExplicitCore inside its radius; only a CustomRule
-  builds an address per step), one step at a time (``_suffix_steps``).
+  builds an address per step), one step at a time (``_suffix_draws``).
   Its up move, ``_climber``, is the one ``step`` replays.
-
-A gamma probe is the height on tree 1 and minus the height on tree 2,
-so its series and slope are the height's.  A branching-ray probe tracks
-L, the length of the prefix of the suffix that follows the ray: in
-O(1) per step on suffix lists (``_advance_rays``), and in a block as
-the floor of the stack depth, whose excursions open at the pushes of a
-letter other than the ray's.
 
 Walks instantiate integrable ergodic increments over a Bernoulli
 source, which makes the law-of-large-numbers drift identities testable:
@@ -62,6 +64,7 @@ values it records.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -74,6 +77,20 @@ from .rays import GammaEnd, Ray, parse_ray, require_valid_ray
 from .product import HoroProduct, ProductVertex
 
 RNG_ID = "mt19937/per-trajectory seed (seed<<32)^(i*0x9E3779B1)"
+
+_P_UP = re.compile(r"[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?")
+
+
+def parse_p_up(text) -> Fraction:
+    """An up-bias as a walk file gives it: a string of ASCII digits with
+    at most one ``/`` or ``.``, as in ``"1"``, ``"4/5"`` or ``"0.5"``
+    (every ``str`` of a Fraction in [0, 1] is one).  Anything else, a
+    zero denominator included, raises ``ValueError``; the range is
+    ``WalkConfig``'s to check."""
+    if not isinstance(text, str) or _P_UP.fullmatch(text) is None:
+        raise ValueError("p_up must be a fraction or decimal in ASCII "
+                         f"digits, such as '4/5' or '0.5', got {text!r}")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -132,8 +149,8 @@ class WalkConfig:
                                   TreeSpec.from_json(data["spec"]["tree2"]))
             probes = tuple((p["tree"], parse_ray(p["ray"]))
                            for p in data.get("probes", ()))
-            return cls(product, data["p_up"], data["steps"], data["seed"],
-                       data["trajectories"], probes,
+            return cls(product, parse_p_up(data["p_up"]), data["steps"],
+                       data["seed"], data["trajectories"], probes,
                        data.get("record_stride", 1),
                        data.get("max_total_steps"))
         except (AttributeError, TypeError) as exc:
@@ -169,27 +186,15 @@ def _trajectory_seed(seed: int, index: int) -> int:
 def _climber(rng: Random, family):
     """The up move of one coordinate of ``family``, drawing from ``rng``.
 
-    ``climb(m, s)`` moves the position (ray index ``m``, suffix list
-    ``s``, extended in place) to a uniformly drawn upward neighbor and
-    returns its ray index.  The neighbors are numbered as
-    ``TreeSpec.up_neighbors`` lists them: the ray vertex above first,
-    then the labeled children.  One neighbor takes no draw, two take one
-    bit, more take one ``randrange`` (``_draw``).  A family with
-    ``constant_counts`` draws from that count without asking its rule.
+    ``climb(m, s)`` draws a uniform upward neighbor of the position (ray
+    index ``m``, suffix list ``s``) and returns its number ``c``.  The
+    neighbors are numbered as ``TreeSpec.up_neighbors`` lists them: the
+    ray vertex above first, then the labeled children.  A child's label
+    is pushed onto ``s``; the ray vertex above is not, and the caller
+    moves there (``m - 1``) when ``m`` is positive and ``s`` is still
+    empty.  One neighbor takes no draw, two take one bit, more take one
+    ``randrange``.
     """
-    up = family.constant_counts()
-    if up is not None:
-        draw, arg = _draw(rng, up)
-
-        def climb(m: int, s: list[int]) -> int:
-            ray = 1 if m and not s else 0
-            c = draw(arg)
-            if c < ray:
-                return m - 1
-            s.append(c - ray)
-            return m
-
-        return climb
     getrandbits = rng.getrandbits
     randrange = rng.randrange
     count = family.label_count
@@ -198,10 +203,9 @@ def _climber(rng: Random, family):
         ray = 1 if m and not s else 0
         cnt = count(m, s) + ray
         c = 0 if cnt == 1 else getrandbits(1) if cnt == 2 else randrange(cnt)
-        if c < ray:
-            return m - 1
-        s.append(c - ray)
-        return m
+        if c >= ray:
+            s.append(c - ray)
+        return c
 
     return climb
 
@@ -211,8 +215,8 @@ def _no_draw(_count: int) -> int:
 
 
 def _draw(rng: Random, count: int):
-    """``(fn, arg)`` such that ``fn(arg)`` draws uniformly from
-    ``range(count)`` by ``_climber``'s rule."""
+    """``(fn, arg)`` such that ``fn(arg)`` draws from ``range(count)``
+    as ``_climber`` draws among ``count`` upward neighbors."""
     if count == 1:
         return _no_draw, count
     if count == 2:
@@ -230,48 +234,26 @@ def step(product: HoroProduct, v: ProductVertex, rng: Random,
     up = rng.random() < p_up
     x, other, tree = ((v.x1, v.x2, product.tree1) if up
                       else (v.x2, v.x1, product.tree2))
+    branch = x.branch
     suffix = list(x.suffix)
-    branch = _climber(rng, tree.family)(x.branch, suffix)
+    _climber(rng, tree.family)(branch, suffix)
+    if branch and not suffix:
+        branch -= 1
     moved = VertexAddress(branch, tuple(suffix))
     if up:
         return ProductVertex(moved, gamma_ward(other))
     return ProductVertex(gamma_ward(other), moved)
 
 
-def _advance_rays(rays: list[list], m: int, depth: int, c: int) -> None:
-    """Step the branching-ray probes of one coordinate and record their
-    values, in O(1) each.
-
-    A probe is ``[L, branch, want, letter, append]``: ``L`` is the
-    length of the prefix of the coordinate's suffix that follows the
-    ray's letters, and ``want = letter(L)`` the letter that extends it.
-    The coordinate is now at ray index ``m`` and stack depth ``depth``.
-    ``c`` is the letter this step pushed, or else -1 or the top letter,
-    neither of which can extend the match (a top letter at index ``L``
-    already failed to).  A pop clamps ``L`` to the depth, and a push of
-    ``want`` at depth ``L`` extends it.  ``L`` matters only where ``m``
-    is the ray's branch, and ``m`` changes only at depth 0, where ``L``
-    is 0; so it is updated only there.  The value is the Busemann
-    function m + depth - 2 meet.
-    """
-    for probe in rays:
-        L, branch, want, letter, append = probe
-        if m != branch:
-            append(m + depth - 2 * (m if m < branch else branch))
-            continue
-        if L > depth:
-            probe[0] = L = depth
-            probe[2] = letter(L)
-        elif L == depth - 1 and c == want:
-            probe[0] = L = depth
-            probe[2] = letter(L)
-        append(depth - m - 2 * L)
+def _unpack(codes) -> tuple[np.ndarray, np.ndarray]:
+    """``(up, c)`` from steps packed as ``c << 1 | up``."""
+    code = np.array(codes, dtype=np.int64)
+    return code & 1 == 1, code >> 1
 
 
-def _suffix_steps(rng: Random, p: float, family1, family2, rays):
-    """The walk on any two families, as a generator: ``send(n)`` runs n
-    more steps and returns their per-step dist, height and branching-ray
-    probe values (``rays``, in order) as int64 arrays.
+def _suffix_draws(rng: Random, p: float, family1, family2):
+    """The draws of the walk on any two families, as a generator:
+    ``send(n)`` runs n more steps and returns their ``(up, c)``.
 
     Each coordinate keeps its suffix list, which the families' rules
     read through ``_climber``.
@@ -279,46 +261,53 @@ def _suffix_steps(rng: Random, p: float, family1, family2, rays):
     rand = rng.random
     climb1 = _climber(rng, family1)
     climb2 = _climber(rng, family2)
-    series: list[list[int]] = [[], []]
-    add_dist, add_height = series[0].append, series[1].append
-    rays1: list[list] = []
-    rays2: list[list] = []
-    for tree, ray in rays:
-        chunk: list[int] = []
-        (rays1 if tree == 1 else rays2).append(
-            [0, ray.branch, ray.letter(0), ray.letter, chunk.append])
-        series.append(chunk)
-    probing = bool(rays)
-    m1 = m2 = h = 0
+    codes: list[int] = []
+    add = codes.append
+    m1 = m2 = 0
     s1: list[int] = []
     s2: list[int] = []
     n = yield
     while True:
         for _ in range(n):
             if rand() < p:
-                m1 = climb1(m1, s1)
+                add(climb1(m1, s1) << 1 | 1)
+                if m1 and not s1:
+                    m1 -= 1
                 if s2:
                     s2.pop()
                 else:
                     m2 += 1
-                h += 1
             else:
-                m2 = climb2(m2, s2)
+                add(climb2(m2, s2) << 1)
+                if m2 and not s2:
+                    m2 -= 1
                 if s1:
                     s1.pop()
                 else:
                     m1 += 1
-                h -= 1
-            # the two origin distances add up to 2 * (m1 + m2)
-            add_dist(2 * (m1 + m2) - (h if h >= 0 else -h))
-            add_height(h)
-            if probing:
-                _advance_rays(rays1, m1, len(s1), s1[-1] if s1 else -1)
-                _advance_rays(rays2, m2, len(s2), s2[-1] if s2 else -1)
-        out = [np.array(chunk, dtype=np.int64) for chunk in series]
-        for chunk in series:
-            chunk.clear()
+        out = _unpack(codes)
+        codes.clear()
         n = yield out
+
+
+def _constant_draws(rng: Random, p: float, count1: int, count2: int):
+    """``_suffix_draws`` on two trees whose every vertex has ``count1``
+    (``count2``) upward neighbors, where no suffix is needed: sliced
+    from one run of words when each step takes the same number of them
+    (``_decode_words``), else drawn call by call."""
+    # MT19937 words per step when that number is fixed: two for random()
+    # and, on two trees of degree 3, one for the climb's getrandbits(1)
+    words = 3 if count1 == count2 == 2 else 2 if count1 == count2 == 1 else 0
+    rand = rng.random
+    draw1, arg1 = _draw(rng, count1)
+    draw2, arg2 = _draw(rng, count2)
+    n = yield
+    while True:
+        if words:
+            n = yield _decode_words(rng, n, words, p)
+        else:
+            n = yield _unpack([draw1(arg1) << 1 | 1 if rand() < p
+                               else draw2(arg2) << 1 for _ in range(n)])
 
 
 def _decode_words(rng: Random, n: int, words: int,
@@ -386,13 +375,13 @@ def _letters(ray, depth: np.ndarray) -> np.ndarray:
     return table[np.where(depth < pre, depth, pre + (depth - pre) % cyc)]
 
 
-def _block_steps(rng: Random, p: float, count1: int, count2: int, rays):
-    """``_suffix_steps`` on two trees whose every vertex has ``count1``
-    (``count2``) upward neighbors, solved a block at a time in numpy.
+def _block_steps(draws, rays):
+    """The walk solved a block at a time in numpy, as a generator:
+    ``send(n)`` takes the next n ``(up, c)`` from ``draws`` and returns
+    the per-step dist, height and branching-ray probe values (``rays``,
+    in order) as int64 arrays.
 
-    The draws come first: sliced from one run of words when each step
-    takes the same number of them (``_decode_words``), else drawn call
-    by call.  The height is their running sum.  Each tree's ray index
+    The height is the running sum of the steps.  Each tree's ray index
     is minus the floor of its height walk (h on tree 1, -h on tree 2),
     whose excursions open at the climbs that push a letter: all of them
     but a climb from a ray vertex to the one above (``c == 0`` there).
@@ -401,25 +390,13 @@ def _block_steps(rng: Random, p: float, count1: int, count2: int, rays):
     the ray's at that depth; the letter pushed at a ray vertex is
     ``c - 1``.
     """
-    # MT19937 words per step when that number is fixed: two for random()
-    # and, on two trees of degree 3, one for the climb's getrandbits(1)
-    words = 3 if count1 == count2 == 2 else 2 if count1 == count2 == 1 else 0
-    rand = rng.random
-    draw1, arg1 = _draw(rng, count1)
-    draw2, arg2 = _draw(rng, count2)
+    next(draws)
     h = 0
     floors = [0, 0]             # -m1 and -m2
     matched = [0] * len(rays)   # each probe's L
     n = yield
     while True:
-        if words:
-            up, c = _decode_words(rng, n, words, p)
-        else:
-            # each step's climb draw and direction, packed as c << 1 | up
-            code = np.array([draw1(arg1) << 1 | 1 if rand() < p
-                             else draw2(arg2) << 1 for _ in range(n)],
-                            dtype=np.int64)
-            up, c = code & 1 == 1, code >> 1
+        up, c = draws.send(n)
         hs = np.empty(n + 1, dtype=np.int64)
         hs[0] = h
         np.cumsum(2 * up - 1, out=hs[1:])
@@ -487,9 +464,10 @@ def _run_trajectory(config: WalkConfig, index: int,
     count2 = family2.constant_counts()
     p = float(config.p_up)
     if count1 is not None and count2 is not None:
-        walk = _block_steps(rng, p, count1, count2, rays)
+        draws = _constant_draws(rng, p, count1, count2)
     else:
-        walk = _suffix_steps(rng, p, family1, family2, rays)
+        draws = _suffix_draws(rng, p, family1, family2)
+    walk = _block_steps(draws, rays)
     next(walk)
 
     # A fold keeps every stride-th value and adds the values of the

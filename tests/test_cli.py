@@ -321,6 +321,12 @@ DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
      "unparsable ray '0;(1_0)'"),
     (["busemann", "C1:0;0(0)", "0;|0;", "--spec"], DL33,
      "not in shortest form, which is C1:0;(0)"),
+    *((["walk", "--config"],
+       {"spec": DL33, "p_up": p_up, "steps": 10, "seed": 1,
+        "trajectories": 1},
+       f"p_up must be a fraction or decimal in ASCII digits, such as "
+       f"'4/5' or '0.5', got {p_up!r}")
+      for p_up in (True, 0.8, "1_0/2_0", " 1/2", "1/0")),
 ], ids=["validate-bad-core", "classify-ray-not-text",
         "classify-family-not-object", "classify-spec-not-object",
         "ball-invalid-spec", "dist-invalid-spec", "walk-negative-cap",
@@ -335,7 +341,9 @@ DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
         "busemann-space-level", "busemann-arabic-indic-level",
         "busemann-leading-zero-level", "busemann-negative-zero-level",
         "busemann-space-vertex", "dist-underscore-label",
-        "busemann-underscore-ray", "busemann-long-form-ray"])
+        "busemann-underscore-ray", "busemann-long-form-ray",
+        "walk-bool-p-up", "walk-float-p-up", "walk-underscore-p-up",
+        "walk-space-p-up", "walk-zero-denominator-p-up"])
 def test_malformed_input_usage_error(capsys, tmp_path, argv, data, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))

@@ -349,10 +349,13 @@ def constant_rule(degree):
                          ids=lambda d: f"deg{d[0]}x{d[1]}")
 def test_constant_custom_rule_walks_like_regular(degrees):
     # a constant-degree custom rule keeps suffix lists and asks its rule,
-    # the regular tree walks in numpy blocks: the two must draw alike.
+    # the regular tree keeps none: the two must draw alike.
     # Past the first block the reference is the same constant degree as
     # a ray-periodic family, also on suffix lists: a custom rule builds
     # an address of the whole suffix per climb, which is quadratic there.
+    # Both draw sources feed the same block solver, so this compares the
+    # draws only; test_values_match_replay_across_blocks checks what the
+    # solver carries from one block to the next.
     regular = HoroProduct(*(TreeSpec.regular(d) for d in degrees))
     custom = HoroProduct(*(constant_rule(d) for d in degrees))
     periodic = HoroProduct(*(TreeSpec.ray_periodic((d,), (d,))
@@ -406,6 +409,35 @@ def test_probe_values_match_busemann_along_replay(product, rays):
             for (tree, ray), series in zip(probes, t.probe_values):
                 x = v.x1 if tree == 1 else v.x2
                 assert series[n] == ray_busemann(ray, x), (n, tree, str(ray))
+
+
+@pytest.mark.parametrize("product", [DL33, BUMPY, CORE_PRODUCT],
+                         ids=["regular", "ray-periodic", "explicit-core"])
+def test_values_match_replay_across_blocks(product):
+    # the solver carries its height, floors and matched lengths from one
+    # block of 8,192 steps to the next; a replay through the edge
+    # relation checks every value of a walk over more than two blocks.
+    # Two more probes follow the walker's suffixes at the end of the
+    # first block, so their matched lengths are carried at full length.
+    rng = Random(_trajectory_seed(9, 0))
+    v = product.base
+    for _ in range(8192):
+        v = step(product, v, rng, 0.5)
+    probes = PROBES + REGULAR_RAYS + tuple(
+        (tree, BranchingRay(x.branch, x.suffix, (0,)))
+        for tree, x in ((1, v.x1), (2, v.x2)))
+    steps = 17_000
+    config = WalkConfig(product, Fraction(1, 2), steps, 9, 1, probes)
+    t = simulate(config).trajectories[0]
+    rng = Random(_trajectory_seed(9, 0))
+    v = product.base
+    for n in range(1, steps + 1):
+        v = step(product, v, rng, 0.5)
+        assert t.dist[n] == product_dist(product.base, v), n
+        assert t.height[n] == product_height(v), n
+        for (tree, ray), series in zip(probes, t.probe_values):
+            x = v.x1 if tree == 1 else v.x2
+            assert series[n] == ray_busemann(ray, x), (n, tree, str(ray))
 
 
 def test_constant_count_walk_memory_is_flat():
