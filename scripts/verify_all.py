@@ -28,10 +28,8 @@ def main():
                            "tolerance": 0.08},
         }
     results = []
-    for name in ("metric-oracle", "lemma41", "pointwise-limits",
-                 "boundary-functions", "isomorphism", "fset", "closure",
-                 "walk-drift"):
-        result = verify.SUITES[name](**overrides.get(name, {}))
+    for name, suite in verify.SUITES.items():
+        result = suite(**overrides.get(name, {}))
         results.append(result)
         print(f"{'PASS' if result.ok else 'FAIL'} {name:20s} "
               f"({result.seconds:6.1f}s)")

@@ -37,11 +37,13 @@ from typing import Iterable, Sequence
 
 from .rays import (
     GAMMA,
+    BranchingRay,
     Ray,
     level_busemann,
     parse_ray,
     ray_busemann,
     require_valid_ray,
+    validate_ray,
 )
 from .tree import VertexAddress, height, parse_decimal, vertex_busemann
 from .product import HoroProduct, ProductVertex, product_busemann
@@ -251,8 +253,6 @@ def standard_catalog(product: HoroProduct,
     small balls; they first disagree at distance 4).  The verification
     suite asserts pairwise pointwise separation on the radius-3 ball.
     """
-    from .rays import BranchingRay, validate_ray
-
     recipes = [
         GAMMA,
         BranchingRay(0, (), (0,)),

@@ -3,7 +3,10 @@
 Machine-first output: every command prints JSON (or JSON-lines for
 ``ball``) on stdout; ``--pretty`` only reformats it.  Exit codes:
 0 success, 1 verification failure, 2 usage error, reported as one
-line on stderr.  Identical invocations produce byte-identical payloads.
+line on stderr.  That covers the options too: integers are read as
+canonical decimals (``tree.parse_decimal``), and ``verify`` refuses an
+option its suite does not take.  Identical invocations produce
+byte-identical payloads.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import inspect
 import json
 import sys
 
-from .tree import AddressError, SpecError, TreeSpec
+from .tree import AddressError, SpecError, TreeSpec, parse_decimal
 from .rays import UndecidableFamilyError
 from .product import HeightMismatch, HoroProduct, product_dist
 from .boundary import evaluate, parse_point, require_valid_point
@@ -25,6 +28,14 @@ from . import verify
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with its usage errors raised as UsageError, so they are
+    reported in one line like every other usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _load_json(path: str) -> dict:
@@ -147,23 +158,21 @@ def cmd_verify(args) -> int:
     if suite_fn is None:
         raise UsageError(f"unknown suite {args.suite!r}; choose from "
                          + ", ".join(sorted(verify.SUITES)))
-    kwargs = {}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.radius is not None:
-        if args.suite == "metric-oracle":
-            kwargs["radius33"] = args.radius
-            kwargs["radius34"] = max(args.radius - 1, 1)
-        elif args.suite == "fset":
-            kwargs["max_radius"] = args.radius
-        else:
-            kwargs["radius"] = args.radius
-    if args.steps is not None:
-        kwargs["steps"] = args.steps
-    if args.trajectories is not None:
-        kwargs["trajectories"] = args.trajectories
+    radius_name = {"metric-oracle": "radius33", "fset": "max_radius"}
+    options = {"--radius": (radius_name.get(args.suite, "radius"), args.radius),
+               "--seed": ("seed", args.seed),
+               "--steps": ("steps", args.steps),
+               "--trajectories": ("trajectories", args.trajectories)}
     accepted = inspect.signature(suite_fn).parameters
-    kwargs = {k: v for k, v in kwargs.items() if k in accepted}
+    kwargs = {}
+    for option, (name, value) in options.items():
+        if value is None:
+            continue
+        if name not in accepted:
+            raise UsageError(f"suite {args.suite} takes no {option} option")
+        kwargs[name] = value
+    if args.suite == "metric-oracle" and args.radius is not None:
+        kwargs["radius34"] = max(args.radius - 1, 1)
     result = suite_fn(**kwargs)
     print(f"{'PASS' if result.ok else 'FAIL'} {result.name} "
           f"({result.seconds:.1f}s)", file=sys.stderr)
@@ -193,7 +202,7 @@ def cmd_walk(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="horoprod",
         description="Exact geometry of horospheric products of pointed trees")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -210,14 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ball", cmd_ball, "stream a product ball as JSON-lines")
     p.add_argument("--spec", required=True)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_decimal, required=True)
 
     p = add("dist", cmd_dist, "closed-form distance, optionally BFS-checked")
     p.add_argument("--spec", required=True)
     p.add_argument("v", help="product vertex, e.g. '0;0|1;'")
     p.add_argument("w")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--radius", type=int, help="breadth-first search cap")
+    p.add_argument("--radius", type=_decimal, help="breadth-first search cap")
 
     p = add("busemann", cmd_busemann, "evaluate a boundary or vertex function")
     p.add_argument("--spec", required=True)
@@ -228,37 +237,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", cmd_classify, "limit classification of a family file")
     p.add_argument("--family", required=True, help="JSON with spec and family")
-    p.add_argument("--radius", type=int, default=4)
+    p.add_argument("--radius", type=_decimal, default=4)
     p.add_argument("--window", type=_parse_window,
                    help="explicit empirical window 'n0:n1'")
 
     p = add("verify", cmd_verify, "run a named verification suite")
     p.add_argument("suite")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--trajectories", type=int)
+    p.add_argument("--radius", type=_decimal)
+    p.add_argument("--seed", type=_decimal)
+    p.add_argument("--steps", type=_decimal)
+    p.add_argument("--trajectories", type=_decimal)
 
     p = add("walk", cmd_walk, "simulate biased walks from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--csv", help="trace output path (suffixed per trajectory)")
-    p.add_argument("--max-total-steps", type=int,
+    p.add_argument("--max-total-steps", type=_decimal,
                    help="resource cap; exceeding it flags a partial result")
     return parser
+
+
+def _decimal(text: str) -> int:
+    try:
+        return parse_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_window(text: str) -> tuple[int, int]:
     try:
         a, b = text.split(":")
-        return int(a), int(b)
+        return parse_decimal(a), parse_decimal(b)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("window must look like 'n0:n1'") from exc
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

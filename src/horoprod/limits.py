@@ -55,9 +55,9 @@ from .rays import (
     f_set,
     level_sequence,
     parse_ray,
+    random_ray,
     ray_vertex,
     require_valid_ray,
-    validate_ray,
 )
 from .product import HoroProduct, ProductVertex, busemann_rows, product_height
 from .boundary import (
@@ -548,18 +548,22 @@ def stabilization_bound(product: HoroProduct, family: SequenceFamily,
     return family.stabilization_bound(product, radius)
 
 
+MAX_VIOLATIONS = 8
+
+
 def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
                               window: tuple[int, int], radius: int,
                               target: HoroFunction | None = None,
-                              max_violations: int = 8) -> EmpiricalReport:
+                              ) -> EmpiricalReport:
     """Exact pointwise test over a window of indices and a test ball.
 
     For every ball vertex the anchored Busemann values across the
     window must be constant and, when a target is supplied, equal to
-    the target's value.  Violations carry the witnessing index.  The
-    values are the rows of ``busemann_rows``, so terms that agree on the
-    ball share one row, and only rows that differ from the first are
-    scanned vertex by vertex.
+    the target's value.  Violations carry the witnessing index; the
+    scan stops at ``MAX_VIOLATIONS`` of them.  The values are the rows
+    of ``busemann_rows``, so terms that agree on the ball share one row,
+    and only rows that differ from the first are scanned vertex by
+    vertex.
     """
     n0, n1 = window
     if not (0 <= n0 < n1):
@@ -587,7 +591,7 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
                 matched = False
                 violations.append({"vertex": str(y), "value": first,
                                    "expected": target(y)})
-        if len(violations) >= max_violations:
+        if len(violations) >= MAX_VIOLATIONS:
             break
     convergent = not any("previous" in v or "reason" in v for v in violations)
     return EmpiricalReport(convergent, window, radius, len(ball), matched,
@@ -716,39 +720,15 @@ def realizability(product: HoroProduct, p: BoundaryPoint) -> tuple[bool, str | N
 
 # -- randomized family generation ----------------------------------------------
 
-def _random_ray(spec, rng: random.Random, max_branch=3) -> Ray:
-    for _ in range(64):
-        branch = rng.randrange(0, max_branch + 1)
-        word = []
-        cur = VertexAddress(branch, ())
-        length = rng.randrange(1, 5)
-        ok = True
-        for _ in range(length):
-            count = spec.label_count(cur)
-            if count == 0:
-                ok = False
-                break
-            letter = rng.randrange(count)
-            word.append(letter)
-            cur = VertexAddress(cur.branch, cur.suffix + (letter,))
-        if not ok:
-            continue
-        cut = rng.randrange(0, len(word))
-        ray = BranchingRay(branch, tuple(word[:cut]), tuple(word[cut:]))
-        if validate_ray(spec, ray):
-            return ray
-    raise RuntimeError("could not sample a ray")
-
-
 def _random_vertex(spec, rng: random.Random, max_dist=3) -> VertexAddress:
     branch = rng.randrange(0, max_dist + 1)
-    cur = VertexAddress(branch, ())
+    word = []
     for _ in range(max_dist - branch):
-        count = spec.label_count(cur)
+        count = spec.family.label_count(branch, word)
         if count == 0 or rng.random() < 0.4:
             break
-        cur = VertexAddress(cur.branch, cur.suffix + (rng.randrange(count),))
-    return cur
+        word.append(rng.randrange(count))
+    return VertexAddress(branch, tuple(word))
 
 
 def _random_product_vertex(product, rng) -> ProductVertex:
@@ -762,17 +742,15 @@ def random_families(product: HoroProduct, count: int, seed: int,
     """A reproducible mix of all structured kinds plus custom wrappers."""
     rng = random.Random(seed)
     out: list[SequenceFamily] = []
+
+    def ray(side):
+        return random_ray(product.tree(side), rng, 3, 4)
+
     makers = [
         lambda: EventuallyConstant(_random_product_vertex(product, rng)),
-        lambda: RadialRay(1, _random_ray(product.tree1, rng),
-                          None if rng.random() < 0.5
-                          else _random_ray(product.tree2, rng)),
-        lambda: RadialRay(2, _random_ray(product.tree2, rng),
-                          None if rng.random() < 0.5
-                          else _random_ray(product.tree1, rng)),
-        lambda: RadialRay(1, GAMMA,
-                          None if rng.random() < 0.5
-                          else _random_ray(product.tree2, rng)),
+        lambda: RadialRay(1, ray(1), None if rng.random() < 0.5 else ray(2)),
+        lambda: RadialRay(2, ray(2), None if rng.random() < 0.5 else ray(1)),
+        lambda: RadialRay(1, GAMMA, None if rng.random() < 0.5 else ray(2)),
         lambda: RadialRay(2, GAMMA, None),
         lambda: Horocyclic(rng.randrange(-4, 5)),
         lambda: FixedFirst(_random_vertex(product.tree1, rng)),

@@ -13,19 +13,21 @@ verified against a breadth-first oracle by the test-suite; the library
 itself always uses the closed forms.
 
 Enumeration never materializes the trees.  It runs on keys, the plain
-tuples (branch1, suffix1, branch2, suffix2), through one key-level edge
-relation built from the two degree rules; ``neighbors``, ``ball``,
-``ball_graph`` and ``dist_bfs`` all read it, and a ProductVertex is
-built only for a vertex that is handed out.  Output order is
-deterministic: breadth-first layers, each sorted by the textual form.
-``ball_graph`` numbers the ball in that order and gives the induced
-graph as integer adjacency lists, which the metric oracle sweeps.
+tuples (branch1, suffix1, branch2, suffix2) of ``product_key``, through
+one key-level edge relation built from the two degree rules;
+``neighbors``, ``ball``, ``ball_graph`` and ``dist_bfs`` all read it.
+Output order is deterministic: breadth-first layers, each sorted by the
+textual form.  ``neighbors`` and ``ball`` hand out ProductVertex
+objects; ``ball_graph`` hands out the keys of the ball in that order,
+with the induced graph as integer adjacency lists, which the metric
+oracle sweeps.  So a ProductVertex is built only for a vertex that a
+caller asks for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .tree import (SpecError, TreeSpec, VertexAddress, address_text, height,
                    meet_depth, origin_dist, path_vertex, tree_dist)
@@ -65,11 +67,11 @@ Key = tuple     # (branch1, suffix1, branch2, suffix2)
 BASE_KEY = (0, (), 0, ())
 
 
-def _key(v: ProductVertex) -> Key:
+def product_key(v: ProductVertex) -> Key:
     return (v.x1.branch, v.x1.suffix, v.x2.branch, v.x2.suffix)
 
 
-def _vertices(keys: list[Key]) -> list[ProductVertex]:
+def _vertices(keys: Iterable[Key]) -> list[ProductVertex]:
     """The vertices with these keys.  Vertices with an equal coordinate
     share its VertexAddress, so a large ball holds fewer objects."""
     addresses: dict[tuple, VertexAddress] = {}
@@ -100,20 +102,12 @@ def product_dist(v: ProductVertex, w: ProductVertex) -> int:
             - abs(height(v.x1) - height(w.x1)))
 
 
-def product_busemann(z: ProductVertex, y: ProductVertex, *, check: bool = False) -> int:
-    """d(z, y) - d(z, base), written through single-tree Busemann values.
-
-    With check=True the same number is recomputed from two distance
-    calls and the two routes are asserted equal.
-    """
+def product_busemann(z: ProductVertex, y: ProductVertex) -> int:
+    """d(z, y) - d(z, base), written through single-tree Busemann values."""
     h = height(z.x1)
-    value = (tree_dist(z.x1, y.x1) - origin_dist(z.x1)
-             + tree_dist(z.x2, y.x2) - origin_dist(z.x2)
-             - abs(h - height(y.x1)) + abs(h))
-    if check:
-        direct = product_dist(z, y) - product_dist(z, BASE)
-        assert value == direct, (z, y, value, direct)
-    return value
+    return (tree_dist(z.x1, y.x1) - origin_dist(z.x1)
+            + tree_dist(z.x2, y.x2) - origin_dist(z.x2)
+            - abs(h - height(y.x1)) + abs(h))
 
 
 def busemann_rows(anchors: Sequence[ProductVertex],
@@ -214,42 +208,28 @@ class HoroProduct:
 
     def neighbors(self, v: ProductVertex) -> list[ProductVertex]:
         """Up moves (first coordinate climbs) then down moves."""
-        return _vertices(self._key_neighbors(_key(v)))
+        return _vertices(self._key_neighbors(product_key(v)))
 
-    def _ball_keys(self, radius: int, adj: list | None = None) -> list[Key]:
-        """The radius ball as keys in output order.  Given a list, ``adj``
-        also receives the ids (output positions) of the in-ball
-        neighbours of each vertex, in output order."""
+    def _ball_index(self, radius: int) -> dict[Key, int]:
+        """The radius ball as a map from key to output position, in
+        output order."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         index = {BASE_KEY: 0}
-        keys = [BASE_KEY]
         frontier = [BASE_KEY]
-
-        def link(layer):
-            # the edges are generated again once the next layer has ids,
-            # so no layer's neighbour keys are held at once
-            if adj is not None:
-                adj.extend([j for j in map(index.get, self._key_neighbors(k))
-                            if j is not None] for k in layer)
-
         for _ in range(radius):
             # text is unique per vertex, so the sort fixes the order
-            nxt = sorted({n for k in frontier for n in self._key_neighbors(k)
-                          if n not in index}, key=_sort_key)
-            index.update(zip(nxt, range(len(keys), len(keys) + len(nxt))))
-            keys.extend(nxt)
-            link(frontier)
-            frontier = nxt
-        link(frontier)
-        return keys
+            frontier = sorted({n for k in frontier for n in self._key_neighbors(k)
+                               if n not in index}, key=_sort_key)
+            index.update(zip(frontier, range(len(index), len(index) + len(frontier))))
+        return index
 
     def ball(self, radius: int) -> list[ProductVertex]:
         """All vertices within the radius of the base point.
 
         Breadth-first layers; each layer sorted by textual form.
         """
-        return _vertices(self._ball_keys(radius))
+        return _vertices(self._ball_index(radius))
 
     def dist_bfs(self, v: ProductVertex, w: ProductVertex,
                  radius_cap: int) -> int | None:
@@ -264,7 +244,7 @@ class HoroProduct:
         """
         if radius_cap < 0:
             raise ValueError("radius_cap must be >= 0")
-        start, goal = _key(v), _key(w)
+        start, goal = product_key(v), product_key(w)
         if start == goal:
             return 0
         near, far = {start: 0}, {goal: 0}
@@ -286,13 +266,15 @@ class HoroProduct:
             near_layer = nxt
         return None
 
-    def ball_graph(self, radius: int) -> tuple[list[ProductVertex], list[list[int]]]:
-        """The induced graph on the radius ball, as integer adjacency lists.
+    def ball_graph(self, radius: int) -> tuple[list[Key], list[list[int]]]:
+        """The induced graph on the radius ball: the keys of its vertices
+        and their integer adjacency lists.
 
-        Vertex i is ``ball(radius)[i]``.  Built from the edge relation
-        alone, so breadth-first sweeps over it stay independent of the
-        closed-form distance.
+        Key i is that of ``ball(radius)[i]``.  Built from the edge
+        relation alone, so breadth-first sweeps over it stay independent
+        of the closed-form distance.
         """
-        adj: list[list[int]] = []
-        keys = self._ball_keys(radius, adj)
-        return _vertices(keys), adj
+        index = self._ball_index(radius)
+        adj = [[j for j in map(index.get, self._key_neighbors(k)) if j is not None]
+               for k in index]
+        return list(index), adj

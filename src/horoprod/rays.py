@@ -20,6 +20,12 @@ whenever n + k >= 1.  So H_k is infinite exactly when infinitely many
 ray vertices carry a labeled child, independently of k; the set of
 infinite levels is all of Z or empty.  ``f_set`` implements that
 dichotomy and the level-counting oracle cross-checks it.
+
+Words are checked, enumerated and sampled on plain (branch, suffix)
+positions through the family's ``label_count``: ``TreeSpec.is_valid``
+is the one rule behind ``validate_ray``, ``level_sequence`` builds an
+address only for the vertices it yields, and ``random_ray`` draws the
+ends that the verification suites and the random families use.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from random import Random
 from typing import Iterator
 
 from .tree import (
@@ -179,13 +186,35 @@ def validate_ray(spec: TreeSpec, ray: Ray, probe_letters: int = 64) -> bool:
     """
     if isinstance(ray, GammaEnd):
         return True
-    cur = VertexAddress(ray.branch, ())
-    for i in range(spec.family.ray_letters_to_check(ray, probe_letters)):
-        letter = ray.letter(i)
-        if letter >= spec.label_count(cur):
-            return False
-        cur = VertexAddress(cur.branch, cur.suffix + (letter,))
-    return True
+    n = spec.family.ray_letters_to_check(ray, probe_letters)
+    return spec.is_valid(ray_vertex(ray, ray.branch + n))
+
+
+def random_ray(spec: TreeSpec, rng: Random, max_branch: int,
+               max_letters: int) -> BranchingRay:
+    """A branching end drawn from ``rng``.
+
+    Each attempt draws a branch index in 0..max_branch, then a word of
+    1..max_letters letters, each uniform over the labels of its
+    position, then a cut that splits the word into prefix and cycle.
+    An attempt that meets a position without children, or whose end
+    does not exist, is drawn again, up to 64 times.
+    """
+    count = spec.family.label_count
+    for _ in range(64):
+        branch = rng.randrange(0, max_branch + 1)
+        word = []
+        for _ in range(rng.randrange(1, max_letters + 1)):
+            n = count(branch, word)
+            if n == 0:
+                break
+            word.append(rng.randrange(n))
+        else:
+            cut = rng.randrange(0, len(word))
+            ray = BranchingRay(branch, tuple(word[:cut]), tuple(word[cut:]))
+            if validate_ray(spec, ray):
+                return ray
+    raise RuntimeError("could not sample a ray")
 
 
 def require_valid_ray(spec: TreeSpec, ray: Ray) -> None:
@@ -223,24 +252,18 @@ def level_sequence(spec: TreeSpec, k: int) -> Iterator[VertexAddress]:
     for n in itertools.count(max(0, -k)):
         if bound is not None and n > max(bound, -k):
             return
-        length = n + k
-        if length == 0:
-            yield VertexAddress(n, ())
-            continue
-        root = VertexAddress(n, ())
-        if spec.label_count(root) == 0:
-            continue
-        yield from _words_below(spec, root, length)
+        yield from _words_below(spec.family.label_count, n, (), n + k)
 
 
-def _words_below(spec: TreeSpec, root: VertexAddress,
+def _words_below(count, branch: int, suffix: tuple[int, ...],
                  length: int) -> Iterator[VertexAddress]:
+    """The vertices ``length`` letters below (branch, suffix), in word
+    order, where ``count(branch, suffix)`` is the family's label count."""
     if length == 0:
-        yield root
+        yield VertexAddress(branch, suffix)
         return
-    for letter in range(spec.label_count(root)):
-        child = VertexAddress(root.branch, root.suffix + (letter,))
-        yield from _words_below(spec, child, length - 1)
+    for letter in range(count(branch, suffix)):
+        yield from _words_below(count, branch, suffix + (letter,), length - 1)
 
 
 def level_count(spec: TreeSpec, k: int, radius: int) -> int:

@@ -342,14 +342,13 @@ class ExplicitCore(DegreeRule):
         return dict(self.entries)
 
     def degree_at(self, branch, suffix):
-        # only positions inside the core need an address, for its text key
         if branch + len(suffix) > self.radius:
             return self.tail_degree
-        v = VertexAddress(branch, tuple(suffix))
+        text = address_text(branch, suffix)
         try:
-            return self.degree_map[str(v)]
+            return self.degree_map[text]
         except KeyError:
-            raise SpecError(f"core does not list in-radius address {v}") from None
+            raise SpecError(f"core does not list in-radius address {text}") from None
 
     def violation(self, spec, radius):
         flag = spec.min_degree
@@ -478,12 +477,11 @@ class TreeSpec:
     # -- structure -----------------------------------------------------------
 
     def is_valid(self, v: VertexAddress) -> bool:
-        cur = VertexAddress(v.branch, ())
-        for letter in v.suffix:
-            if letter >= self.label_count(cur):
-                return False
-            cur = VertexAddress(cur.branch, cur.suffix + (letter,))
-        return True
+        """Whether each letter of v's suffix is a child label of the
+        prefix before it."""
+        count = self.family.label_count
+        return all(letter < count(v.branch, v.suffix[:i])
+                   for i, letter in enumerate(v.suffix))
 
     def require_valid(self, v: VertexAddress) -> None:
         if not self.is_valid(v):

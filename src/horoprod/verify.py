@@ -16,7 +16,7 @@ from random import Random
 
 import numpy as np
 
-from .tree import TreeSpec, VertexAddress, height, vertex_busemann
+from .tree import TreeSpec, height, vertex_busemann
 from .rays import (
     BranchingRay,
     FSet,
@@ -25,11 +25,11 @@ from .rays import (
     level_count,
     level_sequence,
     ray_busemann,
+    random_ray,
     ray_meet_depth,
     ray_vertex,
-    validate_ray,
 )
-from .product import HoroProduct, product_busemann, product_dist
+from .product import HoroProduct, product_busemann, product_dist, product_key
 from .boundary import (
     HoroFunction,
     boundary_limit_check,
@@ -132,18 +132,19 @@ def _all_pairs_bfs_check(product: HoroProduct, radius: int) -> dict:
     Any geodesic between two radius-R vertices stays inside the 2R
     ball (its points are within R of one endpoint), so a sweep over the
     induced 2R subgraph is exact.  The subgraph comes from the edge
-    relation alone, as integer adjacency lists; its vertex list begins
-    with the R ball, in the same order, so the sources are its first
-    |ball(R)| vertices.  All sources are swept at once, bit-parallel
+    relation alone, as keys and integer adjacency lists; its key list
+    begins with the R ball, in the same order, so the sources are its
+    first |ball(R)| vertices, and only they become ProductVertex
+    objects.  All sources are swept at once, bit-parallel
     (``_bitset_distances``); then every pair is compared with
     ``product_dist``, source-major, and the first disagreement is the
     witness.
     """
-    verts, adj = product.ball_graph(2 * radius)
+    keys, adj = product.ball_graph(2 * radius)
     targets = product.ball(radius)
-    assert verts[:len(targets)] == targets, "the 2R ball must list the R ball first"
-    counters = {"graph_vertices": len(verts)}
-    del verts   # from here on only the sources are needed
+    assert keys[:len(targets)] == list(map(product_key, targets)), (
+        "the 2R ball must list the R ball first")
+    counters = {"graph_vertices": len(keys)}
     dist, counters["bfs_levels"] = _bitset_distances(adj, len(targets))
     for i, v in enumerate(targets):
         bfs = dist[i].tolist()
@@ -193,28 +194,13 @@ def busemann_identity_suite(radius: int = 5) -> SuiteResult:
 
 
 def _sample_rays(spec: TreeSpec, count: int, seed: int) -> list:
+    """``count`` distinct ends drawn by ``random_ray``."""
     rng = Random(seed)
     out = []
-    seen = set()
     while len(out) < count:
-        branch = rng.randrange(0, 5)
-        cur = VertexAddress(branch, ())
-        word = []
-        for _ in range(rng.randrange(1, 6)):
-            n = spec.label_count(cur)
-            if n == 0:
-                break
-            letter = rng.randrange(n)
-            word.append(letter)
-            cur = VertexAddress(cur.branch, cur.suffix + (letter,))
-        if not word:
-            continue
-        cut = rng.randrange(0, len(word))
-        ray = BranchingRay(branch, tuple(word[:cut]), tuple(word[cut:]))
-        if ray in seen or not validate_ray(spec, ray):
-            continue
-        seen.add(ray)
-        out.append(ray)
+        ray = random_ray(spec, rng, 4, 5)
+        if ray not in out:
+            out.append(ray)
     return out
 
 
@@ -511,9 +497,9 @@ SUITES = {
     "metric-oracle": metric_oracle_suite,
     "lemma41": busemann_identity_suite,
     "pointwise-limits": tree_compactification_suite,
+    "boundary-functions": boundary_function_suite,
     "isomorphism": isomorphism_suite,
     "fset": fset_suite,
-    "walk-drift": walk_drift_suite,
-    "boundary-functions": boundary_function_suite,
     "closure": closure_suite,
+    "walk-drift": walk_drift_suite,
 }

@@ -112,6 +112,8 @@ class WalkConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.p_up, bool) or not isinstance(self.p_up, (Fraction, int)):
+            raise ValueError(f"p_up must be a Fraction or an integer, got {self.p_up!r}")
         object.__setattr__(self, "p_up", Fraction(self.p_up))
         object.__setattr__(self, "probes", tuple(self.probes))
         if not 0 <= self.p_up <= 1:

@@ -352,3 +352,46 @@ def test_malformed_input_usage_error(capsys, tmp_path, argv, data, message):
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
 
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "lemma41", "--seed", "5"],
+     "suite lemma41 takes no --seed option"),
+    (["verify", "closure", "--trajectories", "3"],
+     "suite closure takes no --trajectories option"),
+    (["verify", "boundary-functions", "--radius", "2"],
+     "suite boundary-functions takes no --radius option"),
+    (["ball", "--spec", "dl33.json", "--radius", "1_0"],
+     "argument --radius: not a canonical decimal integer: '1_0'"),
+    (["verify", "closure", "--radius", "٣"],
+     "argument --radius: not a canonical decimal integer: '٣'"),
+    (["verify", "walk-drift", "--seed", "07"],
+     "argument --seed: not a canonical decimal integer: '07'"),
+    (["verify", "walk-drift", "--steps", " 5"],
+     "argument --steps: not a canonical decimal integer: ' 5'"),
+    (["verify", "walk-drift", "--trajectories", "+2"],
+     "argument --trajectories: not a canonical decimal integer: '+2'"),
+    (["walk", "--config", "walk.json", "--max-total-steps", "1_0"],
+     "argument --max-total-steps: not a canonical decimal integer: '1_0'"),
+    (["classify", "--family", "family.json", "--window", "3:1_0"],
+     "argument --window: window must look like 'n0:n1'"),
+    (["classify", "--family", "family.json", "--window", "٣:9"],
+     "argument --window: window must look like 'n0:n1'"),
+    (["ball", "--spec", "dl33.json"],
+     "the following arguments are required: --radius"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+], ids=["verify-unused-seed", "verify-unused-trajectories",
+        "verify-unused-radius", "ball-underscore-radius",
+        "verify-arabic-indic-radius", "verify-leading-zero-seed",
+        "verify-space-steps", "verify-plus-trajectories",
+        "walk-underscore-cap", "classify-underscore-window",
+        "classify-arabic-indic-window", "ball-missing-radius",
+        "unknown-command", "no-command"])
+def test_malformed_option_usage_error(capsys, argv, message):
+    # each is refused before any file is read or any suite runs
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err

@@ -14,6 +14,7 @@ from horoprod.product import (
     product_busemann,
     product_dist,
     product_height,
+    product_key,
 )
 from horoprod.tree import (CustomRule, TreeSpec, VertexAddress, gamma_ward,
                            height, origin_dist, tree_dist)
@@ -87,10 +88,10 @@ def test_dist_bfs_examples():
 def test_busemann_examples():
     z = pv("0;0|1;")
     y = pv("0;1|1;")
-    assert product_busemann(z, BASE, check=True) == 0
-    assert product_busemann(z, y, check=True) == 1
+    assert product_busemann(z, BASE) == 0
+    assert product_busemann(z, y) == 1
     for y in DL33.ball(3):
-        assert product_busemann(BASE, y, check=True) == product_dist(BASE, y)
+        assert product_busemann(BASE, y) == product_dist(BASE, y)
 
 
 def test_busemann_identity_on_ball():
@@ -197,7 +198,9 @@ def test_busemann_rows_share_past_reach_and_cap(case, up, data):
 
 
 def test_ball_graph_is_the_edge_relation():
-    verts, adj = DL33.ball_graph(3)
+    keys, adj = DL33.ball_graph(3)
+    verts = DL33.ball(3)
+    assert keys == list(map(product_key, verts))
     index = {v: i for i, v in enumerate(verts)}
     for v, i in index.items():
         expected = sorted(index[w] for w in DL33.neighbors(v) if w in index)
@@ -221,8 +224,9 @@ def _tree_level_neighbors(product, v):
         lambda a: 4 if (a.branch + len(a.suffix)) % 3 == 0 else 3), 3), R3), 4),
 ], ids=["explicit-core", "ray-periodic", "custom-rule"])
 def test_key_relation_matches_tree_relation(product, radius):
-    verts, adj = product.ball_graph(radius)
-    assert verts == product.ball(radius)
+    keys, adj = product.ball_graph(radius)
+    verts = product.ball(radius)
+    assert keys == list(map(product_key, verts))
     index = {v: i for i, v in enumerate(verts)}
     for v, i in index.items():
         neighbors = product.neighbors(v)
@@ -258,7 +262,9 @@ def test_bitset_sweep_matches_dist_bfs():
     # 104 sources: two uint64 words, and degrees 4 and 5 plus the cut at
     # the ball's rim give a ragged neighbour table
     radius = 4
-    verts, adj = MIXED.ball_graph(2 * radius)
+    keys, adj = MIXED.ball_graph(2 * radius)
+    verts = MIXED.ball(2 * radius)
+    assert keys == list(map(product_key, verts))
     sources = len(MIXED.ball(radius))
     assert sources > 64 and len(set(map(len, adj))) > 2
     dist, levels = verify._bitset_distances(adj, sources)
@@ -288,6 +294,25 @@ def test_oracle_reports_first_corrupted_pair(monkeypatch):
     assert details["witness"]["bfs"] == DL33.dist_bfs(v, w, 4)
     assert details["bfs_levels"] == 4
     assert details["graph_vertices"] == len(DL33.ball(4))
+
+
+def test_oracle_builds_vertices_only_for_the_sources(monkeypatch):
+    built = []
+    post_init = ProductVertex.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ProductVertex, "__post_init__", counting)
+    result = verify.metric_oracle_suite(radius33=2, radius34=1)
+    monkeypatch.undo()
+    assert result.ok
+    # the 2R graphs hold 92 and 22 vertices; only the R balls (15 and 6)
+    # are built
+    assert result.details["dl33"]["graph_vertices"] > len(DL33.ball(2))
+    assert len(built) == len(DL33.ball(2)) + len(DL34.ball(1))
+    assert set(built) == set(DL33.ball(2) + DL34.ball(1))
 
 
 def test_oracle_counters():

@@ -1,9 +1,13 @@
 """Ends, their Busemann functions, horocycle levels, the level dichotomy."""
 
+import hashlib
 import itertools
+import json
+from random import Random
 
 import pytest
 
+from horoprod import verify
 from horoprod.rays import (
     BranchingRay,
     FSet,
@@ -15,6 +19,7 @@ from horoprod.rays import (
     level_count,
     level_sequence,
     parse_ray,
+    random_ray,
     ray_busemann,
     ray_confluent,
     ray_split_depth,
@@ -69,6 +74,24 @@ def test_validity():
     assert validate_ray(periodic, BranchingRay(0, (), (0, 1)))
     assert not validate_ray(periodic, BranchingRay(0, (), (1, 0)))
     assert not validate_ray(periodic, BranchingRay(0, (), (1, 1)))
+
+
+@pytest.mark.parametrize("degree,digest", [
+    (3, "5f444b1c51fcbdabc5f82808f54097ab594da07ed503753fc617f7048ee3c7bd"),
+    (4, "649f759cad6d52468992d048146fa3e28c86e73cc67140955e2bdf56a6dc3394"),
+])
+def test_sampled_rays_are_pinned(degree, digest):
+    # the ends the pointwise-limits suite marches along
+    rays = verify._sample_rays(TreeSpec.regular(degree), 50, 4213)
+    text = json.dumps([str(r) for r in rays])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_random_ray_redraws_dead_ends():
+    # on the line only the origin has a labeled child, so every draw
+    # that leaves the ray further out is drawn again
+    for seed in range(20):
+        assert random_ray(LINE, Random(seed), 3, 4) == BranchingRay(0, (), (0,))
 
 
 def test_ray_vertices():

@@ -67,6 +67,18 @@ def test_config_validation():
                    probes=((1, BranchingRay(0, (), (2,))),))
 
 
+@pytest.mark.parametrize("p_up", [0.8, "1_0/2_0", " 1/2", True])
+def test_config_refuses_loose_p_up(p_up):
+    # a float, a text or a bool is not read as a fraction; walk files go
+    # through parse_p_up instead
+    with pytest.raises(ValueError, match="p_up"):
+        WalkConfig(DL33, p_up, 10, 1, 1)
+
+
+def test_config_takes_integer_p_up():
+    assert WalkConfig(DL33, 1, 10, 1, 1).p_up == Fraction(1)
+
+
 def test_zero_steps_single_record():
     result = simulate(WalkConfig(DL33, Fraction(1, 2), 0, 3, 1, PROBES))
     t = result.trajectories[0]
