@@ -18,7 +18,9 @@ decidable, so classification is exact:
 
 Each family is one class that answers every question about itself;
 ``classify``, ``stabilization_bound`` and ``family_from_json`` (one
-table of kinds) are the module-level entry points.
+table of kinds) are the module-level entry points.  A Custom verdict is
+read over the indices ``CUSTOM_WINDOW``; ``agreement`` checks a verdict
+empirically over ``EXTRA_WINDOW`` indices past the stabilization bound.
 
 Pairing rule for RadialRay: the opposite coordinate must sit at the
 negated height.  By default it takes the closest canonical vertex of
@@ -41,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence
 
 from .tree import FieldCodec, VertexAddress, height, int_tuple, strict_int
@@ -68,6 +70,11 @@ from .boundary import (
     ray_point,
     vertex_point,
 )
+
+
+CUSTOM_WINDOW = (0, 80)    # the indices a Custom verdict is read from
+EXTRA_WINDOW = 55          # indices checked past a stabilization bound
+RANDOM_VERTEX_DIST = 3     # the largest origin distance of a random vertex
 
 
 class FamilyExhausted(RuntimeError):
@@ -147,7 +154,7 @@ def _pair(side: int, v: VertexAddress, other: VertexAddress) -> ProductVertex:
     return ProductVertex(v, other) if side == 1 else ProductVertex(other, v)
 
 
-def _partner(spec, h: int, pairing: Ray | None) -> VertexAddress:
+def _partner(h: int, pairing: Ray | None) -> VertexAddress:
     """A deterministic vertex of the given height in the opposite tree."""
     if pairing is not None:
         if isinstance(pairing, GammaEnd):
@@ -155,18 +162,14 @@ def _partner(spec, h: int, pairing: Ray | None) -> VertexAddress:
                 return VertexAddress(-h, ())
         elif h > -pairing.branch:
             return ray_vertex(pairing, h + 2 * pairing.branch)
-    return canonical_at_height(spec, h)
+    return canonical_at_height(h)
 
 
-def _f_membership(spec, eta) -> bool:
-    if eta in (math.inf, -math.inf):
-        return True
-    return f_set(spec) == FSet.ALL
-
-
-def _flags(product, eta1, eta2, divergent1, divergent2) -> dict:
-    lit1 = _f_membership(product.tree1, eta1)
-    lit2 = _f_membership(product.tree2, eta2)
+def _flags(product, eta, divergent1, divergent2) -> dict:
+    """Whether eta is in tree 1's level set and -eta in tree 2's."""
+    infinite = eta in (math.inf, -math.inf)
+    lit1 = infinite or f_set(product.tree1) == FSet.ALL
+    lit2 = infinite or f_set(product.tree2) == FSet.ALL
     per1 = lit1 if divergent1 else True
     per2 = lit2 if divergent2 else True
     return {
@@ -180,7 +183,7 @@ def _interior(product, v: ProductVertex, **extra) -> LimitReport:
     eta = product_height(v)
     return LimitReport(INTERIOR, interior=v, component1=v.x1, component2=v.x2,
                        eta=eta, busemann=HoroFunction(v),
-                       f_flags=_flags(product, eta, -eta, False, False),
+                       f_flags=_flags(product, eta, False, False),
                        **extra)
 
 
@@ -194,8 +197,7 @@ def _boundary(product, point: BoundaryPoint, **extra) -> LimitReport:
     pinned = None if point.kind.is_ray else point.kind.side
     return LimitReport(BOUNDARY, hm_point=point, component1=comp1,
                        component2=comp2, eta=eta, busemann=HoroFunction(point),
-                       f_flags=_flags(product, eta, -eta, pinned != 1,
-                                      pinned != 2),
+                       f_flags=_flags(product, eta, pinned != 1, pinned != 2),
                        **extra)
 
 
@@ -225,8 +227,8 @@ class SequenceFamily(FieldCodec):
     """Base of the sequence families.
 
     Each family answers ``stream(product)``, its terms from index 0;
-    ``classify(product, window)``, where they go (only heuristic kinds
-    read the window); ``stabilization_bound(product, radius)``;
+    ``classify(product)``, where they go; ``stabilization_bound(product,
+    radius)``;
     ``require_valid(product)``; and ``describe()``, the label reports
     list it by.  In JSON it is its ``kind`` plus its fields.
     """
@@ -253,7 +255,7 @@ class EventuallyConstant(SequenceFamily):
     def require_valid(self, product):
         product.vertex(self.vertex.x1, self.vertex.x2)
 
-    def classify(self, product, window):
+    def classify(self, product):
         return _interior(product, self.vertex)
 
     def stabilization_bound(self, product, radius):
@@ -276,18 +278,16 @@ class RadialRay(SequenceFamily):
             raise ValueError("tree must be 1 or 2")
 
     def stream(self, product):
-        other_spec = product.tree(3 - self.tree)
         for n in itertools.count():
             v = ray_vertex(self.ray, n)
-            yield _pair(self.tree, v,
-                        _partner(other_spec, -height(v), self.pairing))
+            yield _pair(self.tree, v, _partner(-height(v), self.pairing))
 
     def require_valid(self, product):
         require_valid_ray(product.tree(self.tree), self.ray)
         if self.pairing is not None:
             require_valid_ray(product.tree(3 - self.tree), self.pairing)
 
-    def classify(self, product, window):
+    def classify(self, product):
         if not isinstance(self.ray, GammaEnd):
             return _boundary(product, ray_point(self.tree, self.ray))
         # marching to gamma, the partner climbs along the pairing end when
@@ -321,7 +321,7 @@ class Horocyclic(SequenceFamily):
                 raise FamilyExhausted(f"a level set at height {k} or {-k} is finite")
             yield ProductVertex(v1, v2)
 
-    def classify(self, product, window):
+    def classify(self, product):
         return _reached(_boundary(product, level_point(self.level)),
                         "a level enumeration is finite, no divergent sequence exists")
 
@@ -355,7 +355,7 @@ class _Pinned(SequenceFamily):
     def require_valid(self, product):
         product.tree(self.side).require_valid(self.vertex)
 
-    def classify(self, product, window):
+    def classify(self, product):
         return _reached(_boundary(product, vertex_point(self.side, self.vertex)),
                         "the divergent coordinate's level set is finite")
 
@@ -392,9 +392,9 @@ class Alternating(SequenceFamily):
         streams = [Horocyclic(k).stream(product) for k in self.levels]
         return (next(streams[n % len(streams)]) for n in itertools.count())
 
-    def classify(self, product, window):
+    def classify(self, product):
         if len(set(self.levels)) == 1:
-            return Horocyclic(self.levels[0]).classify(product, window)
+            return Horocyclic(self.levels[0]).classify(product)
         return LimitReport(NOT_CONVERGENT,
                            notes=("height oscillates between distinct levels",))
 
@@ -424,31 +424,29 @@ class Custom(SequenceFamily):
     def stream(self, product):
         return (self.generator(n) for n in itertools.count())
 
-    def classify(self, product, window):
-        """Finite-window heuristics for Custom generators.
+    def classify(self, product):
+        """Heuristics over the indices ``CUSTOM_WINDOW``.
 
         A verdict here is evidence, not proof; it is always marked
         heuristic and carries the window it was read from.
         """
-        n0, n1 = window
-        if n1 <= n0:
-            raise ValueError("window must be nonempty")
         try:
-            seq = terms(product, self, n1, n0)
+            seq = terms(product, self, CUSTOM_WINDOW[1], CUSTOM_WINDOW[0])
         except FamilyExhausted as exc:
-            return LimitReport(NOT_CONVERGENT, heuristic=True, window=window,
-                               notes=(str(exc),))
+            return LimitReport(NOT_CONVERGENT, heuristic=True,
+                               window=CUSTOM_WINDOW, notes=(str(exc),))
         tail = seq[len(seq) // 2:]
         heights = [product_height(v) for v in tail]
         if all(v == tail[0] for v in tail):
-            return _interior(product, tail[0], heuristic=True, window=window)
+            return _interior(product, tail[0], heuristic=True,
+                             window=CUSTOM_WINDOW)
         if all(h == heights[0] for h in heights):
-            return _window_bounded(product, window, tail, heights[0])
+            return _window_bounded(product, tail, heights[0])
         up = all(b > a for a, b in zip(heights, heights[1:]))
         down = all(b < a for a, b in zip(heights, heights[1:]))
         if up or down:
-            return _window_unbounded(product, window, tail, up)
-        return LimitReport(NOT_CONVERGENT, heuristic=True, window=window,
+            return _window_unbounded(product, tail, up)
+        return LimitReport(NOT_CONVERGENT, heuristic=True, window=CUSTOM_WINDOW,
                            notes=("heights neither stabilize nor diverge in window",))
 
     def stabilization_bound(self, product, radius):
@@ -478,17 +476,16 @@ def terms(product: HoroProduct, family: SequenceFamily,
 
 # -- classification -----------------------------------------------------------
 
-def classify(product: HoroProduct, family: SequenceFamily,
-             window: tuple[int, int] = (0, 80)) -> LimitReport:
+def classify(product: HoroProduct, family: SequenceFamily) -> LimitReport:
     """Where the family goes in the height compactification.
 
     Structured kinds are decided exactly from their parameters; Custom
-    generators get a finite-window verdict marked ``heuristic``.  The
+    generators get a verdict over ``CUSTOM_WINDOW`` marked ``heuristic``.  The
     limit function is always the classified point read as a function
     (interior anchors included), so the two compactification views stay
     paired.
     """
-    return family.classify(product, window)
+    return family.classify(product)
 
 
 def _diverging(coords) -> bool:
@@ -502,7 +499,7 @@ def _diverging(coords) -> bool:
     return all(b >= a for a, b in zip(branches, branches[1:]))
 
 
-def _window_bounded(product, window, tail, k):
+def _window_bounded(product, tail, k):
     xs1 = [v.x1 for v in tail]
     xs2 = [v.x2 for v in tail]
     const1 = all(x == xs1[0] for x in xs1)
@@ -514,13 +511,13 @@ def _window_bounded(product, window, tail, k):
     elif _diverging(xs1) and _diverging(xs2):
         point = level_point(k)
     else:
-        return LimitReport(NOT_CONVERGENT, heuristic=True, window=window, eta=k,
-                           f_flags=_flags(product, k, -k, not const1, not const2),
+        return LimitReport(NOT_CONVERGENT, heuristic=True, window=CUSTOM_WINDOW,
+                           eta=k, f_flags=_flags(product, k, not const1, not const2),
                            notes=("bounded height but components wander",))
-    return _boundary(product, point, heuristic=True, window=window)
+    return _boundary(product, point, heuristic=True, window=CUSTOM_WINDOW)
 
 
-def _window_unbounded(product, window, tail, up):
+def _window_unbounded(product, tail, up):
     eta = math.inf if up else -math.inf
     coords = [v.x1 for v in tail] if up else [v.x2 for v in tail]
     branches = [c.branch for c in coords]
@@ -529,9 +526,9 @@ def _window_unbounded(product, window, tail, up):
     if toward_gamma:
         return _boundary(
             product, ray_point(1 if up else 2, GAMMA), heuristic=True,
-            window=window,
+            window=CUSTOM_WINDOW,
             notes=("limit is the height function of a distinguished end",))
-    return LimitReport(NOT_DECIDED, eta=eta, heuristic=True, window=window,
+    return LimitReport(NOT_DECIDED, eta=eta, heuristic=True, window=CUSTOM_WINDOW,
                        notes=("diverging heights, but the escaping end cannot "
                               "be read off a finite window",))
 
@@ -602,10 +599,8 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
 class IsomorphismEntry:
     label: str
     symbolic_status: str
-    empirical_convergent: bool
     agreed: bool
-    heuristic: bool
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
 @dataclass(frozen=True)
@@ -621,31 +616,33 @@ class IsomorphismSummary:
         return not self.disagreements
 
     def payload(self) -> dict:
-        return {
+        out = {
             "total": self.total,
             "agreed": self.agreed,
             "undecided": self.undecided,
             "disagreements": [e.label for e in self.disagreements],
         }
-
-
-EXTRA_WINDOW = 55
+        if self.disagreements:
+            first = self.disagreements[0]
+            out["witness"] = {"family": first.label,
+                              "status": first.symbolic_status, **first.detail}
+        return out
 
 
 def agreement(product: HoroProduct, family: SequenceFamily, rep: LimitReport,
               radius: int, window: tuple[int, int] | None = None,
-              extra_window: int = EXTRA_WINDOW) -> tuple[EmpiricalReport, bool]:
+              ) -> tuple[EmpiricalReport, bool]:
     """The empirical check of a decided classification ``rep`` of the
     family, and whether the two routes agree.
 
     The window defaults to the family's stabilization bound and
-    ``extra_window`` indices past it.  Agreement means: both routes
+    ``EXTRA_WINDOW`` indices past it.  Agreement means: both routes
     converge and the empirical values equal the classified limit
     function pointwise, or both routes report non-convergence.
     """
     if window is None:
         n0 = stabilization_bound(product, family, radius)
-        window = (n0, n0 + extra_window)
+        window = (n0, n0 + EXTRA_WINDOW)
     emp = empirical_pointwise_check(product, family, window, radius,
                                     rep.busemann)
     if rep.status in (INTERIOR, BOUNDARY):
@@ -655,8 +652,7 @@ def agreement(product: HoroProduct, family: SequenceFamily, rep: LimitReport,
 
 def isomorphism_check(product: HoroProduct,
                       families: Sequence[SequenceFamily],
-                      radius: int = 4,
-                      extra_window: int = EXTRA_WINDOW) -> IsomorphismSummary:
+                      radius: int = 4) -> IsomorphismSummary:
     """Symbolic classification against empirical pointwise convergence,
     family by family through ``agreement``.  Families the window
     heuristic cannot decide are counted separately.
@@ -668,16 +664,13 @@ def isomorphism_check(product: HoroProduct,
         rep = classify(product, family)
         if rep.status == NOT_DECIDED:
             undecided += 1
-            entry = IsomorphismEntry(family.describe(), rep.status,
-                                     False, True, rep.heuristic,
+            entry = IsomorphismEntry(family.describe(), rep.status, True,
                                      {"note": "window heuristic undecided"})
             entries.append(entry)
             continue
-        emp, agreed = agreement(product, family, rep, radius,
-                                extra_window=extra_window)
+        emp, agreed = agreement(product, family, rep, radius)
         entry = IsomorphismEntry(
-            family.describe(), rep.status, emp.convergent, agreed,
-            rep.heuristic,
+            family.describe(), rep.status, agreed,
             {"window": list(emp.window),
              "violations": list(emp.violations)} if not agreed else {})
         entries.append(entry)
@@ -720,10 +713,10 @@ def realizability(product: HoroProduct, p: BoundaryPoint) -> tuple[bool, str | N
 
 # -- randomized family generation ----------------------------------------------
 
-def _random_vertex(spec, rng: random.Random, max_dist=3) -> VertexAddress:
-    branch = rng.randrange(0, max_dist + 1)
+def _random_vertex(spec, rng: random.Random) -> VertexAddress:
+    branch = rng.randrange(0, RANDOM_VERTEX_DIST + 1)
     word = []
-    for _ in range(max_dist - branch):
+    for _ in range(RANDOM_VERTEX_DIST - branch):
         count = spec.family.label_count(branch, word)
         if count == 0 or rng.random() < 0.4:
             break

@@ -178,15 +178,15 @@ def ray_split_depth(r1: Ray, r2: Ray) -> int | None:
     raise AssertionError("normalized distinct rays must split")
 
 
-def validate_ray(spec: TreeSpec, ray: Ray, probe_letters: int = 64) -> bool:
+def validate_ray(spec: TreeSpec, ray: Ray) -> bool:
     """Whether every letter of the end is a legal child label.
 
     Exact for the decidable families; a CustomRule is probed over the
-    first ``probe_letters`` letters only.
+    first ``CustomRule.PROBE_LETTERS`` letters only.
     """
     if isinstance(ray, GammaEnd):
         return True
-    n = spec.family.ray_letters_to_check(ray, probe_letters)
+    n = spec.family.ray_letters_to_check(ray)
     return spec.is_valid(ray_vertex(ray, ray.branch + n))
 
 
@@ -222,7 +222,7 @@ def require_valid_ray(spec: TreeSpec, ray: Ray) -> None:
         raise AddressError(f"ray {ray} does not exist in this tree")
 
 
-def canonical_at_height(spec: TreeSpec, h: int) -> VertexAddress:
+def canonical_at_height(h: int) -> VertexAddress:
     """The closest-to-origin canonical vertex of the given height."""
     if h <= 0:
         return VertexAddress(-h, ())

@@ -25,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 
 class AddressError(ValueError):
@@ -202,13 +202,14 @@ class DegreeRule(FieldCodec):
     """Base of the tree families: the degree of a position, and the one
     rule that turns a degree into a child-label count.
 
-    Each family also answers ``violation(spec, radius)`` (a degree below
+    Each family also answers ``violation(spec)`` (a degree below
     ``spec.min_degree``, with a witness), ``branching_bound()`` (the
     largest ray index with a labeled child; None if unbounded) and
-    ``ray_letters_to_check(ray, probe_letters)`` (how many letters of a
-    branching end decide that it exists).  A rule that is not
-    ``decidable`` is probed out to ``radius`` and over ``probe_letters``
-    letters instead.  In JSON a family is its ``kind`` plus its fields.
+    ``ray_letters_to_check(ray)`` (how many letters of a branching end
+    decide that it exists).  A rule that is not ``decidable`` answers
+    both by probing: out to ``CustomRule.PROBE_RADIUS`` and over
+    ``CustomRule.PROBE_LETTERS`` letters.  In JSON a family is its
+    ``kind`` plus its fields.
     """
 
     kind: ClassVar[str | None] = None
@@ -243,7 +244,7 @@ class Regular(DegreeRule):
     def degree_at(self, branch, suffix):
         return self.degree
 
-    def violation(self, spec, radius):
+    def violation(self, spec):
         if self.degree < spec.min_degree:
             return Violation(f"degree {self.degree} < {spec.min_degree}", ORIGIN)
         return None
@@ -251,7 +252,7 @@ class Regular(DegreeRule):
     def branching_bound(self):
         return None if self.degree >= 3 else 0
 
-    def ray_letters_to_check(self, ray, probe_letters):
+    def ray_letters_to_check(self, ray):
         return len(ray.prefix) + len(ray.cycle)
 
     def constant_counts(self):
@@ -293,7 +294,7 @@ class RayPeriodic(DegreeRule):
             return self.off_ray_degrees[(len(suffix) - 1) % len(self.off_ray_degrees)]
         return self.ray_degrees[branch % len(self.ray_degrees)]
 
-    def violation(self, spec, radius):
+    def violation(self, spec):
         flag = spec.min_degree
         for n, d in enumerate(self.ray_degrees):
             if d < flag:
@@ -307,7 +308,7 @@ class RayPeriodic(DegreeRule):
     def branching_bound(self):
         return None if any(d >= 3 for d in self.ray_degrees) else 0
 
-    def ray_letters_to_check(self, ray, probe_letters):
+    def ray_letters_to_check(self, ray):
         return (len(ray.prefix)
                 + math.lcm(len(ray.cycle), len(self.off_ray_degrees))
                 + len(ray.cycle))
@@ -350,17 +351,14 @@ class ExplicitCore(DegreeRule):
         except KeyError:
             raise SpecError(f"core does not list in-radius address {text}") from None
 
-    def violation(self, spec, radius):
+    def violation(self, spec):
         flag = spec.min_degree
-        derived = [ORIGIN]      # breadth-first: grows while it is read
-        seen = {ORIGIN}
-        for v in derived:
-            if str(v) not in self.degree_map:
-                return Violation("core is missing a reachable address", v)
-            for w in [gamma_ward(v)] + spec.up_neighbors(v):
-                if origin_dist(w) <= self.radius and w not in seen:
-                    seen.add(w)
-                    derived.append(w)
+        derived = []
+        for layer in spec.layers(self.radius):  # checked before it is expanded
+            missing = [v for v in layer if str(v) not in self.degree_map]
+            if missing:
+                return Violation("core is missing a reachable address", missing[0])
+            derived += layer
         extra = sorted(set(self.degree_map) - {str(v) for v in derived})
         if extra:
             return Violation("core lists an unreachable address",
@@ -377,7 +375,7 @@ class ExplicitCore(DegreeRule):
     def branching_bound(self):
         return None if self.tail_degree >= 3 else self.radius
 
-    def ray_letters_to_check(self, ray, probe_letters):
+    def ray_letters_to_check(self, ray):
         return (max(self.radius - ray.branch, 0)
                 + len(ray.prefix) + len(ray.cycle))
 
@@ -396,17 +394,20 @@ class ExplicitCore(DegreeRule):
 @dataclass(frozen=True)
 class CustomRule(DegreeRule):
     """Arbitrary degree callback.  Usable for evaluation and simulation;
-    decision procedures refuse it, validation probes it out to a radius
-    and serialization refuses it."""
+    decision procedures refuse it, validation probes it out to
+    ``PROBE_RADIUS``, a ray check reads ``PROBE_LETTERS`` letters, and
+    serialization refuses it."""
 
     decidable = False
+    PROBE_RADIUS = 8
+    PROBE_LETTERS = 64
     degree_fn: Callable[[VertexAddress], int]
 
     def degree_at(self, branch, suffix):
         return self.degree_fn(VertexAddress(branch, tuple(suffix)))
 
-    def violation(self, spec, radius):
-        for v in spec.ball(radius):
+    def violation(self, spec):
+        for v in spec.ball(self.PROBE_RADIUS):
             d = self.degree_at(v.branch, v.suffix)
             if d < spec.min_degree:
                 return Violation(f"degree {d} < {spec.min_degree}", v)
@@ -415,8 +416,8 @@ class CustomRule(DegreeRule):
     def branching_bound(self):
         raise UndecidableFamilyError("level-set decisions need a decidable family")
 
-    def ray_letters_to_check(self, ray, probe_letters):
-        return probe_letters
+    def ray_letters_to_check(self, ray):
+        return self.PROBE_LETTERS
 
     def to_json(self):
         raise SpecError("custom degree rules are not serializable")
@@ -507,29 +508,33 @@ class TreeSpec:
         """Every address within the given distance of the origin (BFS order)."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
+        return [v for layer in self.layers(radius) for v in layer]
+
+    def layers(self, radius: int) -> Iterator[list[VertexAddress]]:
+        """``ball(radius)`` one distance at a time; a layer is expanded
+        only when the next one is asked for."""
         seen = {ORIGIN}
-        out = [ORIGIN]
-        frontier = [ORIGIN]
+        layer = [ORIGIN]
+        yield layer
         for _ in range(radius):
             nxt = []
-            for v in frontier:
+            for v in layer:
                 for w in [gamma_ward(v)] + self.up_neighbors(v):
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
-            out.extend(nxt)
-            frontier = nxt
-        return out
+            yield nxt
+            layer = nxt
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, radius: int = 8) -> Violation | None:
+    def validate(self) -> Violation | None:
         """None when every derivable degree is >= min_degree.
 
         Decidable families are checked exactly; a CustomRule is checked
-        out to ``radius`` only.
+        out to ``CustomRule.PROBE_RADIUS`` only.
         """
-        return self.family.violation(self, radius)
+        return self.family.violation(self)
 
     # -- serialization -------------------------------------------------------
 

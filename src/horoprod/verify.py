@@ -40,7 +40,6 @@ from .boundary import (
     vertex_point,
 )
 from .limits import (
-    EXTRA_WINDOW,
     Horocyclic,
     empirical_pointwise_check,
     isomorphism_check,
@@ -226,10 +225,11 @@ def tree_compactification_suite(rays_per_tree: int = 50, radius: int = 5,
             # marching beyond radius + twice the branch point settles
             # every meet depth with ball vertices
             n0 = radius + 2 * ray.branch + len(ray.prefix) + 2
+            marching = [ray_vertex(ray, n) for n in range(n0, n0 + 12)]
             for y in ball:
                 want = ray_busemann(ray, y)
-                for n in range(n0, n0 + 12):
-                    got = vertex_busemann(ray_vertex(ray, n), y)
+                for n, z in enumerate(marching, n0):
+                    got = vertex_busemann(z, y)
                     if got != want:
                         stab_fail = {"ray": str(ray), "y": str(y),
                                      "n": n, "got": got, "want": want}
@@ -267,12 +267,15 @@ def tree_compactification_suite(rays_per_tree: int = 50, radius: int = 5,
         pairs = [(rng.choice(test_ball), rng.choice(test_ball))
                  for _ in range(30)]
         up_ray = rays[0]
+        reach = max(abs(height(v)) for v in test_ball)
+        up_heights = [height(ray_vertex(up_ray, n))
+                      for n in range(2 * up_ray.branch + reach + 12)]
         for x, y in pairs:
             hx, hy = height(x), height(y)
             # heights +inf along a branching ray: gap -> height(y) - height(x)
             n0 = 2 * up_ray.branch + max(abs(hx), abs(hy)) + 2
             for n in range(n0, n0 + 10):
-                hn = height(ray_vertex(up_ray, n))
+                hn = up_heights[n]
                 gap = abs(hn - hx) - abs(hn - hy)
                 if gap != hy - hx:
                     gap_fail = {"direction": "up", "x": str(x), "y": str(y),
@@ -333,15 +336,14 @@ def boundary_function_suite(lipschitz_radius: int = 4,
 
 @_timed
 def isomorphism_suite(count_per_product: int = 120, radius: int = 4,
-                      extra_window: int = EXTRA_WINDOW, seed: int = 20260811,
-                      ) -> SuiteResult:
+                      seed: int = 20260811) -> SuiteResult:
     """Symbolic classification vs empirical limits on randomized families."""
     details = {"seed": seed}
     ok = True
     total = 0
     for label, product in (("dl33", _dl33()), ("dl34", _dl34())):
         families = random_families(product, count_per_product, seed)
-        summary = isomorphism_check(product, families, radius, extra_window)
+        summary = isomorphism_check(product, families, radius)
         details[label] = summary.payload()
         ok = ok and summary.ok
         total += summary.total
@@ -390,10 +392,12 @@ def fset_suite(max_radius: int = 12, witness_levels: int = 5,
         ok = ok and counts_ok
 
     dl3line = HoroProduct(r3, line)
-    not_realizable = all(not realizability(dl3line, level_point(k))[0]
-                         for k in range(-witness_levels, witness_levels + 1))
-    details["dl3line_levels_not_realizable"] = not_realizable
-    ok = ok and not_realizable
+    realizable = [k for k in range(-witness_levels, witness_levels + 1)
+                  if realizability(dl3line, level_point(k))[0]]
+    details["dl3line_levels_not_realizable"] = not realizable
+    ok = ok and not realizable
+    if realizable:
+        details["witness"] = {"k": realizable[0], "reason": "realizable on dl3line"}
 
     dl33 = _dl33()
     witness_ok = True
@@ -414,7 +418,7 @@ def fset_suite(max_radius: int = 12, witness_levels: int = 5,
             break
     details["dl33_level_witnesses"] = witness_ok
     if witness_detail:
-        details["witness"] = witness_detail
+        details.setdefault("witness", witness_detail)
     ok = ok and witness_ok
     return SuiteResult("fset", ok, details)
 
@@ -424,38 +428,33 @@ def closure_suite(radius: int = 4, level_span: int = 10) -> SuiteResult:
     """Level points drain into the two height functions; pinned-vertex
     families reach both their ray limits and their level limits."""
     product = _dl33()
-    details = {}
-    ok = True
-
-    up = boundary_limit_check(
-        product, [level_point(k) for k in range(1, level_span + 1)],
-        ray_point(1, GAMMA), radius)
-    down = boundary_limit_check(
-        product, [level_point(-k) for k in range(1, level_span + 1)],
-        ray_point(2, GAMMA), radius)
-    details["levels_up_to_height1"] = up.ok
-    details["levels_down_to_height2"] = down.ok
-    ok = ok and up.ok and down.ok
-
     ray = BranchingRay(0, (), (0,))
-    marching = [vertex_point(1, ray_vertex(ray, n)) for n in range(1, 14)]
-    to_ray = boundary_limit_check(product, marching, ray_point(1, ray), radius)
-    details["pinned_to_ray_limit"] = to_ray.ok
-    ok = ok and to_ray.ok
-
+    checks = [
+        ("levels_up_to_height1",
+         [level_point(k) for k in range(1, level_span + 1)], ray_point(1, GAMMA)),
+        ("levels_down_to_height2",
+         [level_point(-k) for k in range(1, level_span + 1)], ray_point(2, GAMMA)),
+        ("pinned_to_ray_limit",
+         [vertex_point(1, ray_vertex(ray, n)) for n in range(1, 14)],
+         ray_point(1, ray)),
+    ]
     for k in (-1, 0, 2):
         seq = []
         for i, v in enumerate(level_sequence(product.tree1, k)):
             seq.append(vertex_point(1, v))
             if v.branch > radius + 1 and i > 4:
                 break
-        to_level = boundary_limit_check(product, seq, level_point(k), radius)
-        details[f"pinned_to_level_{k}"] = to_level.ok
-        ok = ok and to_level.ok
-        if not to_level.ok:
-            details["witness"] = to_level.payload()["violations"][:3]
-            break
-    return SuiteResult("closure", ok, details)
+        checks.append((f"pinned_to_level_{k}", seq, level_point(k)))
+    details = {}
+    # the first failing check ends the suite and names the witness
+    for name, seq, target in checks:
+        report = boundary_limit_check(product, seq, target, radius)
+        details[name] = report.ok
+        if not report.ok:
+            details["witness"] = {"check": name,
+                                  "violations": list(report.violations[:3])}
+            return SuiteResult("closure", False, details)
+    return SuiteResult("closure", True, details)
 
 
 @_timed

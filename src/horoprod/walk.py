@@ -77,6 +77,7 @@ from .rays import GammaEnd, Ray, parse_ray, require_valid_ray
 from .product import HoroProduct, ProductVertex
 
 RNG_ID = "mt19937/per-trajectory seed (seed<<32)^(i*0x9E3779B1)"
+ZERO_SPEED_THRESHOLD = 0.05     # |mean speed| up to this is the zero-speed regime
 
 _P_UP = re.compile(r"[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?")
 
@@ -596,14 +597,14 @@ def estimate_speed(result: WalkResult) -> SpeedEstimate:
     return SpeedEstimate(mean, se, slopes)
 
 
-def drift_report(result: WalkResult, tolerance: float = 0.05,
-                 zero_speed_threshold: float = 0.05) -> dict:
+def drift_report(result: WalkResult, tolerance: float = 0.05) -> dict:
     """Law-of-large-numbers drift checks on a finished simulation.
 
     In the biased regime: |height slope| must match the speed, probes
     away from the escape direction must climb at the speed, and the
-    escape side's distinguished-end probe must fall at the speed.  The
-    zero-speed regime is only flagged, never asserted against.
+    escape side's distinguished-end probe must fall at the speed.  A
+    mean speed of at most ``ZERO_SPEED_THRESHOLD`` is the zero-speed
+    regime, which is only flagged, never asserted against.
     """
     config = result.config
     speed = estimate_speed(result)
@@ -627,7 +628,7 @@ def drift_report(result: WalkResult, tolerance: float = 0.05,
                   "height_slope_is_minus_one": all(
                       t.height_slope == -1 for t in result.trajectories)},
     }
-    if abs(speed.mean) <= zero_speed_threshold:
+    if abs(speed.mean) <= ZERO_SPEED_THRESHOLD:
         report["regime"] = "zero_speed"
         report["checks"] = {"zero_speed_flagged": True}
         report["ok"] = True

@@ -54,7 +54,7 @@ def test_criterion_5_isomorphism():
     # >= 200 randomized structured families over both products,
     # window >= 50 past the stabilization bound, radius 4, < 5 min
     result = verify.isomorphism_suite(
-        count_per_product=120, radius=4, extra_window=55, seed=20260811)
+        count_per_product=120, radius=4, seed=20260811)
     _report(5, "isomorphism", result, budget=300)
     assert result.details["total_families"] >= 200
     for label in ("dl33", "dl34"):

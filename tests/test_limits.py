@@ -294,7 +294,7 @@ def test_canonical_families_agree():
         FixedSecond(va("0;1")),
         Alternating((0, 1)),
     ]
-    summary = isomorphism_check(DL33, fams, radius=3, extra_window=40)
+    summary = isomorphism_check(DL33, fams, radius=3)
     assert summary.ok
     assert summary.total == len(fams)
     by_label = {e.label: e for e in summary.entries}
@@ -304,7 +304,7 @@ def test_canonical_families_agree():
 
 def test_randomized_families_agree_quick():
     fams = random_families(DL34, 30, seed=99)
-    summary = isomorphism_check(DL34, fams, radius=3, extra_window=40)
+    summary = isomorphism_check(DL34, fams, radius=3)
     assert summary.ok, summary.payload()
 
 

@@ -76,6 +76,15 @@ def test_validity():
     assert not validate_ray(periodic, BranchingRay(0, (), (1, 1)))
 
 
+def test_custom_rule_ray_check_reads_64_letters():
+    # label 1 vanishes at one suffix length: the end 0;(1) is rejected
+    # only if that length is among the 64 letters read
+    assert CustomRule.PROBE_LETTERS == 64
+    for length, valid in ((64, True), (63, False)):
+        rule = CustomRule(lambda a, n=length: 2 if len(a.suffix) == n else 3)
+        assert validate_ray(TreeSpec(rule, 2), BranchingRay(0, (), (1,))) == valid
+
+
 @pytest.mark.parametrize("degree,digest", [
     (3, "5f444b1c51fcbdabc5f82808f54097ab594da07ed503753fc617f7048ee3c7bd"),
     (4, "649f759cad6d52468992d048146fa3e28c86e73cc67140955e2bdf56a6dc3394"),
@@ -217,7 +226,7 @@ def test_f_set_consistent_with_counting_oracle():
 def test_canonical_at_height():
     for spec in (R3, LINE):
         for h in range(-4, 5):
-            a = canonical_at_height(spec, h)
+            a = canonical_at_height(h)
             assert height(a) == h
             assert a.branch + len(a.suffix) == abs(h)
             spec.require_valid(a)

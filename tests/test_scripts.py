@@ -6,18 +6,34 @@ import subprocess
 import sys
 from pathlib import Path
 
+from horoprod import verify
 from horoprod.walk import WalkConfig, simulate
 
 ROOT = Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def test_verify_all_quick(tmp_path):
+    # the --quick overrides name suite parameters, so this run fails
+    # when a suite stops taking one of them
+    out = tmp_path / "suites.json"
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "verify_all.py"), "--quick",
+         "--json", str(out)],
+        env=ENV, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 8 and all(line.startswith("PASS ") for line in lines)
+    payloads = json.loads(out.read_text())
+    assert [p["suite"] for p in payloads] == list(verify.SUITES)
 
 
 def test_walk_drift_experiment(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "walk_drift_experiment.py"),
          "--outdir", str(tmp_path), "--steps", "2000", "--trajectories", "2"],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=ENV, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     reports = sorted(tmp_path.glob("drift_p*.json"))
     assert [r.name for r in reports] == ["drift_p1.json", "drift_p1_2.json",

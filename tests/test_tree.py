@@ -196,8 +196,13 @@ def test_validate_examples():
 def test_validate_core_consistency():
     core = TreeSpec.explicit_core_of(R3, 2, 2)
     assert core.validate() is None
-    missing = tuple(e for e in core.family.entries if e[0] != "2;")
-    assert TreeSpec(ExplicitCore(missing, 2, 2), 2).validate() is not None
+    # the witness is the first unlisted address in breadth-first order
+    for absent, witness in ((("2;",), "2;"), (("1;0", "2;"), "2;"),
+                            (("2;", "0;1"), "0;1")):
+        missing = tuple(e for e in core.family.entries if e[0] not in absent)
+        violation = TreeSpec(ExplicitCore(missing, 2, 2), 2).validate()
+        assert violation.message == "core is missing a reachable address"
+        assert violation.witness == v(witness)
     extra = core.family.entries + (("9;", 3),)
     assert TreeSpec(ExplicitCore(extra, 2, 2), 2).validate() is not None
 
@@ -233,6 +238,16 @@ def test_custom_rule_usable_for_structure():
     assert spec.degree(ORIGIN) == 4
     assert len(spec.ball(2)) > len(R3.ball(2))
     assert spec.validate() is None
+
+
+def test_custom_rule_validation_probes_to_radius_8():
+    assert CustomRule.PROBE_RADIUS == 8
+    for dist, found in ((9, False), (8, True)):
+        rule = CustomRule(lambda a, dist=dist: 2 if origin_dist(a) == dist else 3)
+        violation = TreeSpec(rule, 3).validate()
+        assert (violation is not None) == found
+        if found:
+            assert origin_dist(violation.witness) == 8
 
 
 # Each family's degree rule as its docstring states it, written out
