@@ -193,17 +193,8 @@ class HoroFunction:
 @dataclass(frozen=True)
 class StabilizationReport:
     ok: bool
-    radius: int
     entries: tuple[tuple[str, int], ...]  # (vertex text, stabilization index)
     violations: tuple[dict, ...]
-
-    def payload(self) -> dict:
-        return {
-            "ok": self.ok,
-            "radius": self.radius,
-            "stabilized_at": {t: i for t, i in self.entries},
-            "violations": list(self.violations),
-        }
 
 
 def boundary_limit_check(product: HoroProduct,
@@ -237,8 +228,8 @@ def boundary_limit_check(product: HoroProduct,
             })
         else:
             entries.append((str(y), stab))
-    return StabilizationReport(not violations, test_ball_radius,
-                               tuple(entries), tuple(violations))
+    return StabilizationReport(not violations, tuple(entries),
+                               tuple(violations))
 
 
 def standard_catalog(product: HoroProduct,

@@ -17,9 +17,9 @@ import inspect
 import json
 import sys
 
-from .tree import AddressError, SpecError, TreeSpec, parse_decimal
+from .tree import TreeSpec, parse_decimal
 from .rays import UndecidableFamilyError
-from .product import HeightMismatch, HoroProduct, product_dist
+from .product import HoroProduct, product_dist
 from .boundary import evaluate, parse_point, require_valid_point
 from .limits import NOT_DECIDED, agreement, classify, family_from_json
 from .walk import WalkConfig, drift_report, simulate, write_trace_csv
@@ -275,11 +275,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AddressError, SpecError, HeightMismatch, UndecidableFamilyError,
-            ValueError) as exc:
+    except (UsageError, UndecidableFamilyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

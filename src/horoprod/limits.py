@@ -106,10 +106,14 @@ class LimitReport:
     component2: object = None
     eta: int | float | None = None
     busemann: HoroFunction | None = None
-    heuristic: bool = False
     window: tuple[int, int] | None = None
     f_flags: dict | None = None
     notes: tuple[str, ...] = ()
+
+    @property
+    def heuristic(self) -> bool:
+        """A verdict read off a finite window of terms."""
+        return self.window is not None
 
     def payload(self) -> dict:
         return {
@@ -433,20 +437,19 @@ class Custom(SequenceFamily):
         try:
             seq = terms(product, self, CUSTOM_WINDOW[1], CUSTOM_WINDOW[0])
         except FamilyExhausted as exc:
-            return LimitReport(NOT_CONVERGENT, heuristic=True,
-                               window=CUSTOM_WINDOW, notes=(str(exc),))
+            return LimitReport(NOT_CONVERGENT, window=CUSTOM_WINDOW,
+                               notes=(str(exc),))
         tail = seq[len(seq) // 2:]
         heights = [product_height(v) for v in tail]
         if all(v == tail[0] for v in tail):
-            return _interior(product, tail[0], heuristic=True,
-                             window=CUSTOM_WINDOW)
+            return _interior(product, tail[0], window=CUSTOM_WINDOW)
         if all(h == heights[0] for h in heights):
             return _window_bounded(product, tail, heights[0])
         up = all(b > a for a, b in zip(heights, heights[1:]))
         down = all(b < a for a, b in zip(heights, heights[1:]))
         if up or down:
             return _window_unbounded(product, tail, up)
-        return LimitReport(NOT_CONVERGENT, heuristic=True, window=CUSTOM_WINDOW,
+        return LimitReport(NOT_CONVERGENT, window=CUSTOM_WINDOW,
                            notes=("heights neither stabilize nor diverge in window",))
 
     def stabilization_bound(self, product, radius):
@@ -511,10 +514,10 @@ def _window_bounded(product, tail, k):
     elif _diverging(xs1) and _diverging(xs2):
         point = level_point(k)
     else:
-        return LimitReport(NOT_CONVERGENT, heuristic=True, window=CUSTOM_WINDOW,
-                           eta=k, f_flags=_flags(product, k, not const1, not const2),
+        return LimitReport(NOT_CONVERGENT, window=CUSTOM_WINDOW, eta=k,
+                           f_flags=_flags(product, k, not const1, not const2),
                            notes=("bounded height but components wander",))
-    return _boundary(product, point, heuristic=True, window=CUSTOM_WINDOW)
+    return _boundary(product, point, window=CUSTOM_WINDOW)
 
 
 def _window_unbounded(product, tail, up):
@@ -525,10 +528,9 @@ def _window_unbounded(product, tail, up):
                     and branches[-1] - branches[0] >= max(2, len(tail) // 4))
     if toward_gamma:
         return _boundary(
-            product, ray_point(1 if up else 2, GAMMA), heuristic=True,
-            window=CUSTOM_WINDOW,
+            product, ray_point(1 if up else 2, GAMMA), window=CUSTOM_WINDOW,
             notes=("limit is the height function of a distinguished end",))
-    return LimitReport(NOT_DECIDED, eta=eta, heuristic=True, window=CUSTOM_WINDOW,
+    return LimitReport(NOT_DECIDED, eta=eta, window=CUSTOM_WINDOW,
                        notes=("diverging heights, but the escaping end cannot "
                               "be read off a finite window",))
 
@@ -664,8 +666,7 @@ def isomorphism_check(product: HoroProduct,
         rep = classify(product, family)
         if rep.status == NOT_DECIDED:
             undecided += 1
-            entry = IsomorphismEntry(family.describe(), rep.status, True,
-                                     {"note": "window heuristic undecided"})
+            entry = IsomorphismEntry(family.describe(), rep.status, True, {})
             entries.append(entry)
             continue
         emp, agreed = agreement(product, family, rep, radius)

@@ -1,18 +1,21 @@
 """Named verification suites, shared by the CLI and the test-suite.
 
-Every suite returns a SuiteResult whose details are JSON-ready; a
-failing suite always carries a minimal witness.  Suite ids (the CLI
-contract): metric-oracle, lemma41, pointwise-limits, isomorphism,
-fset, walk-drift, plus the extras boundary-functions and closure.
+Each suite is registered by ``_suite`` under its CLI id, in definition
+order (``SUITES``), and returns ``(ok, details)``; the wrapper times it
+and builds its one SuiteResult.  Details are JSON-ready, and a failing
+suite always carries a minimal witness: checks yield their witnesses
+lazily, and the first one is the failure.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,22 +57,37 @@ from .walk import WalkConfig, drift_report, simulate
 class SuiteResult:
     name: str
     ok: bool
-    details: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    details: dict
+    seconds: float
 
     def payload(self) -> dict:
         return {"suite": self.name, "ok": self.ok,
                 "seconds": round(self.seconds, 3), **self.details}
 
 
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.seconds = time.perf_counter() - t0
-        return result
-    return wrapper
+SUITES: dict[str, Callable[..., SuiteResult]] = {}
+
+
+def _suite(name: str):
+    """Register a suite returning ``(ok, details)`` under its id ``name``;
+    the registered callable times it and returns its SuiteResult."""
+    def register(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> SuiteResult:
+            t0 = time.perf_counter()
+            ok, details = fn(*args, **kwargs)
+            return SuiteResult(name, ok, details, time.perf_counter() - t0)
+        SUITES[name] = run
+        return run
+    return register
+
+
+def _section(witnesses: Iterator[dict], **passed) -> dict:
+    """``{"ok": True, **passed}``, or the first witness when there is one."""
+    witness = next(witnesses, None)
+    if witness is None:
+        return {"ok": True, **passed}
+    return {"ok": False, "witness": witness}
 
 
 def _dl33() -> HoroProduct:
@@ -158,21 +176,17 @@ def _all_pairs_bfs_check(product: HoroProduct, radius: int) -> dict:
             "pairs_checked": len(targets) ** 2, **counters}
 
 
-@_timed
-def metric_oracle_suite(radius33: int = 6, radius34: int = 5) -> SuiteResult:
+@_suite("metric-oracle")
+def metric_oracle_suite(radius33: int = 6, radius34: int = 5):
     """Distance formula == breadth-first oracle, exhaustively."""
-    details = {}
-    ok = True
-    for label, product, radius in (("dl33", _dl33(), radius33),
-                                   ("dl34", _dl34(), radius34)):
-        res = _all_pairs_bfs_check(product, radius)
-        details[label] = res
-        ok = ok and res["ok"]
-    return SuiteResult("metric-oracle", ok, details)
+    details = {label: _all_pairs_bfs_check(product, radius)
+               for label, product, radius in (("dl33", _dl33(), radius33),
+                                              ("dl34", _dl34(), radius34))}
+    return all(res["ok"] for res in details.values()), details
 
 
-@_timed
-def busemann_identity_suite(radius: int = 5) -> SuiteResult:
+@_suite("lemma41")
+def busemann_identity_suite(radius: int = 5):
     """Anchored Busemann decomposition == distance difference, all pairs."""
     product = _dl33()
     ball = product.ball(radius)
@@ -184,12 +198,11 @@ def busemann_identity_suite(radius: int = 5) -> SuiteResult:
             lhs = product_busemann(z, y)
             rhs = product_dist(z, y) - d_base
             if lhs != rhs:
-                return SuiteResult("lemma41", False, {
-                    "pairs_checked": checked,
-                    "witness": {"z": str(z), "y": str(y),
-                                "decomposition": lhs, "direct": rhs}})
-    return SuiteResult("lemma41", True,
-                       {"ball_size": len(ball), "pairs_checked": checked})
+                return False, {"pairs_checked": checked,
+                               "witness": {"z": str(z), "y": str(y),
+                                           "decomposition": lhs,
+                                           "direct": rhs}}
+    return True, {"ball_size": len(ball), "pairs_checked": checked}
 
 
 def _sample_rays(spec: TreeSpec, count: int, seed: int) -> list:
@@ -203,11 +216,66 @@ def _sample_rays(spec: TreeSpec, count: int, seed: int) -> list:
     return out
 
 
-@_timed
+def _ray_limit_witnesses(rays, ball, radius: int):
+    """Ball vertices where a ray's anchored Busemann values, marched far
+    enough along it, miss the ray's function."""
+    for ray in rays:
+        # marching beyond radius + twice the branch point settles
+        # every meet depth with ball vertices
+        n0 = radius + 2 * ray.branch + len(ray.prefix) + 2
+        marching = [ray_vertex(ray, n) for n in range(n0, n0 + 12)]
+        for y in ball:
+            want = ray_busemann(ray, y)
+            for n, z in enumerate(marching, n0):
+                got = vertex_busemann(z, y)
+                if got != want:
+                    yield {"ray": str(ray), "y": str(y),
+                           "n": n, "got": got, "want": want}
+
+
+def _meet_depth_witnesses(spec: TreeSpec, window: int):
+    """Levels whose meet depths with the distinguished end look bounded
+    over the first ``window`` vertices."""
+    for k in range(-2, 3):
+        meets = [ray_meet_depth(v, GAMMA)
+                 for v in itertools.islice(level_sequence(spec, k), window)]
+        # unbounded over the window: never falls back, keeps making
+        # progress past the midpoint, and clears an absolute floor
+        monotone = all(b >= a for a, b in zip(meets, meets[1:]))
+        if not (monotone and meets[-1] > meets[len(meets) // 2]
+                and meets[-1] >= 3):
+            yield {"k": k, "meets_head": meets[:10], "meets_tail": meets[-3:]}
+
+
+def _cocycle_gap_witnesses(spec: TreeSpec, up_ray, seed: int):
+    """Random test-ball pairs whose cocycle gap misses the predicted
+    height difference along heights diverging up and down."""
+    test_ball = spec.ball(4)
+    rng = Random(seed + 1)
+    pairs = [(rng.choice(test_ball), rng.choice(test_ball))
+             for _ in range(30)]
+    reach = max(abs(height(v)) for v in test_ball)
+    up_heights = [height(ray_vertex(up_ray, n))
+                  for n in range(2 * up_ray.branch + reach + 12)]
+    for x, y in pairs:
+        hx, hy = height(x), height(y)
+        n0 = 2 * up_ray.branch + max(abs(hx), abs(hy)) + 2
+        # heights +inf along a branching ray: gap -> height(y) - height(x);
+        # heights -inf along the distinguished ray: gap -> height(x) - height(y)
+        for direction, heights, want in (
+                ("up", up_heights, hy - hx),
+                ("down", [-n for n in range(n0 + 10)], hx - hy)):
+            for n in range(n0, n0 + 10):
+                gap = abs(heights[n] - hx) - abs(heights[n] - hy)
+                if gap != want:
+                    yield {"direction": direction, "x": str(x), "y": str(y),
+                           "n": n, "gap": gap, "want": want}
+
+
+@_suite("pointwise-limits")
 def tree_compactification_suite(rays_per_tree: int = 50, radius: int = 5,
-                                window: int = 100, seed: int = 4213,
-                                ) -> SuiteResult:
-    """Single-tree convergence checks (suite id: pointwise-limits).
+                                window: int = 100, seed: int = 4213):
+    """Single-tree convergence checks.
 
     (a) anchored Busemann values along a ray stabilize to the ray's
     function on a test ball; (b) bounded-height divergent families have
@@ -219,141 +287,100 @@ def tree_compactification_suite(rays_per_tree: int = 50, radius: int = 5,
     for label, spec in (("regular3", TreeSpec.regular(3)),
                         ("regular4", TreeSpec.regular(4))):
         rays = _sample_rays(spec, rays_per_tree, seed)
-        ball = spec.ball(radius)
-        stab_fail = None
-        for ray in rays:
-            # marching beyond radius + twice the branch point settles
-            # every meet depth with ball vertices
-            n0 = radius + 2 * ray.branch + len(ray.prefix) + 2
-            marching = [ray_vertex(ray, n) for n in range(n0, n0 + 12)]
-            for y in ball:
-                want = ray_busemann(ray, y)
-                for n, z in enumerate(marching, n0):
-                    got = vertex_busemann(z, y)
-                    if got != want:
-                        stab_fail = {"ray": str(ray), "y": str(y),
-                                     "n": n, "got": got, "want": want}
-                        break
-                if stab_fail:
-                    break
-            if stab_fail:
-                break
-        details["rays"][label] = ({"ok": True, "count": len(rays)}
-                                  if not stab_fail else
-                                  {"ok": False, "witness": stab_fail})
-
-        bounded_fail = None
-        for k in range(-2, 3):
-            meets = []
-            for i, v in enumerate(level_sequence(spec, k)):
-                if i >= window:
-                    break
-                meets.append(ray_meet_depth(v, GAMMA))
-            # unbounded over the window: never falls back, keeps making
-            # progress past the midpoint, and clears an absolute floor
-            monotone = all(b >= a for a, b in zip(meets, meets[1:]))
-            if not (monotone and meets[-1] > meets[len(meets) // 2]
-                    and meets[-1] >= 3):
-                bounded_fail = {"k": k, "meets_head": meets[:10],
-                                "meets_tail": meets[-3:]}
-                break
-        details["bounded_height"][label] = ({"ok": True}
-                                            if not bounded_fail else
-                                            {"ok": False, "witness": bounded_fail})
-
-        gap_fail = None
-        test_ball = spec.ball(4)
-        rng = Random(seed + 1)
-        pairs = [(rng.choice(test_ball), rng.choice(test_ball))
-                 for _ in range(30)]
-        up_ray = rays[0]
-        reach = max(abs(height(v)) for v in test_ball)
-        up_heights = [height(ray_vertex(up_ray, n))
-                      for n in range(2 * up_ray.branch + reach + 12)]
-        for x, y in pairs:
-            hx, hy = height(x), height(y)
-            # heights +inf along a branching ray: gap -> height(y) - height(x)
-            n0 = 2 * up_ray.branch + max(abs(hx), abs(hy)) + 2
-            for n in range(n0, n0 + 10):
-                hn = up_heights[n]
-                gap = abs(hn - hx) - abs(hn - hy)
-                if gap != hy - hx:
-                    gap_fail = {"direction": "up", "x": str(x), "y": str(y),
-                                "n": n, "gap": gap, "want": hy - hx}
-                    break
-            # heights -inf along the distinguished ray: gap -> height(x) - height(y)
-            for n in range(n0, n0 + 10):
-                hn = -n
-                gap = abs(hn - hx) - abs(hn - hy)
-                if gap != hx - hy:
-                    gap_fail = {"direction": "down", "x": str(x), "y": str(y),
-                                "n": n, "gap": gap, "want": hx - hy}
-                    break
-            if gap_fail:
-                break
-        details["cocycle_gap"][label] = ({"ok": True}
-                                         if not gap_fail else
-                                         {"ok": False, "witness": gap_fail})
+        details["rays"][label] = _section(
+            _ray_limit_witnesses(rays, spec.ball(radius), radius),
+            count=len(rays))
+        details["bounded_height"][label] = _section(
+            _meet_depth_witnesses(spec, window))
+        details["cocycle_gap"][label] = _section(
+            _cocycle_gap_witnesses(spec, rays[0], seed))
     ok = all(section[label]["ok"]
              for section in details.values() for label in section)
-    return SuiteResult("pointwise-limits", ok, details)
+    return ok, details
 
 
-@_timed
-def boundary_function_suite(lipschitz_radius: int = 4,
-                            separation_radius: int = 3) -> SuiteResult:
-    """Catalog functions vanish at base, are 1-Lipschitz, and separate."""
-    product = _dl33()
-    catalog = standard_catalog(product)
-    details = {"catalog_size": len(catalog)}
+def _boundary_witnesses(product: HoroProduct, catalog, ball, sep_ball):
+    """Catalog functions that are nonzero at the base, then pairs of ball
+    vertices where one stretches distance, then pairs of functions that
+    agree on the separation ball."""
     for p in catalog:
-        if evaluate(p, product.base) != 0:
-            return SuiteResult("boundary-functions", False,
-                               {**details, "witness":
-                                {"point": str(p), "base_value": evaluate(p, product.base)}})
-    ball = product.ball(lipschitz_radius)
+        value = evaluate(p, product.base)
+        if value != 0:
+            yield {"point": str(p), "base_value": value}
     pairs = [(i, j, product_dist(v, ball[j]))
              for i, v in enumerate(ball) for j in range(i + 1, len(ball))]
     for p in catalog:
         vals = [evaluate(p, y) for y in ball]
         for i, j, dist in pairs:
             if abs(vals[i] - vals[j]) > dist:
-                return SuiteResult("boundary-functions", False, {
-                    **details, "witness": {
-                        "point": str(p), "v": str(ball[i]), "w": str(ball[j]),
-                        "gap": abs(vals[i] - vals[j]), "dist": dist}})
-    sep_ball = product.ball(separation_radius)
+                yield {"point": str(p), "v": str(ball[i]), "w": str(ball[j]),
+                       "gap": abs(vals[i] - vals[j]), "dist": dist}
     profiles = [tuple(evaluate(p, y) for y in sep_ball) for p in catalog]
-    for i in range(len(catalog)):
-        for j in range(i + 1, len(catalog)):
-            if profiles[i] == profiles[j]:
-                return SuiteResult("boundary-functions", False, {
-                    **details, "witness": {"p": str(catalog[i]),
-                                           "q": str(catalog[j])}})
-    details.update(ball_size=len(ball), separation_ball=len(sep_ball), ok=True)
-    return SuiteResult("boundary-functions", True, details)
+    for i, j in itertools.combinations(range(len(catalog)), 2):
+        if profiles[i] == profiles[j]:
+            yield {"p": str(catalog[i]), "q": str(catalog[j])}
 
 
-@_timed
+@_suite("boundary-functions")
+def boundary_function_suite(lipschitz_radius: int = 4,
+                            separation_radius: int = 3):
+    """Catalog functions vanish at base, are 1-Lipschitz, and separate."""
+    product = _dl33()
+    catalog = standard_catalog(product)
+    ball = product.ball(lipschitz_radius)
+    sep_ball = product.ball(separation_radius)
+    details = {"catalog_size": len(catalog),
+               **_section(_boundary_witnesses(product, catalog, ball, sep_ball),
+                          ball_size=len(ball), separation_ball=len(sep_ball))}
+    return details["ok"], details
+
+
+@_suite("isomorphism")
 def isomorphism_suite(count_per_product: int = 120, radius: int = 4,
-                      seed: int = 20260811) -> SuiteResult:
+                      seed: int = 20260811):
     """Symbolic classification vs empirical limits on randomized families."""
-    details = {"seed": seed}
-    ok = True
-    total = 0
-    for label, product in (("dl33", _dl33()), ("dl34", _dl34())):
-        families = random_families(product, count_per_product, seed)
-        summary = isomorphism_check(product, families, radius)
-        details[label] = summary.payload()
-        ok = ok and summary.ok
-        total += summary.total
-    details["total_families"] = total
-    return SuiteResult("isomorphism", ok, details)
+    summaries = {
+        label: isomorphism_check(
+            product, random_families(product, count_per_product, seed), radius)
+        for label, product in (("dl33", _dl33()), ("dl34", _dl34()))}
+    details = {"seed": seed,
+               **{label: s.payload() for label, s in summaries.items()},
+               "total_families": sum(s.total for s in summaries.values())}
+    return all(s.ok for s in summaries.values()), details
 
 
-@_timed
+def _count_witnesses(spec: TreeSpec, verdict: str, radius: int):
+    """Levels whose growth between radius - 2 and ``radius`` contradicts
+    the level-set verdict: only infinite levels keep growing."""
+    # levels gain vertices only at distances of matching parity, so
+    # compare radii two apart; |k| <= 2 keeps the finite families'
+    # saturation radius (twice the core radius plus |k|) below the
+    # lower radius
+    for k in range(-2, 3):
+        lo = level_count(spec, k, radius - 2)
+        hi = level_count(spec, k, radius)
+        if (verdict == FSet.ALL) != (hi > lo):
+            yield {"k": k, "count_lo": lo, "count_hi": hi, "verdict": verdict}
+
+
+def _level_witnesses(dl33: HoroProduct, levels: int, radius: int):
+    """Levels of DL(3,3) that are not realizable, or whose horocyclic
+    family does not converge to the level point on the test ball."""
+    for k in range(-levels, levels + 1):
+        if not realizability(dl33, level_point(k))[0]:
+            yield {"k": k, "reason": "not realizable"}
+            continue
+        family = Horocyclic(k)
+        n0 = stabilization_bound(dl33, family, radius)
+        emp = empirical_pointwise_check(dl33, family, (n0, n0 + 30), radius,
+                                        HoroFunction(level_point(k)))
+        if not (emp.convergent and emp.matched_target):
+            yield {"k": k, "violations": list(emp.violations)}
+
+
+@_suite("fset")
 def fset_suite(max_radius: int = 12, witness_levels: int = 5,
-               witness_radius: int = 3) -> SuiteResult:
+               witness_radius: int = 3):
     """Level-set dichotomy against the counting oracle, plus level-point
     realizability with empirically converging witness families."""
     if max_radius < 8:
@@ -366,65 +393,35 @@ def fset_suite(max_radius: int = 12, witness_levels: int = 5,
     core_finite = TreeSpec.explicit_core_of(r3, core_radius, 2)
     core_infinite = TreeSpec.explicit_core_of(line, 2, 3)
     details = {}
-    ok = True
     specs = {"regular3": r3, "line": line,
              "core_tail2": core_finite, "core_tail3": core_infinite}
     for label, spec in specs.items():
         verdict = f_set(spec)
-        counts_ok = True
-        witness = None
-        # levels gain vertices only at distances of matching parity, so
-        # compare radii two apart; |k| <= 2 keeps the finite families'
-        # saturation radius (twice the core radius plus |k|) below the
-        # lower radius
-        for k in range(-2, 3):
-            lo = level_count(spec, k, max_radius - 2)
-            hi = level_count(spec, k, max_radius)
-            grows = hi > lo
-            if (verdict == FSet.ALL) != grows:
-                counts_ok = False
-                witness = {"k": k, "count_lo": lo, "count_hi": hi,
-                           "verdict": verdict}
-                break
-        details[label] = {"verdict": verdict, "oracle_agrees": counts_ok}
+        witness = next(_count_witnesses(spec, verdict, max_radius), None)
+        details[label] = {"verdict": verdict, "oracle_agrees": witness is None}
         if witness:
             details[label]["witness"] = witness
-        ok = ok and counts_ok
 
     dl3line = HoroProduct(r3, line)
     realizable = [k for k in range(-witness_levels, witness_levels + 1)
                   if realizability(dl3line, level_point(k))[0]]
     details["dl3line_levels_not_realizable"] = not realizable
-    ok = ok and not realizable
     if realizable:
         details["witness"] = {"k": realizable[0], "reason": "realizable on dl3line"}
 
-    dl33 = _dl33()
-    witness_ok = True
-    witness_detail = None
-    for k in range(-witness_levels, witness_levels + 1):
-        if not realizability(dl33, level_point(k))[0]:
-            witness_ok = False
-            witness_detail = {"k": k, "reason": "not realizable"}
-            break
-        family = Horocyclic(k)
-        n0 = stabilization_bound(dl33, family, witness_radius)
-        emp = empirical_pointwise_check(dl33, family, (n0, n0 + 30),
-                                        witness_radius,
-                                        HoroFunction(level_point(k)))
-        if not (emp.convergent and emp.matched_target):
-            witness_ok = False
-            witness_detail = {"k": k, "violations": list(emp.violations)}
-            break
-    details["dl33_level_witnesses"] = witness_ok
-    if witness_detail:
-        details.setdefault("witness", witness_detail)
-    ok = ok and witness_ok
-    return SuiteResult("fset", ok, details)
+    witness = next(_level_witnesses(_dl33(), witness_levels, witness_radius),
+                   None)
+    details["dl33_level_witnesses"] = witness is None
+    if witness:
+        details.setdefault("witness", witness)
+    ok = (all(details[label]["oracle_agrees"] for label in specs)
+          and details["dl3line_levels_not_realizable"]
+          and details["dl33_level_witnesses"])
+    return ok, details
 
 
-@_timed
-def closure_suite(radius: int = 4, level_span: int = 10) -> SuiteResult:
+@_suite("closure")
+def closure_suite(radius: int = 4, level_span: int = 10):
     """Level points drain into the two height functions; pinned-vertex
     families reach both their ray limits and their level limits."""
     product = _dl33()
@@ -453,20 +450,18 @@ def closure_suite(radius: int = 4, level_span: int = 10) -> SuiteResult:
         if not report.ok:
             details["witness"] = {"check": name,
                                   "violations": list(report.violations[:3])}
-            return SuiteResult("closure", False, details)
-    return SuiteResult("closure", True, details)
+            return False, details
+    return True, details
 
 
-@_timed
+@_suite("walk-drift")
 def walk_drift_suite(steps: int = 100_000, trajectories: int = 100,
-                     seed: int = 90125, tolerance: float = 0.05,
-                     ) -> SuiteResult:
+                     seed: int = 90125, tolerance: float = 0.05):
     """Drift identities at up-bias 1.0, 0.8, 0.2; zero-speed flag at 0.5."""
     product = _dl33()
     probes = ((1, GAMMA), (2, GAMMA),
               (1, BranchingRay(0, (), (1,))), (2, BranchingRay(0, (), (1,))))
     details = {}
-    ok = True
     for p_num, p_den, label in ((1, 1, "p1.0"), (4, 5, "p0.8"),
                                 (1, 5, "p0.2"), (1, 2, "p0.5")):
         config = WalkConfig(product, Fraction(p_num, p_den), steps,
@@ -488,17 +483,4 @@ def walk_drift_suite(steps: int = 100_000, trajectories: int = 100,
             entry["report"] = {k: report[k] for k in
                                ("speed", "height_slope", "checks")}
         details[label] = entry
-        ok = ok and entry["ok"]
-    return SuiteResult("walk-drift", ok, details)
-
-
-SUITES = {
-    "metric-oracle": metric_oracle_suite,
-    "lemma41": busemann_identity_suite,
-    "pointwise-limits": tree_compactification_suite,
-    "boundary-functions": boundary_function_suite,
-    "isomorphism": isomorphism_suite,
-    "fset": fset_suite,
-    "closure": closure_suite,
-    "walk-drift": walk_drift_suite,
-}
+    return all(entry["ok"] for entry in details.values()), details

@@ -443,7 +443,7 @@ _CHUNK = 8192
 
 
 def _run_trajectory(config: WalkConfig, index: int,
-                    budget: int | None) -> tuple[TrajectoryStats, int]:
+                    budget: int | None) -> TrajectoryStats:
     rng = Random(_trajectory_seed(config.seed, index))
     steps = config.steps if budget is None else min(config.steps, budget)
     stride = config.record_stride
@@ -495,7 +495,7 @@ def _run_trajectory(config: WalkConfig, index: int,
 
     slopes = [_half_slope(steps, sum_y, sum_ny) for sum_y, sum_ny in sums]
     arrays = [np.concatenate(r) if stride else None for r in records]
-    stats = TrajectoryStats(
+    return TrajectoryStats(
         index=index, steps=steps, record_stride=stride,
         dist=arrays[0], height=arrays[1],
         probe_values=tuple(sign * arrays[i] for i, sign in reads)
@@ -504,7 +504,6 @@ def _run_trajectory(config: WalkConfig, index: int,
         probe_slopes=tuple(None if slopes[i] is None else sign * slopes[i]
                            for i, sign in reads),
         final_dist=dist, final_height=h)
-    return stats, steps
 
 
 def _chunk_sums(values, first: int) -> tuple[int, int]:
@@ -555,11 +554,11 @@ def simulate(config: WalkConfig) -> WalkResult:
         if budget is not None and budget <= 0:
             partial = True
             break
-        stats, used = _run_trajectory(config, i, budget)
+        stats = _run_trajectory(config, i, budget)
         if stats.steps < config.steps:
             partial = True
         if budget is not None:
-            budget -= used
+            budget -= stats.steps
         out.append(stats)
     return WalkResult(config, tuple(out), partial)
 

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end on small inputs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,10 @@ from horoprod.walk import WalkConfig, simulate
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+# the eight --quick payloads without "seconds", as json.dumps(sort_keys=True)
+QUICK_PAYLOADS_SHA256 = (
+    "cb8792a76609fbec6beb36e9fc8d6142fbdb5fa18b448fee4267edd4f174e7cb")
 
 
 def test_verify_all_quick(tmp_path):
@@ -27,6 +32,10 @@ def test_verify_all_quick(tmp_path):
     assert len(lines) == 8 and all(line.startswith("PASS ") for line in lines)
     payloads = json.loads(out.read_text())
     assert [p["suite"] for p in payloads] == list(verify.SUITES)
+    for payload in payloads:
+        del payload["seconds"]
+    digest = hashlib.sha256(json.dumps(payloads, sort_keys=True).encode())
+    assert digest.hexdigest() == QUICK_PAYLOADS_SHA256
 
 
 def test_walk_drift_experiment(tmp_path):

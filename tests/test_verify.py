@@ -3,11 +3,12 @@
 import pytest
 
 from horoprod import verify
-from horoprod.boundary import boundary_limit_check, level_point, ray_point
-from horoprod.limits import Custom
-from horoprod.product import BASE, ProductVertex
-from horoprod.rays import GAMMA, BranchingRay
-from horoprod.tree import VertexAddress
+from horoprod.boundary import (HoroFunction, boundary_limit_check, evaluate,
+                               level_point, ray_point)
+from horoprod.limits import Custom, empirical_pointwise_check
+from horoprod.product import BASE, ProductVertex, product_busemann
+from horoprod.rays import GAMMA, BranchingRay, ray_busemann
+from horoprod.tree import VertexAddress, height
 
 ELSEWHERE = ProductVertex(VertexAddress(0, (0,)), VertexAddress(1, ()))
 
@@ -56,3 +57,143 @@ def test_fset_failure_names_realizable_level(monkeypatch):
     assert not result.ok
     assert result.details["dl3line_levels_not_realizable"] is False
     assert result.details["witness"] == {"k": -2, "reason": "realizable on dl3line"}
+
+
+def _wrong_level_target(product, family, window, radius, target):
+    return empirical_pointwise_check(product, family, window, radius,
+                                     HoroFunction(level_point(7)))
+
+
+# (suite, its arguments, the module name the check reads, its replacement);
+# where a replacement breaks more than one check, the payload shows
+# which witness comes first
+FAILURES = {
+    "lemma41": (verify.busemann_identity_suite, {"radius": 1},
+                "product_busemann", lambda z, y: product_busemann(z, y) + 1),
+    "pointwise-rays": (
+        verify.tree_compactification_suite,
+        {"rays_per_tree": 2, "radius": 1},
+        "ray_busemann", lambda ray, y: ray_busemann(ray, y) + 1),
+    "pointwise-bounded-height": (
+        verify.tree_compactification_suite,
+        {"rays_per_tree": 2, "radius": 1},
+        "ray_meet_depth", lambda v, ray: 0),
+    "pointwise-cocycle-gap": (
+        verify.tree_compactification_suite,
+        {"rays_per_tree": 2, "radius": 1},
+        "height", lambda v: -height(v)),
+    "boundary-base-value": (
+        verify.boundary_function_suite,
+        {"lipschitz_radius": 1},
+        "evaluate", lambda p, y: 2 * evaluate(p, y) + 1),
+    "boundary-lipschitz": (
+        verify.boundary_function_suite,
+        {"lipschitz_radius": 1},
+        "evaluate", lambda p, y: 2 * abs(evaluate(p, y))),
+    "boundary-separation": (
+        verify.boundary_function_suite,
+        {"lipschitz_radius": 1},
+        "evaluate", lambda p, y: 0),
+    "fset-counting-oracle": (
+        verify.fset_suite,
+        {"max_radius": 8, "witness_levels": 1, "witness_radius": 1},
+        "level_count", lambda spec, k, radius: 0),
+    "fset-dl33-not-realizable": (
+        verify.fset_suite,
+        {"max_radius": 8, "witness_levels": 1, "witness_radius": 1},
+        "realizability", lambda product, point: (False, None)),
+    "fset-dl3line-witness-first": (
+        verify.fset_suite,
+        {"max_radius": 8, "witness_levels": 1, "witness_radius": 1},
+        "realizability",
+        lambda product, point: (product.tree1 is not product.tree2, None)),
+    "fset-dl33-level-limit": (
+        verify.fset_suite,
+        {"max_radius": 8, "witness_levels": 1, "witness_radius": 1},
+        "empirical_pointwise_check", _wrong_level_target),
+}
+
+# each failing payload minus "seconds"
+ALL_OK = {"regular3": {"ok": True}, "regular4": {"ok": True}}
+RAYS_OK = {"regular3": {"ok": True, "count": 2},
+           "regular4": {"ok": True, "count": 2}}
+NO_GROWTH = {"k": -2, "meets_head": [0] * 10, "meets_tail": [0] * 3}
+FSET_COUNTS_OK = {
+    "regular3": {"verdict": "all_integers", "oracle_agrees": True},
+    "line": {"verdict": "empty", "oracle_agrees": True},
+    "core_tail2": {"verdict": "empty", "oracle_agrees": True},
+    "core_tail3": {"verdict": "all_integers", "oracle_agrees": True},
+}
+FLAT_COUNT = {"k": -2, "count_lo": 0, "count_hi": 0, "verdict": "all_integers"}
+FAILING_PAYLOADS = {
+    "lemma41": {
+        "suite": "lemma41", "ok": False, "pairs_checked": 1,
+        "witness": {"z": "0;|0;", "y": "0;|0;", "decomposition": 1,
+                    "direct": 0}},
+    "pointwise-rays": {
+        "suite": "pointwise-limits", "ok": False,
+        "rays": {
+            "regular3": {"ok": False, "witness": {
+                "ray": "4;0(0.1.1)", "y": "0;", "n": 12, "got": 0, "want": 1}},
+            "regular4": {"ok": False, "witness": {
+                "ray": "4;0.2(0.1)", "y": "0;", "n": 13, "got": 0, "want": 1}}},
+        "bounded_height": ALL_OK, "cocycle_gap": ALL_OK},
+    "pointwise-bounded-height": {
+        "suite": "pointwise-limits", "ok": False, "rays": RAYS_OK,
+        "bounded_height": {
+            "regular3": {"ok": False, "witness": NO_GROWTH},
+            "regular4": {"ok": False, "witness": NO_GROWTH}},
+        "cocycle_gap": ALL_OK},
+    "pointwise-cocycle-gap": {
+        "suite": "pointwise-limits", "ok": False, "rays": RAYS_OK,
+        "bounded_height": ALL_OK,
+        "cocycle_gap": {
+            "regular3": {"ok": False, "witness": {
+                "direction": "up", "x": "0;1.1.1.1", "y": "0;", "n": 14,
+                "gap": -4, "want": 4}},
+            "regular4": {"ok": False, "witness": {
+                "direction": "up", "x": "0;0", "y": "0;1.0", "n": 12,
+                "gap": 1, "want": -1}}}},
+    "boundary-base-value": {
+        "suite": "boundary-functions", "ok": False, "catalog_size": 43,
+        "witness": {"point": "Z:-2", "base_value": 1}},
+    "boundary-lipschitz": {
+        "suite": "boundary-functions", "ok": False, "catalog_size": 43,
+        "witness": {"point": "Z:-2", "v": "0;|0;", "w": "0;0|1;", "gap": 2,
+                    "dist": 1}},
+    "boundary-separation": {
+        "suite": "boundary-functions", "ok": False, "catalog_size": 43,
+        "witness": {"p": "Z:-2", "q": "Z:-1"}},
+    "fset-counting-oracle": {
+        "suite": "fset", "ok": False, **FSET_COUNTS_OK,
+        "regular3": {"verdict": "all_integers", "oracle_agrees": False,
+                     "witness": FLAT_COUNT},
+        "core_tail3": {"verdict": "all_integers", "oracle_agrees": False,
+                       "witness": FLAT_COUNT},
+        "dl3line_levels_not_realizable": True, "dl33_level_witnesses": True},
+    "fset-dl33-not-realizable": {
+        "suite": "fset", "ok": False, **FSET_COUNTS_OK,
+        "dl3line_levels_not_realizable": True, "dl33_level_witnesses": False,
+        "witness": {"k": -1, "reason": "not realizable"}},
+    "fset-dl3line-witness-first": {
+        "suite": "fset", "ok": False, **FSET_COUNTS_OK,
+        "dl3line_levels_not_realizable": False, "dl33_level_witnesses": False,
+        "witness": {"k": -1, "reason": "realizable on dl3line"}},
+    "fset-dl33-level-limit": {
+        "suite": "fset", "ok": False, **FSET_COUNTS_OK,
+        "dl3line_levels_not_realizable": True, "dl33_level_witnesses": False,
+        "witness": {"k": -1, "violations": [
+            {"vertex": "0;0|1;", "value": -1, "expected": 1},
+            {"vertex": "0;1|1;", "value": -1, "expected": 1},
+            {"vertex": "1;|0;0", "value": 1, "expected": -1},
+            {"vertex": "1;|0;1", "value": 1, "expected": -1}]}},
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_failure_payload_names_first_witness(monkeypatch, case):
+    suite, kwargs, name, patched = FAILURES[case]
+    monkeypatch.setattr(verify, name, patched)
+    payload = suite(**kwargs).payload()
+    del payload["seconds"]
+    assert payload == FAILING_PAYLOADS[case]
