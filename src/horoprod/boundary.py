@@ -193,7 +193,6 @@ class HoroFunction:
 @dataclass(frozen=True)
 class StabilizationReport:
     ok: bool
-    entries: tuple[tuple[str, int], ...]  # (vertex text, stabilization index)
     violations: tuple[dict, ...]
 
 
@@ -201,35 +200,24 @@ def boundary_limit_check(product: HoroProduct,
                          seq: Sequence[BoundaryPoint | ProductVertex],
                          target: HoroFunction | BoundaryPoint | ProductVertex,
                          test_ball_radius: int) -> StabilizationReport:
-    """Pointwise stabilization of a descriptor sequence onto a target.
+    """Pointwise stabilization of a finite descriptor sequence onto a
+    target, over the test ball.
 
-    For each vertex of the test ball, records the first index from
-    which every later term evaluates like the target; a vertex whose
-    last term still disagrees becomes a violation witness.
+    A finite sequence stabilizes onto the target at a vertex exactly
+    when its last term evaluates like the target there, so only the
+    last term is evaluated; each vertex where it disagrees (or, for an
+    empty sequence, every vertex) is a violation witness.
     """
     if isinstance(target, HoroFunction):
         target = target.anchor
-    ball = product.ball(test_ball_radius)
-    entries = []
     violations = []
-    for y in ball:
+    for y in product.ball(test_ball_radius):
         want = evaluate(target, y)
-        values = [evaluate(p, y) for p in seq]
-        stab = len(values)
-        for i in range(len(values) - 1, -1, -1):
-            if values[i] != want:
-                break
-            stab = i
-        if stab == len(values):
-            violations.append({
-                "vertex": str(y),
-                "expected": want,
-                "last_value": values[-1] if values else None,
-            })
-        else:
-            entries.append((str(y), stab))
-    return StabilizationReport(not violations, tuple(entries),
-                               tuple(violations))
+        value = evaluate(seq[-1], y) if seq else None
+        if value != want:
+            violations.append({"vertex": str(y), "expected": want,
+                               "last_value": value})
+    return StabilizationReport(not violations, tuple(violations))
 
 
 def standard_catalog(product: HoroProduct,

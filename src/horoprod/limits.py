@@ -46,7 +46,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence
 
-from .tree import FieldCodec, VertexAddress, height, int_tuple, strict_int
+from .tree import (FieldCodec, Report, VertexAddress, height, int_tuple,
+                   strict_int)
 from .rays import (
     BranchingRay,
     FSet,
@@ -89,16 +90,8 @@ NOT_CONVERGENT = "not_convergent"
 NOT_DECIDED = "not_decided"
 
 
-def _eta_text(eta):
-    if eta == math.inf:
-        return "+inf"
-    if eta == -math.inf:
-        return "-inf"
-    return eta
-
-
 @dataclass(frozen=True)
-class LimitReport:
+class LimitReport(Report):
     status: str
     hm_point: BoundaryPoint | None = None
     interior: ProductVertex | None = None
@@ -116,39 +109,17 @@ class LimitReport:
         return self.window is not None
 
     def payload(self) -> dict:
-        return {
-            "status": self.status,
-            "hm_point": None if self.hm_point is None else str(self.hm_point),
-            "interior": None if self.interior is None else str(self.interior),
-            "component1": None if self.component1 is None else str(self.component1),
-            "component2": None if self.component2 is None else str(self.component2),
-            "eta": None if self.eta is None else _eta_text(self.eta),
-            "busemann": None if self.busemann is None else str(self.busemann),
-            "heuristic": self.heuristic,
-            "window": None if self.window is None else list(self.window),
-            "f_flags": self.f_flags,
-            "notes": list(self.notes),
-        }
+        return {**super().payload(), "heuristic": self.heuristic}
 
 
 @dataclass(frozen=True)
-class EmpiricalReport:
+class EmpiricalReport(Report):
     convergent: bool
     window: tuple[int, int]
     radius: int
     points_checked: int
     matched_target: bool | None
     violations: tuple[dict, ...]
-
-    def payload(self) -> dict:
-        return {
-            "convergent": self.convergent,
-            "window": list(self.window),
-            "radius": self.radius,
-            "points_checked": self.points_checked,
-            "matched_target": self.matched_target,
-            "violations": list(self.violations),
-        }
 
 
 # -- helpers shared by the families --------------------------------------------
@@ -598,20 +569,15 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
 
 
 @dataclass(frozen=True)
-class IsomorphismEntry:
-    label: str
-    symbolic_status: str
-    agreed: bool
-    detail: dict
-
-
-@dataclass(frozen=True)
 class IsomorphismSummary:
     total: int
-    agreed: int
     undecided: int
-    disagreements: tuple[IsomorphismEntry, ...]
-    entries: tuple[IsomorphismEntry, ...]
+    # one {"family", "status", "window", "violations"} per disagreement
+    disagreements: tuple[dict, ...]
+
+    @property
+    def agreed(self) -> int:
+        return self.total - self.undecided - len(self.disagreements)
 
     @property
     def ok(self) -> bool:
@@ -622,12 +588,10 @@ class IsomorphismSummary:
             "total": self.total,
             "agreed": self.agreed,
             "undecided": self.undecided,
-            "disagreements": [e.label for e in self.disagreements],
+            "disagreements": [d["family"] for d in self.disagreements],
         }
         if self.disagreements:
-            first = self.disagreements[0]
-            out["witness"] = {"family": first.label,
-                              "status": first.symbolic_status, **first.detail}
+            out["witness"] = self.disagreements[0]
         return out
 
 
@@ -659,27 +623,20 @@ def isomorphism_check(product: HoroProduct,
     family by family through ``agreement``.  Families the window
     heuristic cannot decide are counted separately.
     """
-    entries = []
     disagreements = []
     undecided = 0
     for family in families:
         rep = classify(product, family)
         if rep.status == NOT_DECIDED:
             undecided += 1
-            entry = IsomorphismEntry(family.describe(), rep.status, True, {})
-            entries.append(entry)
             continue
         emp, agreed = agreement(product, family, rep, radius)
-        entry = IsomorphismEntry(
-            family.describe(), rep.status, agreed,
-            {"window": list(emp.window),
-             "violations": list(emp.violations)} if not agreed else {})
-        entries.append(entry)
         if not agreed:
-            disagreements.append(entry)
-    agreed_count = sum(1 for e in entries if e.agreed and e.symbolic_status != NOT_DECIDED)
-    return IsomorphismSummary(len(entries), agreed_count, undecided,
-                              tuple(disagreements), tuple(entries))
+            disagreements.append({"family": family.describe(),
+                                  "status": rep.status,
+                                  "window": list(emp.window),
+                                  "violations": list(emp.violations)})
+    return IsomorphismSummary(len(families), undecided, tuple(disagreements))
 
 
 # -- realizability ------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, ClassVar, Iterator, Sequence
 
@@ -135,35 +135,46 @@ class UndecidableFamilyError(Exception):
     """Raised when a decision procedure meets a custom degree rule."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    message: str
-    witness: VertexAddress | None = None
+def to_payload(value):
+    """The JSON form of a value: None, a bool, an int or a str as it is,
+    +-inf as "+inf"/"-inf", a tuple or list as a list and a dict as a
+    dict (their items through this rule), anything else as its text."""
+    if value is None or isinstance(value, (int, str)):  # bool is an int
+        return value
+    if isinstance(value, float) and math.isinf(value):
+        return "+inf" if value > 0 else "-inf"
+    if isinstance(value, (tuple, list)):
+        return [to_payload(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_payload(item) for key, item in value.items()}
+    return str(value)
+
+
+class Report:
+    """A frozen dataclass whose payload is its fields through
+    ``to_payload``."""
 
     def payload(self) -> dict:
-        return {
-            "message": self.message,
-            "witness": None if self.witness is None else str(self.witness),
-        }
+        return {f.name: to_payload(getattr(self, f.name))
+                for f in fields(self)}
+
+
+@dataclass(frozen=True)
+class Violation(Report):
+    message: str
+    witness: VertexAddress | None = None
 
 
 class FieldCodec:
     """JSON for a frozen dataclass through the fields named in
     ``parsers``, which maps each to the function that reads it back.
-    A field is written as an int, a list (from a tuple) or its text, and
-    left out when None."""
+    A field is written through ``to_payload`` and left out when None."""
 
     parsers: ClassVar[dict[str, Callable]] = {}
 
     def to_json(self) -> dict:
-        data = {}
-        for name in self.parsers:
-            value = getattr(self, name)
-            if isinstance(value, tuple):
-                data[name] = list(value)
-            elif value is not None:
-                data[name] = value if isinstance(value, int) else str(value)
-        return data
+        return {name: to_payload(value) for name in self.parsers
+                if (value := getattr(self, name)) is not None}
 
     @classmethod
     def from_json(cls, data: dict):

@@ -249,22 +249,24 @@ def _meet_depth_witnesses(spec: TreeSpec, window: int):
 
 def _cocycle_gap_witnesses(spec: TreeSpec, up_ray, seed: int):
     """Random test-ball pairs whose cocycle gap misses the predicted
-    height difference along heights diverging up and down."""
+    height difference at vertices marching up ``up_ray`` and down the
+    distinguished ray."""
     test_ball = spec.ball(4)
     rng = Random(seed + 1)
     pairs = [(rng.choice(test_ball), rng.choice(test_ball))
              for _ in range(30)]
     reach = max(abs(height(v)) for v in test_ball)
-    up_heights = [height(ray_vertex(up_ray, n))
-                  for n in range(2 * up_ray.branch + reach + 12)]
+    # heights +inf along a branching ray: gap -> height(y) - height(x);
+    # heights -inf along the distinguished ray: gap -> height(x) - height(y)
+    directions = [(direction, sign, [height(ray_vertex(ray, n)) for n in
+                                     range(2 * up_ray.branch + reach + 12)])
+                  for direction, sign, ray in (("up", 1, up_ray),
+                                               ("down", -1, GAMMA))]
     for x, y in pairs:
         hx, hy = height(x), height(y)
         n0 = 2 * up_ray.branch + max(abs(hx), abs(hy)) + 2
-        # heights +inf along a branching ray: gap -> height(y) - height(x);
-        # heights -inf along the distinguished ray: gap -> height(x) - height(y)
-        for direction, heights, want in (
-                ("up", up_heights, hy - hx),
-                ("down", [-n for n in range(n0 + 10)], hx - hy)):
+        for direction, sign, heights in directions:
+            want = sign * (hy - hx)
             for n in range(n0, n0 + 10):
                 gap = abs(heights[n] - hx) - abs(heights[n] - hy)
                 if gap != want:

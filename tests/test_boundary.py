@@ -205,10 +205,13 @@ def test_catalog_shape():
 
 def test_levels_drain_into_heights():
     seq_up = [level_point(k) for k in range(1, 9)]
-    rep = boundary_limit_check(DL33, seq_up, HoroFunction(ray_point(1, GAMMA)), 4)
-    assert rep.ok
-    # stabilization happens once the level clears the ball's heights
-    assert max(i for _, i in rep.entries) <= 4
+    up = HoroFunction(ray_point(1, GAMMA))
+    # stabilization happens once the level clears the ball's heights:
+    # every prefix that reaches index 4 ends on the target, and the
+    # first three terms do not
+    assert all(boundary_limit_check(DL33, seq_up[:i + 1], up, 4).ok
+               for i in range(4, len(seq_up)))
+    assert not boundary_limit_check(DL33, seq_up[:3], up, 4).ok
     seq_down = [level_point(-k) for k in range(1, 9)]
     rep = boundary_limit_check(DL33, seq_down, HoroFunction(ray_point(2, GAMMA)), 4)
     assert rep.ok

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from horoprod.cli import main
+from test_scripts import ENV
 
 DL33 = {"tree1": {"family": "regular", "degree": 3, "min_degree": 3},
         "tree2": {"family": "regular", "degree": 3, "min_degree": 3}}
@@ -189,7 +190,7 @@ def test_module_entry_point(tmp_path):
     path.write_text(json.dumps(DL33))
     proc = subprocess.run(
         [sys.executable, "-m", "horoprod", "validate", "--spec", str(path)],
-        capture_output=True, text=True)
+        env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tree1"]["ok"] is True
 

@@ -7,7 +7,7 @@ from horoprod.boundary import (HoroFunction, boundary_limit_check, evaluate,
                                level_point, ray_point)
 from horoprod.limits import Custom, empirical_pointwise_check
 from horoprod.product import BASE, ProductVertex, product_busemann
-from horoprod.rays import GAMMA, BranchingRay, ray_busemann
+from horoprod.rays import GAMMA, BranchingRay, ray_busemann, ray_vertex
 from horoprod.tree import VertexAddress, height
 
 ELSEWHERE = ProductVertex(VertexAddress(0, (0,)), VertexAddress(1, ()))
@@ -64,6 +64,10 @@ def _wrong_level_target(product, family, window, radius, target):
                                      HoroFunction(level_point(7)))
 
 
+def _gamma_leaves_ray(ray, n):
+    return VertexAddress(0, (0,) * n) if ray == GAMMA else ray_vertex(ray, n)
+
+
 # (suite, its arguments, the module name the check reads, its replacement);
 # where a replacement breaks more than one check, the payload shows
 # which witness comes first
@@ -82,6 +86,10 @@ FAILURES = {
         verify.tree_compactification_suite,
         {"rays_per_tree": 2, "radius": 1},
         "height", lambda v: -height(v)),
+    "pointwise-cocycle-gap-down": (
+        verify.tree_compactification_suite,
+        {"rays_per_tree": 2, "radius": 1},
+        "ray_vertex", _gamma_leaves_ray),
     "boundary-base-value": (
         verify.boundary_function_suite,
         {"lipschitz_radius": 1},
@@ -153,6 +161,16 @@ FAILING_PAYLOADS = {
                 "gap": -4, "want": 4}},
             "regular4": {"ok": False, "witness": {
                 "direction": "up", "x": "0;0", "y": "0;1.0", "n": 12,
+                "gap": 1, "want": -1}}}},
+    "pointwise-cocycle-gap-down": {
+        "suite": "pointwise-limits", "ok": False, "rays": RAYS_OK,
+        "bounded_height": ALL_OK,
+        "cocycle_gap": {
+            "regular3": {"ok": False, "witness": {
+                "direction": "down", "x": "0;1.1.1.1", "y": "0;", "n": 14,
+                "gap": -4, "want": 4}},
+            "regular4": {"ok": False, "witness": {
+                "direction": "down", "x": "0;0", "y": "0;1.0", "n": 12,
                 "gap": 1, "want": -1}}}},
     "boundary-base-value": {
         "suite": "boundary-functions", "ok": False, "catalog_size": 43,
