@@ -21,7 +21,7 @@ from .tree import TreeSpec, parse_decimal
 from .rays import UndecidableFamilyError
 from .product import HoroProduct, product_dist
 from .boundary import evaluate, parse_point, require_valid_point
-from .limits import NOT_DECIDED, agreement, classify, family_from_json
+from .limits import agreement, classify, family_from_json
 from .walk import WalkConfig, drift_report, simulate, write_trace_csv
 from . import verify
 
@@ -138,19 +138,10 @@ def cmd_classify(args) -> int:
         raise UsageError(f"bad family file: {exc}") from exc
     family.require_valid(product)
     report = classify(product, family)
-    payload = {"symbolic": report.payload()}
-    code = 0
-    if report.status == NOT_DECIDED:
-        payload["agreement"] = None
-    else:
-        emp, agreed = agreement(product, family, report, args.radius,
-                                args.window)
-        payload["empirical"] = emp.payload()
-        payload["agreement"] = agreed
-        if not agreed:
-            code = 1
-    _emit(payload, args.pretty)
-    return code
+    emp, agreed = agreement(product, family, report, args.radius, args.window)
+    _emit({"symbolic": report.payload(), "empirical": emp.payload(),
+           "agreement": agreed}, args.pretty)
+    return 0 if agreed else 1
 
 
 def cmd_verify(args) -> int:

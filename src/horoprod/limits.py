@@ -131,12 +131,8 @@ def _pair(side: int, v: VertexAddress, other: VertexAddress) -> ProductVertex:
 
 def _partner(h: int, pairing: Ray | None) -> VertexAddress:
     """A deterministic vertex of the given height in the opposite tree."""
-    if pairing is not None:
-        if isinstance(pairing, GammaEnd):
-            if h <= 0:
-                return VertexAddress(-h, ())
-        elif h > -pairing.branch:
-            return ray_vertex(pairing, h + 2 * pairing.branch)
+    if isinstance(pairing, BranchingRay) and h > -pairing.branch:
+        return ray_vertex(pairing, h + 2 * pairing.branch)
     return canonical_at_height(h)
 
 
@@ -675,7 +671,7 @@ def _random_vertex(spec, rng: random.Random) -> VertexAddress:
     branch = rng.randrange(0, RANDOM_VERTEX_DIST + 1)
     word = []
     for _ in range(RANDOM_VERTEX_DIST - branch):
-        count = spec.family.label_count(branch, word)
+        count = spec.label_count(branch, word)
         if count == 0 or rng.random() < 0.4:
             break
         word.append(rng.randrange(count))

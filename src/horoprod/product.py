@@ -189,7 +189,8 @@ class HoroProduct:
         return v
 
     def degree(self, v: ProductVertex) -> int:
-        return self.tree1._degree(v.x1) + self.tree2._degree(v.x2) - 2
+        return (self.tree1.family.degree_at(v.x1.branch, v.x1.suffix)
+                + self.tree2.family.degree_at(v.x2.branch, v.x2.suffix) - 2)
 
     def _key_neighbors(self, key: Key) -> list[Key]:
         """The edge relation on keys: up moves (the first coordinate
@@ -199,11 +200,11 @@ class HoroProduct:
         down2 = (b2, s2[:-1]) if s2 else (b2 + 1, ())
         out = [(b1 - 1, (), *down2)] if b1 and not s1 else []
         out.extend((b1, s1 + (j,), *down2)
-                   for j in range(self.tree1.family.label_count(b1, s1)))
+                   for j in range(self.tree1.label_count(b1, s1)))
         if b2 and not s2:
             out.append((*down1, b2 - 1, ()))
         out.extend((*down1, b2, s2 + (j,))
-                   for j in range(self.tree2.family.label_count(b2, s2)))
+                   for j in range(self.tree2.label_count(b2, s2)))
         return out
 
     def neighbors(self, v: ProductVertex) -> list[ProductVertex]:

@@ -22,7 +22,7 @@ infinite levels is all of Z or empty.  ``f_set`` implements that
 dichotomy and the level-counting oracle cross-checks it.
 
 Words are checked, enumerated and sampled on plain (branch, suffix)
-positions through the family's ``label_count``: ``TreeSpec.is_valid``
+positions through ``TreeSpec.label_count``: ``TreeSpec.is_valid``
 is the one rule behind ``validate_ray``, ``level_sequence`` builds an
 address only for the vertices it yields, and ``random_ray`` draws the
 ends that the verification suites and the random families use.
@@ -200,7 +200,7 @@ def random_ray(spec: TreeSpec, rng: Random, max_branch: int,
     An attempt that meets a position without children, or whose end
     does not exist, is drawn again, up to 64 times.
     """
-    count = spec.family.label_count
+    count = spec.label_count
     for _ in range(64):
         branch = rng.randrange(0, max_branch + 1)
         word = []
@@ -252,13 +252,13 @@ def level_sequence(spec: TreeSpec, k: int) -> Iterator[VertexAddress]:
     for n in itertools.count(max(0, -k)):
         if bound is not None and n > max(bound, -k):
             return
-        yield from _words_below(spec.family.label_count, n, (), n + k)
+        yield from _words_below(spec.label_count, n, (), n + k)
 
 
 def _words_below(count, branch: int, suffix: tuple[int, ...],
                  length: int) -> Iterator[VertexAddress]:
     """The vertices ``length`` letters below (branch, suffix), in word
-    order, where ``count(branch, suffix)`` is the family's label count."""
+    order, where ``count(branch, suffix)`` is the spec's label count."""
     if length == 0:
         yield VertexAddress(branch, suffix)
         return

@@ -206,35 +206,27 @@ def int_tuple(values) -> tuple[int, ...]:
 # -- tree families -----------------------------------------------------------
 #
 # A family answers degree_at(branch, suffix) for a position given as a
-# branch index and any sequence of child labels, so the walk kernel can
-# ask about its mutable suffix list without building an address.
+# branch index and any sequence of child labels, which it reads and does
+# not keep, so the walk kernel can ask about its mutable suffix list and
+# no caller builds an address.
 
 class DegreeRule(FieldCodec):
-    """Base of the tree families: the degree of a position, and the one
-    rule that turns a degree into a child-label count.
+    """Base of the tree families.
 
-    Each family also answers ``violation(spec)`` (a degree below
+    Each family answers ``degree_at(branch, suffix)``, the degree of a
+    position, which ``TreeSpec.label_count`` turns into a child-label
+    count.  It also answers ``violation(spec)`` (a degree below
     ``spec.min_degree``, with a witness), ``branching_bound()`` (the
     largest ray index with a labeled child; None if unbounded) and
     ``ray_letters_to_check(ray)`` (how many letters of a branching end
     decide that it exists).  A rule that is not ``decidable`` answers
-    both by probing: out to ``CustomRule.PROBE_RADIUS`` and over
-    ``CustomRule.PROBE_LETTERS`` letters.  In JSON a family is its
-    ``kind`` plus its fields.
+    the first and the last by probing: out to
+    ``CustomRule.PROBE_RADIUS`` and over ``CustomRule.PROBE_LETTERS``
+    letters.  In JSON a family is its ``kind`` plus its fields.
     """
 
     kind: ClassVar[str | None] = None
     decidable: ClassVar[bool] = True
-
-    def degree_at(self, branch: int, suffix: Sequence[int]) -> int:
-        raise NotImplementedError
-
-    def label_count(self, branch: int, suffix: Sequence[int]) -> int:
-        """Labeled children below (branch, suffix): a ray vertex past the
-        origin spends two neighbors on the ray, any other vertex one on
-        its parent.  0 means none."""
-        d = self.degree_at(branch, suffix)
-        return max(0, d - 2 if branch and not suffix else d - 1)
 
     def constant_counts(self) -> int | None:
         """The number of upward neighbors every vertex has, or None when
@@ -404,18 +396,16 @@ class ExplicitCore(DegreeRule):
 
 @dataclass(frozen=True)
 class CustomRule(DegreeRule):
-    """Arbitrary degree callback.  Usable for evaluation and simulation;
-    decision procedures refuse it, validation probes it out to
-    ``PROBE_RADIUS``, a ray check reads ``PROBE_LETTERS`` letters, and
-    serialization refuses it."""
+    """An arbitrary ``degree_at(branch, suffix)`` callback, which reads
+    ``suffix`` as any sequence and does not keep it.  Usable for
+    evaluation and simulation; decision procedures refuse it, validation
+    probes it out to ``PROBE_RADIUS``, a ray check reads
+    ``PROBE_LETTERS`` letters, and serialization refuses it."""
 
     decidable = False
     PROBE_RADIUS = 8
     PROBE_LETTERS = 64
-    degree_fn: Callable[[VertexAddress], int]
-
-    def degree_at(self, branch, suffix):
-        return self.degree_fn(VertexAddress(branch, tuple(suffix)))
+    degree_at: Callable[[int, Sequence[int]], int]
 
     def violation(self, spec):
         for v in spec.ball(self.PROBE_RADIUS):
@@ -477,21 +467,21 @@ class TreeSpec:
     def degree(self, v: VertexAddress) -> int:
         """Total neighbor count of a canonical address."""
         self.require_valid(v)
-        return self._degree(v)
-
-    def _degree(self, v: VertexAddress) -> int:
         return self.family.degree_at(v.branch, v.suffix)
 
-    def label_count(self, v: VertexAddress) -> int:
-        """How many labeled children hang below v (0 means none)."""
-        return self.family.label_count(v.branch, v.suffix)
+    def label_count(self, branch: int, suffix: Sequence[int]) -> int:
+        """Labeled children below (branch, suffix): a ray vertex past the
+        origin spends two neighbors on the ray, any other vertex one on
+        its parent.  0 means none."""
+        d = self.family.degree_at(branch, suffix)
+        return max(0, d - 2 if branch and not suffix else d - 1)
 
     # -- structure -----------------------------------------------------------
 
     def is_valid(self, v: VertexAddress) -> bool:
         """Whether each letter of v's suffix is a child label of the
         prefix before it."""
-        count = self.family.label_count
+        count = self.label_count
         return all(letter < count(v.branch, v.suffix[:i])
                    for i, letter in enumerate(v.suffix))
 
@@ -511,7 +501,7 @@ class TreeSpec:
             ups.append(VertexAddress(v.branch - 1, ()))
         ups.extend(
             VertexAddress(v.branch, v.suffix + (j,))
-            for j in range(self.label_count(v))
+            for j in range(self.label_count(v.branch, v.suffix))
         )
         return ups
 

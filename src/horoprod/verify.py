@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .tree import TreeSpec, height, vertex_busemann
+from .tree import TreeSpec, height, tree_dist, vertex_busemann
 from .rays import (
     BranchingRay,
     FSet,
@@ -248,27 +248,25 @@ def _meet_depth_witnesses(spec: TreeSpec, window: int):
 
 
 def _cocycle_gap_witnesses(spec: TreeSpec, up_ray, seed: int):
-    """Random test-ball pairs whose cocycle gap misses the predicted
-    height difference at vertices marching up ``up_ray`` and down the
-    distinguished ray."""
+    """Random test-ball pairs (x, y) whose distance gap d(x, r_n) -
+    d(y, r_n) misses the end's cocycle ray_busemann(x) - ray_busemann(y),
+    for r_n marching up ``up_ray`` and down the distinguished ray, whose
+    cocycle is height(x) - height(y)."""
     test_ball = spec.ball(4)
     rng = Random(seed + 1)
     pairs = [(rng.choice(test_ball), rng.choice(test_ball))
              for _ in range(30)]
     reach = max(abs(height(v)) for v in test_ball)
-    # heights +inf along a branching ray: gap -> height(y) - height(x);
-    # heights -inf along the distinguished ray: gap -> height(x) - height(y)
-    directions = [(direction, sign, [height(ray_vertex(ray, n)) for n in
-                                     range(2 * up_ray.branch + reach + 12)])
-                  for direction, sign, ray in (("up", 1, up_ray),
-                                               ("down", -1, GAMMA))]
+    directions = [(direction, ray, [ray_vertex(ray, n) for n in
+                                    range(2 * up_ray.branch + reach + 12)])
+                  for direction, ray in (("up", up_ray), ("down", GAMMA))]
     for x, y in pairs:
-        hx, hy = height(x), height(y)
-        n0 = 2 * up_ray.branch + max(abs(hx), abs(hy)) + 2
-        for direction, sign, heights in directions:
-            want = sign * (hy - hx)
+        # past the meet depths of x and y with either end
+        n0 = 2 * up_ray.branch + max(abs(height(x)), abs(height(y))) + 2
+        for direction, ray, marching in directions:
+            want = ray_busemann(ray, x) - ray_busemann(ray, y)
             for n in range(n0, n0 + 10):
-                gap = abs(heights[n] - hx) - abs(heights[n] - hy)
+                gap = tree_dist(x, marching[n]) - tree_dist(y, marching[n])
                 if gap != want:
                     yield {"direction": direction, "x": str(x), "y": str(y),
                            "n": n, "gap": gap, "want": want}
@@ -281,9 +279,11 @@ def tree_compactification_suite(rays_per_tree: int = 50, radius: int = 5,
 
     (a) anchored Busemann values along a ray stabilize to the ray's
     function on a test ball; (b) bounded-height divergent families have
-    unbounded meet depth with the distinguished end; (c) for height-
-    divergent sequences the cocycle gap stabilizes to the predicted
-    height difference.
+    unbounded meet depth with the distinguished end; (c) along height-
+    divergent sequences, up a branching ray and down the distinguished
+    one, the distance gap d(x, .) - d(y, .) stabilizes to the end's
+    Busemann cocycle, which down the distinguished ray is the height
+    difference.
     """
     details = {"rays": {}, "bounded_height": {}, "cocycle_gap": {}}
     for label, spec in (("regular3", TreeSpec.regular(3)),

@@ -34,11 +34,12 @@ Two draw sources feed it, chosen from the families' ``constant_counts``:
   sliced from one ``getrandbits`` call (``_decode_words``); otherwise
   they are drawn call by call.  A walk that records nothing (stride 0)
   runs in flat memory.
-- Any other family keeps each suffix as a list and asks the family how
-  many children a position has (the degree cycles for RayPeriodic, the
-  core table for ExplicitCore inside its radius; only a CustomRule
-  builds an address per step), one step at a time (``_suffix_draws``).
-  Its up move, ``_climber``, is the one ``step`` replays.
+- Any other family keeps each suffix as a list and asks the tree spec
+  how many children a position has (``TreeSpec.label_count`` on the
+  family's degree: the degree cycles for RayPeriodic, the core table
+  for ExplicitCore inside its radius, the callback for a CustomRule),
+  one step at a time (``_suffix_draws``).  No address is built per
+  step.  Its up move, ``_climber``, is the one ``step`` replays.
 
 Walks instantiate integrable ergodic increments over a Bernoulli
 source, which makes the law-of-large-numbers drift identities testable:
@@ -186,8 +187,8 @@ def _trajectory_seed(seed: int, index: int) -> int:
     return (seed << 32) ^ (index * 0x9E3779B1)
 
 
-def _climber(rng: Random, family):
-    """The up move of one coordinate of ``family``, drawing from ``rng``.
+def _climber(rng: Random, spec: TreeSpec):
+    """The up move of one coordinate of ``spec``, drawing from ``rng``.
 
     ``climb(m, s)`` draws a uniform upward neighbor of the position (ray
     index ``m``, suffix list ``s``) and returns its number ``c``.  The
@@ -200,7 +201,7 @@ def _climber(rng: Random, family):
     """
     getrandbits = rng.getrandbits
     randrange = rng.randrange
-    count = family.label_count
+    count = spec.label_count
 
     def climb(m: int, s: list[int]) -> int:
         ray = 1 if m and not s else 0
@@ -239,7 +240,7 @@ def step(product: HoroProduct, v: ProductVertex, rng: Random,
                       else (v.x2, v.x1, product.tree2))
     branch = x.branch
     suffix = list(x.suffix)
-    _climber(rng, tree.family)(branch, suffix)
+    _climber(rng, tree)(branch, suffix)
     if branch and not suffix:
         branch -= 1
     moved = VertexAddress(branch, tuple(suffix))
@@ -254,16 +255,16 @@ def _unpack(codes) -> tuple[np.ndarray, np.ndarray]:
     return code & 1 == 1, code >> 1
 
 
-def _suffix_draws(rng: Random, p: float, family1, family2):
-    """The draws of the walk on any two families, as a generator:
+def _suffix_draws(rng: Random, p: float, spec1: TreeSpec, spec2: TreeSpec):
+    """The draws of the walk on any two trees, as a generator:
     ``send(n)`` runs n more steps and returns their ``(up, c)``.
 
-    Each coordinate keeps its suffix list, which the families' rules
-    read through ``_climber``.
+    Each coordinate keeps its suffix list, which the trees' label
+    counts read through ``_climber``.
     """
     rand = rng.random
-    climb1 = _climber(rng, family1)
-    climb2 = _climber(rng, family2)
+    climb1 = _climber(rng, spec1)
+    climb2 = _climber(rng, spec2)
     codes: list[int] = []
     add = codes.append
     m1 = m2 = 0
@@ -461,15 +462,14 @@ def _run_trajectory(config: WalkConfig, index: int,
             reads.append((2 + len(rays), 1))
             rays.append((tree, ray))
 
-    family1 = config.product.tree1.family
-    family2 = config.product.tree2.family
-    count1 = family1.constant_counts()
-    count2 = family2.constant_counts()
+    spec1, spec2 = config.product.tree1, config.product.tree2
+    count1 = spec1.family.constant_counts()
+    count2 = spec2.family.constant_counts()
     p = float(config.p_up)
     if count1 is not None and count2 is not None:
         draws = _constant_draws(rng, p, count1, count2)
     else:
-        draws = _suffix_draws(rng, p, family1, family2)
+        draws = _suffix_draws(rng, p, spec1, spec2)
     walk = _block_steps(draws, rays)
     next(walk)
 

@@ -135,6 +135,15 @@ def test_verify_quick_suite(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_metric_oracle_radius(capsys):
+    # --radius sets the DL(3,3) ball radius and DL(3,4) one less
+    code, out = run(capsys, "verify", "metric-oracle", "--radius", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dl33"]["pairs_checked"] == 225
+    assert payload["dl34"]["pairs_checked"] == 36
+
+
 def test_verify_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "no-such-suite")
     assert code == 2

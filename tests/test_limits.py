@@ -182,6 +182,28 @@ def test_classify_custom_window_heuristics():
     assert classify(DL33, osc).status == "not_convergent"
 
 
+def test_classify_custom_window_verdicts():
+    # the second coordinate runs out along the distinguished ray at
+    # height 0 while the first stays put: the first tree's vertex point
+    fixed = Custom(lambda n: ProductVertex(va("0;"), VertexAddress(n, (0,) * n)))
+    rep = classify(DL33, fixed)
+    assert (rep.status, str(rep.hm_point), rep.heuristic) == \
+        ("boundary", "T1:0;", True)
+    # bounded height, but both coordinates hop between two vertices
+    hop = Custom(lambda n: BASE if n % 2 == 0 else pv("1;0|1;0"))
+    rep = classify(DL33, hop)
+    assert rep.status == "not_convergent"
+    assert rep.notes == ("bounded height but components wander",)
+    # heights climb, but tree 1 leaves the origin along 0;(0) with its
+    # branch index fixed, so the window cannot name the escaping end
+    climb = Custom(lambda n: ProductVertex(VertexAddress(0, (0,) * n),
+                                           VertexAddress(n, ())))
+    assert classify(DL33, climb).status == "not_decided"
+    summary = isomorphism_check(DL33, [climb])
+    assert (summary.total, summary.undecided, summary.agreed) == (1, 1, 0)
+    assert summary.ok
+
+
 def test_diagonal_customs_reach_the_distinguished_ends():
     from horoprod.limits import _diagonal_custom
 
@@ -350,7 +372,7 @@ def test_realizability_messages_for_both_factor_orders():
 def test_realizability_decides_only_the_needed_level_sets():
     # a custom rule's level sets are undecidable, but a non-distinguished
     # end and every point that needs only the other tree ask nothing of them
-    custom = HoroProduct(TreeSpec(CustomRule(lambda a: 3), 2), R3)
+    custom = HoroProduct(TreeSpec(CustomRule(lambda branch, suffix: 3), 2), R3)
     assert realizability(custom, ray_point(2, BranchingRay(0, (), (1,)))) \
         == (True, None)
     assert realizability(custom, ray_point(2, GAMMA)) == (True, None)

@@ -145,7 +145,7 @@ def _coordinate(draw, spec, h, reach):
     branch = draw(st.integers(lo, lo + 3))
     v = VertexAddress(branch, ())
     for _ in range(branch + h):
-        label = draw(st.integers(0, spec.label_count(v) - 1))
+        label = draw(st.integers(0, spec.label_count(v.branch, v.suffix) - 1))
         v = VertexAddress(branch, v.suffix + (label,))
     return v
 
@@ -221,7 +221,7 @@ def _tree_level_neighbors(product, v):
     (HoroProduct(TreeSpec.ray_periodic((2, 3), (3, 2)),
                  TreeSpec.ray_periodic((4,), (3,))), 5),
     (HoroProduct(TreeSpec(CustomRule(
-        lambda a: 4 if (a.branch + len(a.suffix)) % 3 == 0 else 3), 3), R3), 4),
+        lambda b, s: 4 if (b + len(s)) % 3 == 0 else 3), 3), R3), 4),
 ], ids=["explicit-core", "ray-periodic", "custom-rule"])
 def test_key_relation_matches_tree_relation(product, radius):
     keys, adj = product.ball_graph(radius)

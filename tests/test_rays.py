@@ -81,7 +81,7 @@ def test_custom_rule_ray_check_reads_64_letters():
     # only if that length is among the 64 letters read
     assert CustomRule.PROBE_LETTERS == 64
     for length, valid in ((64, True), (63, False)):
-        rule = CustomRule(lambda a, n=length: 2 if len(a.suffix) == n else 3)
+        rule = CustomRule(lambda b, s, n=length: 2 if len(s) == n else 3)
         assert validate_ray(TreeSpec(rule, 2), BranchingRay(0, (), (1,))) == valid
 
 
@@ -210,7 +210,7 @@ def test_f_set():
     # bushy subtrees cannot rescue a branchless ray
     assert f_set(TreeSpec.ray_periodic([2], [3, 2])) == FSet.EMPTY
     with pytest.raises(UndecidableFamilyError):
-        f_set(TreeSpec(CustomRule(lambda a: 3), 2))
+        f_set(TreeSpec(CustomRule(lambda branch, suffix: 3), 2))
 
 
 def test_f_set_consistent_with_counting_oracle():

@@ -39,7 +39,7 @@ def addresses(draw, spec=R3, max_branch=5, max_depth=4):
     branch = draw(st.integers(0, max_branch))
     cur = VertexAddress(branch, ())
     for _ in range(draw(st.integers(0, max_depth))):
-        count = spec.label_count(cur)
+        count = spec.label_count(cur.branch, cur.suffix)
         if count == 0:
             break
         letter = draw(st.integers(0, count - 1))
@@ -234,7 +234,7 @@ def test_ray_periodic_degrees():
 def test_custom_rule_usable_for_structure():
     from horoprod.tree import CustomRule
 
-    spec = TreeSpec(CustomRule(lambda a: 4 if a.branch == 0 else 3), 3)
+    spec = TreeSpec(CustomRule(lambda b, s: 4 if b == 0 else 3), 3)
     assert spec.degree(ORIGIN) == 4
     assert len(spec.ball(2)) > len(R3.ball(2))
     assert spec.validate() is None
@@ -243,7 +243,7 @@ def test_custom_rule_usable_for_structure():
 def test_custom_rule_validation_probes_to_radius_8():
     assert CustomRule.PROBE_RADIUS == 8
     for dist, found in ((9, False), (8, True)):
-        rule = CustomRule(lambda a, dist=dist: 2 if origin_dist(a) == dist else 3)
+        rule = CustomRule(lambda b, s, dist=dist: 2 if b + len(s) == dist else 3)
         violation = TreeSpec(rule, 3).validate()
         assert (violation is not None) == found
         if found:
@@ -266,27 +266,31 @@ FAMILY_DEGREES = [
 ]
 
 
+def _custom_rule(branch, suffix):
+    return 4 if branch == 0 else 3 + len(suffix) % 2
+
+
 def _custom_degree(a):
-    return 4 if a.branch == 0 else 3 + len(a.suffix) % 2
+    return _custom_rule(a.branch, a.suffix)
 
 
 @pytest.mark.parametrize("spec,degree", FAMILY_DEGREES + [
-    (TreeSpec(CustomRule(_custom_degree), 3), _custom_degree)])
+    (TreeSpec(CustomRule(_custom_rule), 3), _custom_degree)])
 def test_position_rule_matches_address_rule(spec, degree):
     # the rule reads a (branch, suffix) position, suffix as any sequence
     for a in spec.ball(6):
         parent_links = 2 if a.branch and not a.suffix else 1
         expected = max(0, degree(a) - parent_links)
         assert spec.family.degree_at(a.branch, list(a.suffix)) == degree(a)
-        assert spec.family.label_count(a.branch, list(a.suffix)) == expected
-        assert spec.label_count(a) == expected
+        assert spec.label_count(a.branch, list(a.suffix)) == expected
+        assert spec.label_count(a.branch, a.suffix) == expected
 
 
 def test_core_rule_reports_unlisted_address():
     core = TreeSpec(ExplicitCore((("0;", 3),), 1, 3), 2)
     with pytest.raises(SpecError):
-        core.family.label_count(0, [0])
-    assert core.family.label_count(0, [0, 1]) == 2  # past the radius
+        core.label_count(0, [0])
+    assert core.label_count(0, [0, 1]) == 2  # past the radius
 
 
 # -- serialization -------------------------------------------------------------
@@ -310,4 +314,4 @@ def test_custom_rule_not_serializable():
     from horoprod.tree import CustomRule
 
     with pytest.raises(SpecError):
-        TreeSpec(CustomRule(lambda a: 3), 2).to_json()
+        TreeSpec(CustomRule(lambda branch, suffix: 3), 2).to_json()

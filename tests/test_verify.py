@@ -8,7 +8,7 @@ from horoprod.boundary import (HoroFunction, boundary_limit_check, evaluate,
 from horoprod.limits import Custom, empirical_pointwise_check
 from horoprod.product import BASE, ProductVertex, product_busemann
 from horoprod.rays import GAMMA, BranchingRay, ray_busemann, ray_vertex
-from horoprod.tree import VertexAddress, height
+from horoprod.tree import VertexAddress, tree_dist
 
 ELSEWHERE = ProductVertex(VertexAddress(0, (0,)), VertexAddress(1, ()))
 
@@ -85,7 +85,7 @@ FAILURES = {
     "pointwise-cocycle-gap": (
         verify.tree_compactification_suite,
         {"rays_per_tree": 2, "radius": 1},
-        "height", lambda v: -height(v)),
+        "tree_dist", lambda v, w: tree_dist(v, w) + len(v.suffix) % 2),
     "pointwise-cocycle-gap-down": (
         verify.tree_compactification_suite,
         {"rays_per_tree": 2, "radius": 1},
@@ -157,21 +157,21 @@ FAILING_PAYLOADS = {
         "bounded_height": ALL_OK,
         "cocycle_gap": {
             "regular3": {"ok": False, "witness": {
-                "direction": "up", "x": "0;1.1.1.1", "y": "0;", "n": 14,
-                "gap": -4, "want": 4}},
+                "direction": "up", "x": "0;1.0.0.0", "y": "1;0.1.0", "n": 14,
+                "gap": 1, "want": 2}},
             "regular4": {"ok": False, "witness": {
                 "direction": "up", "x": "0;0", "y": "0;1.0", "n": 12,
-                "gap": 1, "want": -1}}}},
+                "gap": 0, "want": -1}}}},
     "pointwise-cocycle-gap-down": {
         "suite": "pointwise-limits", "ok": False, "rays": RAYS_OK,
         "bounded_height": ALL_OK,
         "cocycle_gap": {
             "regular3": {"ok": False, "witness": {
-                "direction": "down", "x": "0;1.1.1.1", "y": "0;", "n": 14,
-                "gap": -4, "want": 4}},
+                "direction": "down", "x": "0;0", "y": "0;1", "n": 11,
+                "gap": -2, "want": 0}},
             "regular4": {"ok": False, "witness": {
                 "direction": "down", "x": "0;0", "y": "0;1.0", "n": 12,
-                "gap": 1, "want": -1}}}},
+                "gap": -3, "want": -1}}}},
     "boundary-base-value": {
         "suite": "boundary-functions", "ok": False, "catalog_size": 43,
         "witness": {"point": "Z:-2", "base_value": 1}},

@@ -124,12 +124,12 @@ def test_records_match_walk_replay():
 
 BUMPY = HoroProduct(TreeSpec.ray_periodic([3, 4], [4, 3]), R3)
 CUSTOM_PRODUCT = HoroProduct(TreeSpec(CustomRule(
-    lambda a: 4 if (a.branch + len(a.suffix)) % 3 == 0 else 3), 3), R3)
+    lambda b, s: 4 if (b + len(s)) % 3 == 0 else 3), 3), R3)
 
 
 def test_replay_on_irregular_trees():
     # degree rules without constant label counts use the generic path;
-    # a custom rule answers each count from an address
+    # a custom rule answers each count from its callback
     for product in (BUMPY, CUSTOM_PRODUCT):
         config = WalkConfig(product, Fraction(3, 5), 80, 13, 1, PROBES)
         t = simulate(config).trajectories[0]
@@ -276,9 +276,11 @@ def test_constant_counts_match_family_rule(spec):
         assert len(spec.up_neighbors(a)) == up
 
 
-def test_general_walk_builds_no_addresses(monkeypatch):
-    product = HoroProduct(TreeSpec.ray_periodic((3, 4), (3,)),
-                          TreeSpec.ray_periodic((4,), (3, 4)))
+@pytest.mark.parametrize("product", [
+    HoroProduct(TreeSpec.ray_periodic((3, 4), (3,)),
+                TreeSpec.ray_periodic((4,), (3, 4))),
+    CUSTOM_PRODUCT], ids=["ray-periodic", "custom-rule"])
+def test_general_walk_builds_no_addresses(monkeypatch, product):
     config = WalkConfig(product, Fraction(3, 5), 20_000, 2, 1, PROBES,
                         record_stride=0)
     built = 0
@@ -354,7 +356,7 @@ def assert_same_stats(a, b):
 
 
 def constant_rule(degree):
-    return TreeSpec(CustomRule(lambda a: degree), 2)
+    return TreeSpec(CustomRule(lambda branch, suffix: degree), 2)
 
 
 @pytest.mark.parametrize("degrees", [(3, 3), (4, 4), (3, 4), (2, 4), (3, 2)],
@@ -362,38 +364,32 @@ def constant_rule(degree):
 def test_constant_custom_rule_walks_like_regular(degrees):
     # a constant-degree custom rule keeps suffix lists and asks its rule,
     # the regular tree keeps none: the two must draw alike.
-    # Past the first block the reference is the same constant degree as
-    # a ray-periodic family, also on suffix lists: a custom rule builds
-    # an address of the whole suffix per climb, which is quadratic there.
     # Both draw sources feed the same block solver, so this compares the
     # draws only; test_values_match_replay_across_blocks checks what the
     # solver carries from one block to the next.
     regular = HoroProduct(*(TreeSpec.regular(d) for d in degrees))
     custom = HoroProduct(*(constant_rule(d) for d in degrees))
-    periodic = HoroProduct(*(TreeSpec.ray_periodic((d,), (d,))
-                             for d in degrees))
     assert regular.tree1.family.constant_counts() is not None
     assert custom.tree1.family.constant_counts() is None
-    assert periodic.tree1.family.constant_counts() is None
     probes = [(1, GAMMA), (2, GAMMA)]
     for tree, degree in enumerate(degrees, 1):
         if degree >= 3:
             probes += [(tree, BranchingRay(2, (0, 1), (1, 0))),
                        (tree, BranchingRay(1, (0,), (1,))),
                        (tree, BranchingRay(0, (1,), (0,)))]
-    runs = [(custom, p_up, 1500, 2, stride, None)
+    runs = [(p_up, 1500, 2, stride, None)
             for p_up in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
             for stride in (1, 7)]
     # longer than two blocks, and a budget that ends the second
     # trajectory inside a block
-    runs += [(periodic, p_up, 20_000, 1, stride, None)
+    runs += [(p_up, 20_000, 1, stride, None)
              for p_up in (Fraction(1, 2), Fraction(4, 5)) for stride in (0, 7)]
-    runs.append((periodic, Fraction(3, 5), 20_000, 2, 7, 31_000))
-    for reference, p_up, steps, trajectories, stride, budget in runs:
+    runs.append((Fraction(3, 5), 20_000, 2, 7, 31_000))
+    for p_up, steps, trajectories, stride, budget in runs:
         a, b = (simulate(WalkConfig(product, p_up, steps, 8, trajectories,
                                     probes, record_stride=stride,
                                     max_total_steps=budget))
-                for product in (regular, reference))
+                for product in (regular, custom))
         assert a.partial == b.partial == (budget is not None)
         for ta, tb in zip(a.trajectories, b.trajectories, strict=True):
             assert_same_stats(ta, tb)
