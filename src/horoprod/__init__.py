@@ -33,18 +33,12 @@ from .rays import (
     GAMMA,
     GammaEnd,
     Ray,
-    canonical_at_height,
     f_set,
     level_busemann,
     level_count,
     level_sequence,
     parse_ray,
     ray_busemann,
-    ray_confluent,
-    ray_meet_depth,
-    ray_split_depth,
-    ray_vertex,
-    validate_ray,
 )
 from .product import (
     BASE,

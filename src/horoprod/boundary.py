@@ -43,7 +43,6 @@ from .rays import (
     parse_ray,
     ray_busemann,
     require_valid_ray,
-    validate_ray,
 )
 from .tree import VertexAddress, height, parse_decimal, vertex_busemann
 from .product import HoroProduct, ProductVertex, product_busemann
@@ -247,7 +246,7 @@ def standard_catalog(product: HoroProduct,
     catalog: list[BoundaryPoint] = [level_point(k) for k in levels]
     for side in (1, 2):
         catalog.extend(ray_point(side, r) for r in recipes
-                       if validate_ray(product.tree(side), r))
+                       if r.is_valid(product.tree(side)))
     for side in (1, 2):
         catalog.extend(vertex_point(side, v)
                        for v in product.tree(side).ball(vertex_radius)

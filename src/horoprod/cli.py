@@ -17,8 +17,7 @@ import inspect
 import json
 import sys
 
-from .tree import TreeSpec, parse_decimal
-from .rays import UndecidableFamilyError
+from .tree import TreeSpec, UndecidableFamilyError, parse_decimal
 from .product import HoroProduct, product_dist
 from .boundary import evaluate, parse_point, require_valid_point
 from .limits import agreement, classify, family_from_json

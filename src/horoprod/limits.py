@@ -23,13 +23,14 @@ read over the indices ``CUSTOM_WINDOW``; ``agreement`` checks a verdict
 empirically over ``EXTRA_WINDOW`` indices past the stabilization bound.
 
 Pairing rule for RadialRay: the opposite coordinate must sit at the
-negated height.  By default it takes the closest canonical vertex of
-that height (ray vertices for non-positive heights, the all-zeros word
-otherwise); an optional pairing end supplies its own vertex whenever it
-reaches the required height.  Since heights drive the classification,
-the pairing only matters when the marching coordinate heads to the
-distinguished end, in which case the opposite coordinate's own
-geometric limit names the boundary point.
+negated height, on the path of one end, the partner end.  That is the
+pairing end when one other than the distinguished end is given, else
+the canonical end ``CANONICAL_END`` = 0;(0).  Heights below minus the
+end's branch, which its path never reaches, are taken on the
+distinguished ray.  Since heights drive the classification, the
+pairing only matters when the marching coordinate heads to the
+distinguished end, in which case the partner end names the boundary
+point.
 
 Every report records which height limits land in the trees' infinite
 level sets, under two readings: per divergent component (used by the
@@ -44,7 +45,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .tree import (FieldCodec, Report, VertexAddress, height, int_tuple,
                    strict_int)
@@ -52,14 +53,11 @@ from .rays import (
     BranchingRay,
     FSet,
     GAMMA,
-    GammaEnd,
     Ray,
-    canonical_at_height,
     f_set,
     level_sequence,
     parse_ray,
     random_ray,
-    ray_vertex,
     require_valid_ray,
 )
 from .product import HoroProduct, ProductVertex, busemann_rows, product_height
@@ -76,6 +74,7 @@ from .boundary import (
 CUSTOM_WINDOW = (0, 80)    # the indices a Custom verdict is read from
 EXTRA_WINDOW = 55          # indices checked past a stabilization bound
 RANDOM_VERTEX_DIST = 3     # the largest origin distance of a random vertex
+CANONICAL_END = BranchingRay(0, (), (0,))  # a RadialRay's default partner end
 
 
 class FamilyExhausted(RuntimeError):
@@ -129,11 +128,12 @@ def _pair(side: int, v: VertexAddress, other: VertexAddress) -> ProductVertex:
     return ProductVertex(v, other) if side == 1 else ProductVertex(other, v)
 
 
-def _partner(h: int, pairing: Ray | None) -> VertexAddress:
-    """A deterministic vertex of the given height in the opposite tree."""
-    if isinstance(pairing, BranchingRay) and h > -pairing.branch:
-        return ray_vertex(pairing, h + 2 * pairing.branch)
-    return canonical_at_height(h)
+def _partner(h: int, end: BranchingRay) -> VertexAddress:
+    """The vertex of height h on the end's path, or on the distinguished
+    ray when h lies below minus the end's branch."""
+    if h > -end.branch:
+        return end.vertex(h + 2 * end.branch)
+    return GAMMA.vertex(-h)
 
 
 def _flags(product, eta, divergent1, divergent2) -> dict:
@@ -248,10 +248,17 @@ class RadialRay(SequenceFamily):
         if self.tree not in (1, 2):
             raise ValueError("tree must be 1 or 2")
 
+    @property
+    def partner_end(self) -> BranchingRay:
+        """The end the opposite coordinate climbs: the pairing end, or
+        ``CANONICAL_END`` when the pairing is None or gamma."""
+        return CANONICAL_END if self.pairing in (None, GAMMA) else self.pairing
+
     def stream(self, product):
+        end = self.partner_end
         for n in itertools.count():
-            v = ray_vertex(self.ray, n)
-            yield _pair(self.tree, v, _partner(-height(v), self.pairing))
+            v = self.ray.vertex(n)
+            yield _pair(self.tree, v, _partner(-height(v), end))
 
     def require_valid(self, product):
         require_valid_ray(product.tree(self.tree), self.ray)
@@ -259,19 +266,14 @@ class RadialRay(SequenceFamily):
             require_valid_ray(product.tree(3 - self.tree), self.pairing)
 
     def classify(self, product):
-        if not isinstance(self.ray, GammaEnd):
+        if self.ray != GAMMA:
             return _boundary(product, ray_point(self.tree, self.ray))
-        # marching to gamma, the partner climbs along the pairing end when
-        # one is given, else along the canonical end 0;(0)
-        end = (self.pairing if isinstance(self.pairing, BranchingRay)
-               else BranchingRay(0, (), (0,)))
-        return _boundary(product, ray_point(3 - self.tree, end))
+        # marching to gamma, the partner's climb names the boundary point
+        return _boundary(product, ray_point(3 - self.tree, self.partner_end))
 
     def stabilization_bound(self, product, radius):
-        b_march = self.ray.branch if isinstance(self.ray, BranchingRay) else 0
-        b_pair = (self.pairing.branch
-                  if isinstance(self.pairing, BranchingRay) else 0)
-        return radius + 2 + 2 * (b_march + b_pair)
+        b_march = self.ray.split_depth(GAMMA) or 0
+        return radius + 2 + 2 * (b_march + self.partner_end.branch)
 
     def describe(self):
         pairing = "-" if self.pairing is None else str(self.pairing)
@@ -650,7 +652,7 @@ def realizability(product: HoroProduct, p: BoundaryPoint) -> tuple[bool, str | N
         needed = (1, 2)
     elif not p.kind.is_ray:
         needed = (3 - own,)
-    elif isinstance(p.payload, GammaEnd):
+    elif p.payload == GAMMA:
         needed = (own,)
     else:
         return True, None

@@ -7,8 +7,12 @@ periodic word of child labels.  Eventually periodic ends are dense in
 the full end space and keep every comparison exact and terminating;
 arbitrary ends can still be probed through their vertex sequences.
 
-The boundary metric 2^(-N) between two ends is never materialized as a
-float; ``ray_split_depth`` returns the exponent N as an exact integer.
+Both kinds of end answer the same four questions: ``vertex(step)``,
+``meet_depth(v)``, ``split_depth(other)`` and ``is_valid(spec)``.  The
+distinguished end answers as a branching end whose branch lies past
+every vertex.  The boundary metric 2^(-N) between two ends is never
+materialized as a float; ``split_depth`` returns the exponent N as an
+exact integer.
 
 Level sets: H_k collects the vertices of height k.  Whether H_k is
 infinite does not depend on k.  Sketch: a vertex of height k either is
@@ -22,16 +26,16 @@ infinite levels is all of Z or empty.  ``f_set`` implements that
 dichotomy and the level-counting oracle cross-checks it.
 
 Words are checked, enumerated and sampled on plain (branch, suffix)
-positions through ``TreeSpec.label_count``: ``TreeSpec.is_valid``
-is the one rule behind ``validate_ray``, ``level_sequence`` builds an
-address only for the vertices it yields, and ``random_ray`` draws the
-ends that the verification suites and the random families use.
+positions through ``TreeSpec.label_count``: ``TreeSpec.is_valid`` is
+the one rule behind ``BranchingRay.is_valid``, ``level_sequence``
+builds an address only for the vertices it yields, and ``random_ray``
+draws the ends that the verification suites and the random families
+use.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from random import Random
 from typing import Iterator
@@ -39,18 +43,34 @@ from typing import Iterator
 from .tree import (
     AddressError,
     TreeSpec,
-    UndecidableFamilyError,  # re-exported
     VertexAddress,
     height,
     origin_dist,
     parse_decimal,
-    path_vertex,
 )
 
 
 @dataclass(frozen=True)
 class GammaEnd:
-    """The distinguished end the tree is pointed at."""
+    """The distinguished end the tree is pointed at: a branching end
+    whose branch lies past every vertex."""
+
+    def vertex(self, step: int) -> VertexAddress:
+        """The step-th vertex along the end's path from the origin."""
+        if step < 0:
+            raise ValueError("step must be >= 0")
+        return VertexAddress(step, ())
+
+    def meet_depth(self, v: VertexAddress) -> int:
+        """Length of the common initial segment of v's origin path and the end."""
+        return v.branch
+
+    def split_depth(self, other: Ray) -> int | None:
+        """Exponent N with boundary gap 2^(-N); None when the ends coincide."""
+        return None if other == self else other.split_depth(self)
+
+    def is_valid(self, spec: TreeSpec) -> bool:
+        return True
 
     def __str__(self):
         return "gamma"
@@ -93,6 +113,41 @@ class BranchingRay:
             return self.prefix[i]
         return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
+    def vertex(self, step: int) -> VertexAddress:
+        if step <= self.branch:
+            return GAMMA.vertex(step)
+        word = tuple(self.letter(i) for i in range(step - self.branch))
+        return VertexAddress(self.branch, word)
+
+    def meet_depth(self, v: VertexAddress) -> int:
+        if v.branch != self.branch:
+            return min(v.branch, self.branch)
+        n = 0
+        for i, letter in enumerate(v.suffix):
+            if letter != self.letter(i):
+                break
+            n += 1
+        return v.branch + n
+
+    def split_depth(self, other: Ray) -> int | None:
+        # distinct ends part somewhere, so doubling the compared
+        # stretch of this end's path ends
+        if other == self:
+            return None
+        n = self.branch + 1
+        while (depth := other.meet_depth(self.vertex(n))) >= n:
+            n *= 2
+        return depth
+
+    def is_valid(self, spec: TreeSpec) -> bool:
+        """Whether every letter of the end is a legal child label.
+
+        Exact for the decidable families; a CustomRule is probed over the
+        first ``CustomRule.PROBE_LETTERS`` letters only.
+        """
+        n = spec.family.ray_letters_to_check(self)
+        return spec.is_valid(self.vertex(self.branch + n))
+
     def __str__(self):
         pre = ".".join(str(c) for c in self.prefix)
         cyc = ".".join(str(c) for c in self.cycle)
@@ -119,75 +174,14 @@ def parse_ray(text: str) -> Ray:
     return BranchingRay(branch, prefix, cycle)
 
 
-def ray_vertex(ray: Ray, step: int) -> VertexAddress:
-    """The step-th vertex along the end's path from the origin."""
-    if step < 0:
-        raise ValueError("step must be >= 0")
-    if isinstance(ray, GammaEnd) or step <= ray.branch:
-        return VertexAddress(step, ())
-    word = tuple(ray.letter(i) for i in range(step - ray.branch))
-    return VertexAddress(ray.branch, word)
-
-
-def ray_meet_depth(v: VertexAddress, ray: Ray) -> int:
-    """Length of the common initial segment of v's origin path and the end."""
-    if isinstance(ray, GammaEnd):
-        return v.branch
-    if v.branch != ray.branch:
-        return min(v.branch, ray.branch)
-    n = 0
-    for i, letter in enumerate(v.suffix):
-        if letter != ray.letter(i):
-            break
-        n += 1
-    return v.branch + n
-
-
-def ray_confluent(v: VertexAddress, ray: Ray) -> VertexAddress:
-    """The farthest-from-origin vertex shared by [origin, v] and the end."""
-    return path_vertex(v, ray_meet_depth(v, ray))
-
-
 def ray_busemann(ray: Ray, y: VertexAddress) -> int:
     """Busemann function of the end: d(o, y) minus twice the meet depth."""
-    return origin_dist(y) - 2 * ray_meet_depth(y, ray)
+    return origin_dist(y) - 2 * ray.meet_depth(y)
 
 
 def level_busemann(k: int, v: VertexAddress) -> int:
     """Busemann limit attached to horocycle level k: |k| - |k - height|."""
     return abs(k) - abs(k - height(v))
-
-
-def ray_split_depth(r1: Ray, r2: Ray) -> int | None:
-    """Exponent N with boundary gap 2^(-N); None when the ends coincide."""
-    if isinstance(r1, GammaEnd) and isinstance(r2, GammaEnd):
-        return None
-    if isinstance(r1, GammaEnd):
-        return r2.branch
-    if isinstance(r2, GammaEnd):
-        return r1.branch
-    if r1.branch != r2.branch:
-        return min(r1.branch, r2.branch)
-    if r1 == r2:
-        return None
-    bound = (len(r1.prefix) + len(r2.prefix)
-             + math.lcm(len(r1.cycle), len(r2.cycle)) + 1)
-    for i in range(bound):
-        if r1.letter(i) != r2.letter(i):
-            return r1.branch + i
-    raise AssertionError("normalized distinct rays must split")
-
-
-def validate_ray(spec: TreeSpec, ray: Ray) -> bool:
-    """Whether every letter of the end is a legal child label.
-
-    Exact for the decidable families; a CustomRule is probed over the
-    first ``CustomRule.PROBE_LETTERS`` letters only.
-    """
-    if isinstance(ray, GammaEnd):
-        return True
-    n = spec.family.ray_letters_to_check(ray)
-    return spec.is_valid(ray_vertex(ray, ray.branch + n))
 
 
 def random_ray(spec: TreeSpec, rng: Random, max_branch: int,
@@ -212,21 +206,14 @@ def random_ray(spec: TreeSpec, rng: Random, max_branch: int,
         else:
             cut = rng.randrange(0, len(word))
             ray = BranchingRay(branch, tuple(word[:cut]), tuple(word[cut:]))
-            if validate_ray(spec, ray):
+            if ray.is_valid(spec):
                 return ray
     raise RuntimeError("could not sample a ray")
 
 
 def require_valid_ray(spec: TreeSpec, ray: Ray) -> None:
-    if not validate_ray(spec, ray):
+    if not ray.is_valid(spec):
         raise AddressError(f"ray {ray} does not exist in this tree")
-
-
-def canonical_at_height(h: int) -> VertexAddress:
-    """The closest-to-origin canonical vertex of the given height."""
-    if h <= 0:
-        return VertexAddress(-h, ())
-    return VertexAddress(0, (0,) * h)
 
 
 # -- level sets ---------------------------------------------------------------

@@ -29,8 +29,6 @@ from .rays import (
     level_sequence,
     ray_busemann,
     random_ray,
-    ray_meet_depth,
-    ray_vertex,
 )
 from .product import HoroProduct, product_busemann, product_dist, product_key
 from .boundary import (
@@ -223,7 +221,7 @@ def _ray_limit_witnesses(rays, ball, radius: int):
         # marching beyond radius + twice the branch point settles
         # every meet depth with ball vertices
         n0 = radius + 2 * ray.branch + len(ray.prefix) + 2
-        marching = [ray_vertex(ray, n) for n in range(n0, n0 + 12)]
+        marching = [ray.vertex(n) for n in range(n0, n0 + 12)]
         for y in ball:
             want = ray_busemann(ray, y)
             for n, z in enumerate(marching, n0):
@@ -237,7 +235,7 @@ def _meet_depth_witnesses(spec: TreeSpec, window: int):
     """Levels whose meet depths with the distinguished end look bounded
     over the first ``window`` vertices."""
     for k in range(-2, 3):
-        meets = [ray_meet_depth(v, GAMMA)
+        meets = [GAMMA.meet_depth(v)
                  for v in itertools.islice(level_sequence(spec, k), window)]
         # unbounded over the window: never falls back, keeps making
         # progress past the midpoint, and clears an absolute floor
@@ -257,7 +255,7 @@ def _cocycle_gap_witnesses(spec: TreeSpec, up_ray, seed: int):
     pairs = [(rng.choice(test_ball), rng.choice(test_ball))
              for _ in range(30)]
     reach = max(abs(height(v)) for v in test_ball)
-    directions = [(direction, ray, [ray_vertex(ray, n) for n in
+    directions = [(direction, ray, [ray.vertex(n) for n in
                                     range(2 * up_ray.branch + reach + 12)])
                   for direction, ray in (("up", up_ray), ("down", GAMMA))]
     for x, y in pairs:
@@ -434,7 +432,7 @@ def closure_suite(radius: int = 4, level_span: int = 10):
         ("levels_down_to_height2",
          [level_point(-k) for k in range(1, level_span + 1)], ray_point(2, GAMMA)),
         ("pinned_to_ray_limit",
-         [vertex_point(1, ray_vertex(ray, n)) for n in range(1, 14)],
+         [vertex_point(1, ray.vertex(n)) for n in range(1, 14)],
          ray_point(1, ray)),
     ]
     for k in (-1, 0, 2):

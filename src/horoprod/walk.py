@@ -74,7 +74,7 @@ from typing import Sequence
 import numpy as np
 
 from .tree import TreeSpec, VertexAddress, gamma_ward
-from .rays import GammaEnd, Ray, parse_ray, require_valid_ray
+from .rays import GAMMA, Ray, parse_ray, require_valid_ray
 from .product import HoroProduct, ProductVertex
 
 RNG_ID = "mt19937/per-trajectory seed (seed<<32)^(i*0x9E3779B1)"
@@ -456,7 +456,7 @@ def _run_trajectory(config: WalkConfig, index: int,
     rays = []
     reads = []
     for tree, ray in config.probes:
-        if isinstance(ray, GammaEnd):
+        if ray == GAMMA:
             reads.append((1, 1 if tree == 1 else -1))
         else:
             reads.append((2 + len(rays), 1))

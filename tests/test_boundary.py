@@ -20,7 +20,7 @@ from horoprod.boundary import (
     vertex_point,
 )
 from horoprod.product import BASE, HoroProduct, ProductVertex, product_busemann
-from horoprod.rays import BranchingRay, GAMMA, level_sequence, ray_vertex
+from horoprod.rays import BranchingRay, GAMMA, level_sequence
 from horoprod.tree import TreeSpec, VertexAddress, height
 
 R3 = TreeSpec.regular(3)
@@ -219,7 +219,7 @@ def test_levels_drain_into_heights():
 
 def test_pinned_points_march_to_ray():
     ray = BranchingRay(0, (), (1,))
-    seq = [vertex_point(1, ray_vertex(ray, n)) for n in range(1, 12)]
+    seq = [vertex_point(1, ray.vertex(n)) for n in range(1, 12)]
     rep = boundary_limit_check(DL33, seq, HoroFunction(ray_point(1, ray)), 3)
     assert rep.ok
 

@@ -337,6 +337,22 @@ DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
        f"p_up must be a fraction or decimal in ASCII digits, such as "
        f"'4/5' or '0.5', got {p_up!r}")
       for p_up in (True, 0.8, "1_0/2_0", " 1/2", "1/0")),
+    (["walk", "--config"],
+     {"spec": DL33, "p_up": "1/2", "steps": 10, "seed": 1, "trajectories": 1,
+      "probes": [{"tree": 1, "ray": "0;(7)"}]},
+     "bad walk config: ray 0;(7) does not exist in this tree"),
+    (["busemann", "C1:0;(2)", "0;|0;", "--spec"], DL33,
+     "ray 0;(2) does not exist in this tree"),
+    (["busemann", "C1:-1;(0)", "0;|0;", "--spec"], DL33,
+     "negative branch index"),
+    (["validate", "--spec"], {"x": 1},
+     "holds neither a tree nor a product description"),
+    (["classify", "--family"], {"family": {"kind": "horocyclic", "level": 0}},
+     "family file needs 'spec' and 'family' entries"),
+    (["walk", "--csv", "trace.csv", "--config"],
+     {"spec": DL33, "p_up": "1/2", "steps": 10, "seed": 1, "trajectories": 1,
+      "record_stride": 0},
+     "config has record_stride 0, nothing to trace"),
 ], ids=["validate-bad-core", "classify-ray-not-text",
         "classify-family-not-object", "classify-spec-not-object",
         "ball-invalid-spec", "dist-invalid-spec", "walk-negative-cap",
@@ -353,7 +369,10 @@ DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
         "busemann-space-vertex", "dist-underscore-label",
         "busemann-underscore-ray", "busemann-long-form-ray",
         "walk-bool-p-up", "walk-float-p-up", "walk-underscore-p-up",
-        "walk-space-p-up", "walk-zero-denominator-p-up"])
+        "walk-space-p-up", "walk-zero-denominator-p-up",
+        "walk-missing-probe-ray", "busemann-missing-ray",
+        "busemann-negative-branch", "validate-neither-tree-nor-product",
+        "classify-missing-spec", "walk-csv-zero-stride"])
 def test_malformed_input_usage_error(capsys, tmp_path, argv, data, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
@@ -362,6 +381,15 @@ def test_malformed_input_usage_error(capsys, tmp_path, argv, data, message):
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
 
+
+def test_non_json_file_usage_error(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text("not json\n")
+    code = main(["validate", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{path} is not valid JSON" in captured.err
 
 
 @pytest.mark.parametrize("argv,message", [

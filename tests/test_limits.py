@@ -1,5 +1,7 @@
 """Sequence families: term generation, classification, empirical limits."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -32,7 +34,7 @@ from horoprod.limits import (
 )
 from horoprod.product import (BASE, HoroProduct, ProductVertex, product_busemann,
                               product_height)
-from horoprod.rays import BranchingRay, GAMMA
+from horoprod.rays import BranchingRay, GAMMA, parse_ray
 from horoprod.tree import (CustomRule, TreeSpec, UndecidableFamilyError,
                            VertexAddress, height)
 
@@ -122,6 +124,29 @@ def test_classify_radial():
     pairing = BranchingRay(1, (), (0,))
     rep = classify(DL33, RadialRay(1, GAMMA, pairing))
     assert rep.hm_point == ray_point(2, pairing)
+
+
+RADIAL_ENDS = (GAMMA,) + tuple(map(parse_ray, ("0;(1)", "2;1(0)", "3;(0.1)")))
+
+
+def test_radial_ray_grid_is_pinned():
+    # every marching end against every pairing, gamma and none included,
+    # on both sides of two products; 2;1(0) does not exist in R3, and the
+    # family methods answer for it all the same
+    rows = []
+    for product in (DL33, DL34):
+        for tree in (1, 2):
+            for ray in RADIAL_ENDS:
+                for pairing in (None,) + RADIAL_ENDS:
+                    family = RadialRay(tree, ray, pairing)
+                    rows.append([family.describe(),
+                                 [str(x) for x in terms(product, family, 16)],
+                                 stabilization_bound(product, family, 4),
+                                 classify(product, family).payload()])
+    assert len(rows) == 80
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "873b9aa02095d9cba07aa0038c2daedb6d37f8f6e43ebcd817f7460aa04b8726"
 
 
 def test_classify_pinned():

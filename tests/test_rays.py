@@ -8,12 +8,11 @@ from random import Random
 import pytest
 
 from horoprod import verify
+from horoprod.limits import CANONICAL_END, _partner
 from horoprod.rays import (
     BranchingRay,
     FSet,
     GAMMA,
-    UndecidableFamilyError,
-    canonical_at_height,
     f_set,
     level_busemann,
     level_count,
@@ -21,12 +20,9 @@ from horoprod.rays import (
     parse_ray,
     random_ray,
     ray_busemann,
-    ray_confluent,
-    ray_split_depth,
-    ray_vertex,
-    validate_ray,
 )
-from horoprod.tree import CustomRule, ORIGIN, TreeSpec, VertexAddress, height
+from horoprod.tree import (CustomRule, ORIGIN, TreeSpec, UndecidableFamilyError,
+                           VertexAddress, height, path_vertex)
 
 R3 = TreeSpec.regular(3)
 R4 = TreeSpec.regular(4)
@@ -61,19 +57,20 @@ def test_normalization():
 
 
 def test_validity():
-    assert validate_ray(R3, BranchingRay(0, (), (1,)))
-    assert not validate_ray(R3, BranchingRay(0, (), (2,)))
-    assert validate_ray(R3, BranchingRay(1, (), (0,)))
-    assert not validate_ray(R3, BranchingRay(1, (), (1, 0)))  # z_1 has one label
-    assert validate_ray(LINE, BranchingRay(0, (), (0,)))
-    assert not validate_ray(LINE, BranchingRay(0, (), (1,)))
-    assert not validate_ray(LINE, BranchingRay(1, (), (0,)))
+    assert BranchingRay(0, (), (1,)).is_valid(R3)
+    assert not BranchingRay(0, (), (2,)).is_valid(R3)
+    assert BranchingRay(1, (), (0,)).is_valid(R3)
+    assert not BranchingRay(1, (), (1, 0)).is_valid(R3)  # z_1 has one label
+    assert BranchingRay(0, (), (0,)).is_valid(LINE)
+    assert not BranchingRay(0, (), (1,)).is_valid(LINE)
+    assert not BranchingRay(1, (), (0,)).is_valid(LINE)
+    assert GAMMA.is_valid(LINE)
     periodic = TreeSpec.ray_periodic([3], [3, 2])
     # vertices at even depth >= 2 have a single label, so only cycles
     # placing letter 0 there survive
-    assert validate_ray(periodic, BranchingRay(0, (), (0, 1)))
-    assert not validate_ray(periodic, BranchingRay(0, (), (1, 0)))
-    assert not validate_ray(periodic, BranchingRay(0, (), (1, 1)))
+    assert BranchingRay(0, (), (0, 1)).is_valid(periodic)
+    assert not BranchingRay(0, (), (1, 0)).is_valid(periodic)
+    assert not BranchingRay(0, (), (1, 1)).is_valid(periodic)
 
 
 def test_custom_rule_ray_check_reads_64_letters():
@@ -82,7 +79,7 @@ def test_custom_rule_ray_check_reads_64_letters():
     assert CustomRule.PROBE_LETTERS == 64
     for length, valid in ((64, True), (63, False)):
         rule = CustomRule(lambda b, s, n=length: 2 if len(s) == n else 3)
-        assert validate_ray(TreeSpec(rule, 2), BranchingRay(0, (), (1,))) == valid
+        assert BranchingRay(0, (), (1,)).is_valid(TreeSpec(rule, 2)) == valid
 
 
 @pytest.mark.parametrize("degree,digest", [
@@ -105,17 +102,27 @@ def test_random_ray_redraws_dead_ends():
 
 def test_ray_vertices():
     ray = BranchingRay(1, (), (0,))
-    assert [str(ray_vertex(ray, n)) for n in range(4)] == \
+    assert [str(ray.vertex(n)) for n in range(4)] == \
         ["0;", "1;", "1;0", "1;0.0"]
-    assert ray_vertex(GAMMA, 5) == v("5;")
+    assert GAMMA.vertex(5) == v("5;")
+    for end in (ray, GAMMA):
+        with pytest.raises(ValueError):
+            end.vertex(-1)
 
 
 # -- confluents and Busemann values ---------------------------------------------
 
 def test_confluent_examples():
-    assert ray_confluent(v("3;"), GAMMA) == v("3;")
-    assert ray_confluent(v("0;0.1"), BranchingRay(0, (), (0,))) == v("0;0")
-    assert ray_confluent(v("2;"), BranchingRay(0, (), (0,))) == ORIGIN
+    # the confluent of v and an end, the farthest vertex shared by
+    # [origin, v] and the end, sits at their meet depth on v's path
+    def confluent(a, end):
+        return path_vertex(a, end.meet_depth(a))
+
+    assert confluent(v("3;"), GAMMA) == v("3;")
+    assert confluent(v("0;0.1"), BranchingRay(0, (), (0,))) == v("0;0")
+    assert confluent(v("2;"), BranchingRay(0, (), (0,))) == ORIGIN
+    assert GAMMA.meet_depth(v("2;0.1")) == 2
+    assert BranchingRay(3, (), (0,)).meet_depth(v("2;1")) == 2
 
 
 def test_ray_busemann_examples():
@@ -140,14 +147,37 @@ def test_level_busemann_examples():
 
 
 def test_ray_split_depth():
-    assert ray_split_depth(GAMMA, GAMMA) is None
-    assert ray_split_depth(GAMMA, BranchingRay(3, (), (0,))) == 3
-    assert ray_split_depth(BranchingRay(0, (), (0,)),
-                           BranchingRay(0, (), (0, 1))) == 1
+    assert GAMMA.split_depth(GAMMA) is None
+    assert GAMMA.split_depth(BranchingRay(3, (), (0,))) == 3
+    assert BranchingRay(0, (), (0,)).split_depth(
+        BranchingRay(0, (), (0, 1))) == 1
     r = BranchingRay(2, (0, 1), (1, 0))
-    assert ray_split_depth(r, r) is None
-    assert ray_split_depth(BranchingRay(0, (), (0,)),
-                           BranchingRay(1, (), (0,))) == 0
+    assert r.split_depth(r) is None
+    assert BranchingRay(0, (), (0,)).split_depth(
+        BranchingRay(1, (), (0,))) == 0
+
+
+def _steps(end, n):
+    """The first n steps of the end's path from the origin: "up" along
+    the distinguished ray, then child labels."""
+    if end == GAMMA:
+        return ["up"] * n
+    return ["up"] * min(n, end.branch) + [end.letter(i)
+                                          for i in range(n - end.branch)]
+
+
+def test_split_depth_matches_first_differing_step():
+    # two ends split where their paths first differ; 80 steps pass every
+    # branch (<= 4), prefix (<= 5) and cycle lcm (<= 20) drawn here
+    rng = Random(2205)
+    ends = [GAMMA] + [random_ray(spec, rng, 4, 5)
+                      for spec in (R3, R4) for _ in range(40)]
+    for a in ends:
+        for b in ends:
+            want = next((i for i, (x, y) in enumerate(zip(_steps(a, 80),
+                                                          _steps(b, 80)))
+                         if x != y), None)
+            assert a.split_depth(b) == want == b.split_depth(a), (a, b)
 
 
 def test_stabilization_along_ray():
@@ -159,7 +189,7 @@ def test_stabilization_along_ray():
     for y in ball:
         want = ray_busemann(ray, y)
         for n in range(7, 15):
-            assert vertex_busemann(ray_vertex(ray, n), y) == want
+            assert vertex_busemann(ray.vertex(n), y) == want
 
 
 # -- level sets ------------------------------------------------------------------
@@ -226,7 +256,7 @@ def test_f_set_consistent_with_counting_oracle():
 def test_canonical_at_height():
     for spec in (R3, LINE):
         for h in range(-4, 5):
-            a = canonical_at_height(h)
+            a = _partner(h, CANONICAL_END)
             assert height(a) == h
             assert a.branch + len(a.suffix) == abs(h)
             spec.require_valid(a)

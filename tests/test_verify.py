@@ -7,8 +7,9 @@ from horoprod.boundary import (HoroFunction, boundary_limit_check, evaluate,
                                level_point, ray_point)
 from horoprod.limits import Custom, empirical_pointwise_check
 from horoprod.product import BASE, ProductVertex, product_busemann
-from horoprod.rays import GAMMA, BranchingRay, ray_busemann, ray_vertex
+from horoprod.rays import GAMMA, BranchingRay, GammaEnd, ray_busemann
 from horoprod.tree import VertexAddress, tree_dist
+from horoprod.walk import drift_report
 
 ELSEWHERE = ProductVertex(VertexAddress(0, (0,)), VertexAddress(1, ()))
 
@@ -64,13 +65,13 @@ def _wrong_level_target(product, family, window, radius, target):
                                      HoroFunction(level_point(7)))
 
 
-def _gamma_leaves_ray(ray, n):
-    return VertexAddress(0, (0,) * n) if ray == GAMMA else ray_vertex(ray, n)
+def _gamma_leaves_ray(gamma, step):
+    return VertexAddress(0, (0,) * step)
 
 
-# (suite, its arguments, the module name the check reads, its replacement);
-# where a replacement breaks more than one check, the payload shows
-# which witness comes first
+# (suite, its arguments, the name the check reads in the verify module or
+# an (owner, attribute) pair, its replacement); where a replacement
+# breaks more than one check, the payload shows which witness comes first
 FAILURES = {
     "lemma41": (verify.busemann_identity_suite, {"radius": 1},
                 "product_busemann", lambda z, y: product_busemann(z, y) + 1),
@@ -81,7 +82,7 @@ FAILURES = {
     "pointwise-bounded-height": (
         verify.tree_compactification_suite,
         {"rays_per_tree": 2, "radius": 1},
-        "ray_meet_depth", lambda v, ray: 0),
+        (GammaEnd, "meet_depth"), lambda gamma, v: 0),
     "pointwise-cocycle-gap": (
         verify.tree_compactification_suite,
         {"rays_per_tree": 2, "radius": 1},
@@ -89,7 +90,7 @@ FAILURES = {
     "pointwise-cocycle-gap-down": (
         verify.tree_compactification_suite,
         {"rays_per_tree": 2, "radius": 1},
-        "ray_vertex", _gamma_leaves_ray),
+        (GammaEnd, "vertex"), _gamma_leaves_ray),
     "boundary-base-value": (
         verify.boundary_function_suite,
         {"lipschitz_radius": 1},
@@ -119,6 +120,11 @@ FAILURES = {
         verify.fset_suite,
         {"max_radius": 8, "witness_levels": 1, "witness_radius": 1},
         "empirical_pointwise_check", _wrong_level_target),
+    "walk-drift": (
+        verify.walk_drift_suite, {"steps": 2000, "trajectories": 2},
+        "drift_report",
+        lambda result, tolerance: {**drift_report(result, tolerance),
+                                   "ok": False}),
 }
 
 # each failing payload minus "seconds"
@@ -133,6 +139,19 @@ FSET_COUNTS_OK = {
     "core_tail3": {"verdict": "all_integers", "oracle_agrees": True},
 }
 FLAT_COUNT = {"k": -2, "count_lo": 0, "count_hi": 0, "verdict": "all_integers"}
+
+
+def _drift(speed, speed_se, slope, slope_se, **extra):
+    """A walk-drift entry whose checks all pass but whose ok is forced off."""
+    return {"regime": "biased", "speed": speed, "height_slope": slope,
+            "ok": False, **extra,
+            "report": {"speed": {"mean": speed, "stderr": speed_se},
+                       "height_slope": {"mean": slope, "stderr": slope_se},
+                       "checks": {"speed_positive": True,
+                                  "height_slope_matches_speed": True,
+                                  "probes_within_tolerance": True}}}
+
+
 FAILING_PAYLOADS = {
     "lemma41": {
         "suite": "lemma41", "ok": False, "pairs_checked": 1,
@@ -151,7 +170,14 @@ FAILING_PAYLOADS = {
         "bounded_height": {
             "regular3": {"ok": False, "witness": NO_GROWTH},
             "regular4": {"ok": False, "witness": NO_GROWTH}},
-        "cocycle_gap": ALL_OK},
+        # the Busemann cocycle of gamma reads the patched meet depth too
+        "cocycle_gap": {
+            "regular3": {"ok": False, "witness": {
+                "direction": "down", "x": "0;1.0.0.0", "y": "1;0.1.0", "n": 14,
+                "gap": 2, "want": 0}},
+            "regular4": {"ok": False, "witness": {
+                "direction": "down", "x": "0;2.0.1.2", "y": "1;1.0", "n": 14,
+                "gap": 3, "want": 1}}}},
     "pointwise-cocycle-gap": {
         "suite": "pointwise-limits", "ok": False, "rays": RAYS_OK,
         "bounded_height": ALL_OK,
@@ -205,13 +231,24 @@ FAILING_PAYLOADS = {
             {"vertex": "0;1|1;", "value": -1, "expected": 1},
             {"vertex": "1;|0;0", "value": 1, "expected": -1},
             {"vertex": "1;|0;1", "value": 1, "expected": -1}]}},
+    "walk-drift": {
+        "suite": "walk-drift", "ok": False,
+        "p1.0": _drift(1.0, 0.0, 1.0, 0.0, exact=True),
+        "p0.8": _drift(0.6202605418533562, 0.015155634784377299,
+                       0.6203631219080321, 0.015183965734863938),
+        "p0.2": _drift(0.613346210675552, 0.04609547338888656,
+                       -0.6134936321163866, 0.04581111104464398),
+        "p0.5": _drift(0.05852353634389563, 0.013155802281550786,
+                       -0.03401832897641281, 0.042307165888004206,
+                       zero_speed_flagged=False)},
 }
 
 
 @pytest.mark.parametrize("case", FAILURES)
 def test_failure_payload_names_first_witness(monkeypatch, case):
-    suite, kwargs, name, patched = FAILURES[case]
-    monkeypatch.setattr(verify, name, patched)
+    suite, kwargs, target, patched = FAILURES[case]
+    owner, name = target if isinstance(target, tuple) else (verify, target)
+    monkeypatch.setattr(owner, name, patched)
     payload = suite(**kwargs).payload()
     del payload["seconds"]
     assert payload == FAILING_PAYLOADS[case]
