@@ -20,6 +20,7 @@ from .tree import (
     UndecidableFamilyError,
     VertexAddress,
     Violation,
+    busemann,
     gamma_ward,
     height,
     meet_depth,
@@ -38,7 +39,6 @@ from .rays import (
     level_count,
     level_sequence,
     parse_ray,
-    ray_busemann,
 )
 from .product import (
     BASE,
@@ -59,7 +59,6 @@ from .boundary import (
     hm_coordinates,
     level_point,
     parse_point,
-    point_from_hm,
     ray_point,
     standard_catalog,
     vertex_point,

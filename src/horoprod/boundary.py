@@ -16,12 +16,11 @@ followed by its side, the tree the payload lives in:
 ``PointKind.side`` and ``PointKind.is_ray`` read the tag, and every rule
 below reads the side once.  Each point evaluates as an integer-valued
 function on product vertices (``evaluate``); these are exactly the
-pointwise limits of the vertex-anchored Busemann functions.  A vertex
-point applies the level correction to its own coordinate with its own
-height; on side 2 this is, through the height-sum law, the same number
-as the first-coordinate correction with the negated level, and the
-empirical limit suite pins the choice down against direct Busemann
-limits.
+pointwise limits of the vertex-anchored Busemann functions.  A point,
+or a product vertex, is read as its coordinates (``hm_coordinates``):
+a point of each tree's compactification and a height.  Every kind then
+evaluates through the one formula of ``product.busemann_at``, two
+single-tree Busemann values plus a level term, with no rule of its own.
 
 The closure points at height +/-infinity over the pair (gamma1, gamma2)
 are represented as C1:gamma and C2:gamma; they already belong to the
@@ -35,17 +34,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .rays import (
-    GAMMA,
-    BranchingRay,
-    Ray,
-    level_busemann,
-    parse_ray,
-    ray_busemann,
-    require_valid_ray,
-)
-from .tree import VertexAddress, height, parse_decimal, vertex_busemann
-from .product import HoroProduct, ProductVertex, product_busemann
+from .rays import GAMMA, BranchingRay, Ray, parse_ray, require_valid_ray
+from .tree import VertexAddress, height, parse_decimal
+from .product import HoroProduct, ProductVertex, busemann_at
 
 
 class PointKind(Enum):
@@ -126,27 +117,16 @@ def require_valid_point(product: HoroProduct, p: BoundaryPoint) -> None:
         spec.require_valid(p.payload)
 
 
-def hm_coordinates(p: BoundaryPoint):
-    """The triple (first-tree part, second-tree part, height coordinate)."""
+def hm_coordinates(p: BoundaryPoint | ProductVertex):
+    """The triple (first-tree part, second-tree part, height coordinate);
+    a product vertex (x1, x2) is (x1, x2, height(x1))."""
+    if isinstance(p, ProductVertex):
+        return (p.x1, p.x2, height(p.x1))
     side = p.kind.side
     if side is None:
         return (GAMMA, GAMMA, p.payload)
     eta = math.inf if p.kind.is_ray else height(p.payload)
     return (p.payload, GAMMA, eta) if side == 1 else (GAMMA, p.payload, -eta)
-
-
-def point_from_hm(coords) -> BoundaryPoint:
-    """Inverse of ``hm_coordinates`` on boundary triples."""
-    first, second, eta = coords
-    if eta == math.inf:
-        return ray_point(1, first)
-    if eta == -math.inf:
-        return ray_point(2, second)
-    if isinstance(first, VertexAddress):
-        return vertex_point(1, first)
-    if isinstance(second, VertexAddress):
-        return vertex_point(2, second)
-    return level_point(eta)
 
 
 def evaluate(anchor: BoundaryPoint | ProductVertex, y: ProductVertex) -> int:
@@ -155,17 +135,7 @@ def evaluate(anchor: BoundaryPoint | ProductVertex, y: ProductVertex) -> int:
     Interior anchors evaluate as d(anchor, y) - d(anchor, base); every
     anchor vanishes at the base point.
     """
-    if isinstance(anchor, ProductVertex):
-        return product_busemann(anchor, y)
-    p = anchor.payload
-    side = anchor.kind.side
-    if side is None:
-        return level_busemann(p, y.x1)
-    own, other = (y.x1, y.x2) if side == 1 else (y.x2, y.x1)
-    if anchor.kind.is_ray:
-        return ray_busemann(p, own)
-    return (vertex_busemann(p, own) + height(other)
-            + level_busemann(height(p), own))
+    return busemann_at(hm_coordinates(anchor), y)
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,10 @@ def cmd_walk(args) -> int:
         for stats in result.trajectories:
             path = (args.csv if config.trajectories == 1
                     else f"{args.csv}.{stats.index}")
-            write_trace_csv(path, stats, len(config.probes))
+            try:
+                write_trace_csv(path, stats, len(config.probes))
+            except OSError as exc:
+                raise UsageError(f"cannot write {path}: {exc}") from exc
     report = drift_report(result)
     _emit(report, args.pretty)
     return 1 if result.partial else 0

@@ -529,9 +529,9 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
     window must be constant and, when a target is supplied, equal to
     the target's value.  Violations carry the witnessing index; the
     scan stops at ``MAX_VIOLATIONS`` of them.  The values are the rows
-    of ``busemann_rows``, so terms that agree on the ball share one row,
-    and only rows that differ from the first are scanned vertex by
-    vertex.
+    of ``busemann_rows`` over the terms' coordinates followed by the
+    target's, so terms that agree on the ball share one row, and only
+    rows that differ from the first are scanned vertex by vertex.
     """
     n0, n1 = window
     if not (0 <= n0 < n1):
@@ -542,7 +542,9 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
         return EmpiricalReport(False, window, radius, 0, None,
                                ({"reason": str(exc)},))
     ball = product.ball(radius)
-    rows = busemann_rows(seq, ball)
+    anchors = seq if target is None else [*seq, target.anchor]
+    rows = busemann_rows([hm_coordinates(a) for a in anchors], ball)
+    want = None if target is None else rows.pop()
     # only the terms whose row differs from the first can witness a jump
     moved = [(n0 + i, row) for i, row in enumerate(rows) if row != rows[0]]
     violations: list[dict] = []
@@ -555,10 +557,10 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
                                    "value": row[j], "previous": first})
                 break
         else:
-            if target is not None and first != target(y):
+            if want is not None and first != want[j]:
                 matched = False
                 violations.append({"vertex": str(y), "value": first,
-                                   "expected": target(y)})
+                                   "expected": want[j]})
         if len(violations) >= MAX_VIOLATIONS:
             break
     convergent = not any("previous" in v or "reason" in v for v in violations)

@@ -7,10 +7,11 @@ away.  With base point (o1, o2) the graph distance has the closed form
 
     d(x, y) = d1(x1, y1) + d2(x2, y2) - |height1(x1) - height1(y1)|
 
-and every Busemann function anchored at a vertex decomposes into
-single-tree Busemann values plus height corrections.  Both facts are
-verified against a breadth-first oracle by the test-suite; the library
-itself always uses the closed forms.
+and every Busemann function of the compactification, not only the
+vertex-anchored ones, decomposes into single-tree Busemann values plus
+a level term (``busemann_at``).  Both facts are verified against a
+breadth-first oracle by the test-suite; the library itself always uses
+the closed forms.
 
 Enumeration never materializes the trees.  It runs on keys, the plain
 tuples (branch1, suffix1, branch2, suffix2) of ``product_key``, through
@@ -29,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .tree import (SpecError, TreeSpec, VertexAddress, address_text, height,
-                   meet_depth, origin_dist, path_vertex, tree_dist)
+from .tree import (SpecError, TreeSpec, VertexAddress, address_text, busemann,
+                   height, origin_dist, tree_dist)
+from .rays import level_busemann
 
 
 class HeightMismatch(ValueError):
@@ -102,32 +104,36 @@ def product_dist(v: ProductVertex, w: ProductVertex) -> int:
             - abs(height(v.x1) - height(w.x1)))
 
 
+def busemann_at(coords: tuple, y: ProductVertex) -> int:
+    """The Busemann function with coordinates (xi1, xi2, eta) at y:
+    busemann(xi1, y1) + busemann(xi2, y2) + |eta| - |eta - height(y1)|,
+    where xi1 and xi2 are vertices or ends and eta an integer or +-inf."""
+    xi1, xi2, eta = coords
+    return busemann(xi1, y.x1) + busemann(xi2, y.x2) + level_busemann(eta, y.x1)
+
+
 def product_busemann(z: ProductVertex, y: ProductVertex) -> int:
     """d(z, y) - d(z, base), written through single-tree Busemann values."""
-    h = height(z.x1)
-    return (tree_dist(z.x1, y.x1) - origin_dist(z.x1)
-            + tree_dist(z.x2, y.x2) - origin_dist(z.x2)
-            - abs(h - height(y.x1)) + abs(h))
+    return busemann_at((z.x1, z.x2, height(z.x1)), y)
 
 
-def busemann_rows(anchors: Sequence[ProductVertex],
+def busemann_rows(coords: Sequence[tuple],
                   ys: Sequence[ProductVertex]) -> list[list[int]]:
-    """``[[product_busemann(z, y) for y in ys] for z in anchors]``, where
-    anchors that no y can tell apart share one row object.
+    """``[[busemann_at(c, y) for y in ys] for c in coords]``, where
+    coordinates that no y can tell apart share one row object.
 
     Here Ds is the largest origin_dist of a side-s coordinate of the ys
     and H the largest |height| of the ys.  A row is the sum of three
     tables: over the distinct first coordinates, the distinct second
     coordinates, and the heights -H..H.  It is computed once per key
-    (path_vertex(z.x1, D1), path_vertex(z.x2, D2), clamp(h, -H, H)), with
-    h = height(z.x1).  The key fixes the row:
+    (xi1.vertex(D1), xi2.vertex(D2), clamp(eta, -H, H)), and the key
+    fixes the row:
 
-    - per tree, tree_dist(z, u) - origin_dist(z) = origin_dist(u)
-      - 2 meet_depth(z, u), and meet_depth(z, u) <= origin_dist(u) <= D
-      reads z's origin path only up to depth D, which path_vertex(z, D)
-      keeps;
-    - with |hu| <= H, |h - hu| - |h| is -hu for every h >= H and hu for
-      every h <= -H, so the clamped height gives the same correction.
+    - per tree, busemann(xi, u) = origin_dist(u) - 2 meet_depth(xi, u),
+      and meet_depth(xi, u) <= origin_dist(u) <= D reads xi's origin
+      path only up to depth D, which xi.vertex(D) keeps;
+    - with |k| <= H, |eta| - |eta - k| is k for every eta >= H and -k
+      for every eta <= -H, so the clamped height gives the same term.
     """
     firsts = list(dict.fromkeys(y.x1 for y in ys))
     seconds = list(dict.fromkeys(y.x2 for y in ys))
@@ -140,16 +146,15 @@ def busemann_rows(anchors: Sequence[ProductVertex],
     cols = [(at1[y.x1], at2[y.x2], height(y.x1) + cap) for y in ys]
     rows: dict[tuple, list[int]] = {}
     out = []
-    for z in anchors:
-        key = (path_vertex(z.x1, reach1), path_vertex(z.x2, reach2),
-               min(max(height(z.x1), -cap), cap))
+    for xi1, xi2, eta in coords:
+        key = (xi1.vertex(reach1), xi2.vertex(reach2), min(max(eta, -cap), cap))
         row = rows.get(key)
         if row is None:
-            p1, p2, h = key
-            t1 = [origin_dist(u) - 2 * meet_depth(p1, u) for u in firsts]
-            t2 = [origin_dist(u) - 2 * meet_depth(p2, u) for u in seconds]
-            t3 = [abs(h - k) - abs(h) for k in range(-cap, cap + 1)]
-            row = rows[key] = [t1[i] + t2[j] - t3[k] for i, j, k in cols]
+            p1, p2, eta = key
+            t1 = [busemann(p1, u) for u in firsts]
+            t2 = [busemann(p2, u) for u in seconds]
+            t3 = [abs(eta) - abs(eta - k) for k in range(-cap, cap + 1)]
+            row = rows[key] = [t1[i] + t2[j] + t3[k] for i, j, k in cols]
         out.append(row)
     return out
 

@@ -1,4 +1,4 @@
-"""Ends of a pointed tree, their Busemann functions, and horocycle levels.
+"""Ends of a pointed tree and horocycle levels.
 
 A boundary point is a non-backtracking infinite path from the origin:
 either the distinguished end itself (``GAMMA``) or a path that follows
@@ -45,7 +45,6 @@ from .tree import (
     TreeSpec,
     VertexAddress,
     height,
-    origin_dist,
     parse_decimal,
 )
 
@@ -174,14 +173,13 @@ def parse_ray(text: str) -> Ray:
     return BranchingRay(branch, prefix, cycle)
 
 
-def ray_busemann(ray: Ray, y: VertexAddress) -> int:
-    """Busemann function of the end: d(o, y) minus twice the meet depth."""
-    return origin_dist(y) - 2 * ray.meet_depth(y)
-
-
-def level_busemann(k: int, v: VertexAddress) -> int:
-    """Busemann limit attached to horocycle level k: |k| - |k - height|."""
-    return abs(k) - abs(k - height(v))
+def level_busemann(k: int | float, v: VertexAddress) -> int:
+    """Busemann limit attached to horocycle level k: |k| - |k - height|.
+    Clamping k into [-|height|, |height|] keeps the value, and gives the
+    limit +-height at k = +-inf in integer arithmetic."""
+    h = height(v)
+    k = min(max(k, -abs(h)), abs(h))
+    return abs(k) - abs(k - h)
 
 
 def random_ray(spec: TreeSpec, rng: Random, max_branch: int,

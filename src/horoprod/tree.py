@@ -12,6 +12,9 @@ Child labels: the origin has labels 0..deg-2, a ray vertex z_n (n >= 1)
 has labels 0..deg-3 (its other two neighbors are z_{n-1} and z_{n+1}),
 and an off-ray vertex has labels 0..deg-2 (one neighbor is its parent).
 
+A vertex answers ``meet_depth(w)`` and ``vertex(step)`` as the ends of
+``rays`` do, so ``busemann`` reads a vertex and an end alike.
+
 The height of a vertex is len(suffix) - branch: moving toward the
 distinguished end decreases it by one, every other move increases it by
 one.  All quantities are exact integers; no floats appear anywhere in
@@ -64,6 +67,23 @@ class VertexAddress:
             raise AddressError(f"unparsable vertex address {text!r}") from exc
         return cls(branch, suffix)
 
+    def meet_depth(self, w: "VertexAddress") -> int:
+        """Length of the common initial segment of the two origin paths."""
+        if self.branch != w.branch:
+            return min(self.branch, w.branch)
+        n = 0
+        for a, b in zip(self.suffix, w.suffix):
+            if a != b:
+                break
+            n += 1
+        return self.branch + n
+
+    def vertex(self, step: int) -> "VertexAddress":
+        """The vertex at the given depth on the origin path of this one."""
+        if step <= self.branch:
+            return VertexAddress(step, ())
+        return VertexAddress(self.branch, self.suffix[: step - self.branch])
+
 
 ORIGIN = VertexAddress(0, ())
 
@@ -102,16 +122,8 @@ def gamma_ward(v: VertexAddress) -> VertexAddress:
     return VertexAddress(v.branch + 1, ())
 
 
-def meet_depth(v: VertexAddress, w: VertexAddress) -> int:
-    """Length of the common initial segment of the two origin paths."""
-    if v.branch != w.branch:
-        return min(v.branch, w.branch)
-    n = 0
-    for a, b in zip(v.suffix, w.suffix):
-        if a != b:
-            break
-        n += 1
-    return v.branch + n
+# the plain function, so the distance kernel pays no attribute lookup
+meet_depth = VertexAddress.meet_depth
 
 
 def tree_dist(v: VertexAddress, w: VertexAddress) -> int:
@@ -124,11 +136,10 @@ def vertex_busemann(z: VertexAddress, y: VertexAddress) -> int:
     return tree_dist(z, y) - origin_dist(z)
 
 
-def path_vertex(v: VertexAddress, depth: int) -> VertexAddress:
-    """The vertex at the given depth on the origin path of v."""
-    if depth <= v.branch:
-        return VertexAddress(depth, ())
-    return VertexAddress(v.branch, v.suffix[: depth - v.branch])
+def busemann(x, y: VertexAddress) -> int:
+    """Busemann function of x, a vertex or an end: d(o, y) minus twice
+    the meet depth (``vertex_busemann`` for a vertex, height for gamma)."""
+    return origin_dist(y) - 2 * x.meet_depth(y)
 
 
 class UndecidableFamilyError(Exception):

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .tree import TreeSpec, height, tree_dist, vertex_busemann
+from .tree import TreeSpec, busemann, height, tree_dist, vertex_busemann
 from .rays import (
     BranchingRay,
     FSet,
@@ -27,14 +27,14 @@ from .rays import (
     f_set,
     level_count,
     level_sequence,
-    ray_busemann,
     random_ray,
 )
-from .product import HoroProduct, product_busemann, product_dist, product_key
+from .product import (HoroProduct, busemann_rows, product_busemann,
+                      product_dist, product_key)
 from .boundary import (
     HoroFunction,
     boundary_limit_check,
-    evaluate,
+    hm_coordinates,
     level_point,
     ray_point,
     standard_catalog,
@@ -223,7 +223,7 @@ def _ray_limit_witnesses(rays, ball, radius: int):
         n0 = radius + 2 * ray.branch + len(ray.prefix) + 2
         marching = [ray.vertex(n) for n in range(n0, n0 + 12)]
         for y in ball:
-            want = ray_busemann(ray, y)
+            want = busemann(ray, y)
             for n, z in enumerate(marching, n0):
                 got = vertex_busemann(z, y)
                 if got != want:
@@ -247,7 +247,7 @@ def _meet_depth_witnesses(spec: TreeSpec, window: int):
 
 def _cocycle_gap_witnesses(spec: TreeSpec, up_ray, seed: int):
     """Random test-ball pairs (x, y) whose distance gap d(x, r_n) -
-    d(y, r_n) misses the end's cocycle ray_busemann(x) - ray_busemann(y),
+    d(y, r_n) misses the end's cocycle busemann(x) - busemann(y),
     for r_n marching up ``up_ray`` and down the distinguished ray, whose
     cocycle is height(x) - height(y)."""
     test_ball = spec.ball(4)
@@ -262,7 +262,7 @@ def _cocycle_gap_witnesses(spec: TreeSpec, up_ray, seed: int):
         # past the meet depths of x and y with either end
         n0 = 2 * up_ray.branch + max(abs(height(x)), abs(height(y))) + 2
         for direction, ray, marching in directions:
-            want = ray_busemann(ray, x) - ray_busemann(ray, y)
+            want = busemann(ray, x) - busemann(ray, y)
             for n in range(n0, n0 + 10):
                 gap = tree_dist(x, marching[n]) - tree_dist(y, marching[n])
                 if gap != want:
@@ -302,20 +302,20 @@ def tree_compactification_suite(rays_per_tree: int = 50, radius: int = 5,
 def _boundary_witnesses(product: HoroProduct, catalog, ball, sep_ball):
     """Catalog functions that are nonzero at the base, then pairs of ball
     vertices where one stretches distance, then pairs of functions that
-    agree on the separation ball."""
-    for p in catalog:
-        value = evaluate(p, product.base)
+    agree on the separation ball.  The values are rows of
+    ``busemann_rows`` over the catalog's coordinates."""
+    coords = [hm_coordinates(p) for p in catalog]
+    for p, (value,) in zip(catalog, busemann_rows(coords, [product.base])):
         if value != 0:
             yield {"point": str(p), "base_value": value}
     pairs = [(i, j, product_dist(v, ball[j]))
              for i, v in enumerate(ball) for j in range(i + 1, len(ball))]
-    for p in catalog:
-        vals = [evaluate(p, y) for y in ball]
+    for p, vals in zip(catalog, busemann_rows(coords, ball)):
         for i, j, dist in pairs:
             if abs(vals[i] - vals[j]) > dist:
                 yield {"point": str(p), "v": str(ball[i]), "w": str(ball[j]),
                        "gap": abs(vals[i] - vals[j]), "dist": dist}
-    profiles = [tuple(evaluate(p, y) for y in sep_ball) for p in catalog]
+    profiles = busemann_rows(coords, sep_ball)
     for i, j in itertools.combinations(range(len(catalog)), 2):
         if profiles[i] == profiles[j]:
             yield {"p": str(catalog[i]), "q": str(catalog[j])}

@@ -14,16 +14,19 @@ from horoprod.boundary import (
     hm_coordinates,
     level_point,
     parse_point,
-    point_from_hm,
     ray_point,
     standard_catalog,
     vertex_point,
 )
-from horoprod.product import BASE, HoroProduct, ProductVertex, product_busemann
+from horoprod.product import (BASE, HoroProduct, ProductVertex, busemann_rows,
+                              product_busemann)
 from horoprod.rays import BranchingRay, GAMMA, level_sequence
 from horoprod.tree import TreeSpec, VertexAddress, height
+from test_cli_golden import MIXED
 
 R3 = TreeSpec.regular(3)
+R4 = TreeSpec.regular(4)
+LINE = TreeSpec.line()
 DL33 = HoroProduct(R3, R3)
 
 
@@ -138,6 +141,7 @@ def test_hm_coordinates():
     assert hm_coordinates(ray_point(2, xi2)) == (GAMMA, xi2, -math.inf)
     y2 = va("1;")
     assert hm_coordinates(vertex_point(2, y2)) == (GAMMA, y2, 1)
+    assert hm_coordinates(pv("0;0|1;")) == (y1, y2, 1)
 
 
 def test_theta_round_trip():
@@ -150,7 +154,20 @@ def test_theta_round_trip():
     ]
     for p in points:
         assert HoroFunction(p).anchor == p
-        assert point_from_hm(hm_coordinates(p)) == p
+    assert len({hm_coordinates(p) for p in points}) == len(points)
+
+
+@pytest.mark.parametrize("product", [
+    DL33, HoroProduct(R3, R4), HoroProduct(R3, LINE), HoroProduct(LINE, R3),
+    HoroProduct(TreeSpec.from_json(MIXED["tree1"]),
+                TreeSpec.from_json(MIXED["tree2"]))],
+    ids=["dl33", "dl34", "r3_line", "line_r3", "mixed"])
+def test_rows_of_every_anchor_kind_are_evaluate(product):
+    anchors = (standard_catalog(product, levels=range(-5, 6), vertex_radius=3)
+               + product.ball(3))
+    ys = product.ball(4)
+    rows = busemann_rows([hm_coordinates(a) for a in anchors], ys)
+    assert rows == [[evaluate(a, y) for y in ys] for a in anchors]
 
 
 def test_eval_examples():

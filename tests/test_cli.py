@@ -392,6 +392,20 @@ def test_non_json_file_usage_error(capsys, tmp_path):
     assert f"{path} is not valid JSON" in captured.err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_csv_usage_error(capsys, tmp_path, where):
+    config = {"spec": DL33, "p_up": "1", "steps": 10, "seed": 5,
+              "trajectories": 1, "probes": []}
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(config))
+    csv_path = tmp_path / "missing" / "t.csv" if where == "missing-dir" else tmp_path
+    code = main(["walk", "--config", str(path), "--csv", str(csv_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"cannot write {csv_path}" in captured.err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["verify", "lemma41", "--seed", "5"],
      "suite lemma41 takes no --seed option"),

@@ -150,6 +150,10 @@ def _coordinate(draw, spec, h, reach):
     return v
 
 
+def _coords(z):
+    return (z.x1, z.x2, height(z.x1))
+
+
 @st.composite
 def rows_inputs(draw):
     """Ball vertices of a product (repeats allowed), their reaches and
@@ -173,7 +177,7 @@ def rows_inputs(draw):
 @given(rows_inputs())
 def test_busemann_rows_are_product_busemann(case):
     _, ys, _, anchors = case
-    assert busemann_rows(anchors, ys) == [
+    assert busemann_rows([_coords(z) for z in anchors], ys) == [
         [product_busemann(z, y) for y in ys] for z in anchors]
 
 
@@ -192,7 +196,7 @@ def test_busemann_rows_share_past_reach_and_cap(case, up, data):
     else:
         w = ProductVertex(gamma_ward(z.x1),
                           VertexAddress(z.x2.branch, z.x2.suffix + (0,)))
-    first, second = busemann_rows([z, w], ys)
+    first, second = busemann_rows([_coords(z), _coords(w)], ys)
     assert first is second
     assert second == [product_busemann(w, y) for y in ys]
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 from random import Random
 
 import pytest
@@ -19,10 +20,9 @@ from horoprod.rays import (
     level_sequence,
     parse_ray,
     random_ray,
-    ray_busemann,
 )
 from horoprod.tree import (CustomRule, ORIGIN, TreeSpec, UndecidableFamilyError,
-                           VertexAddress, height, path_vertex)
+                           VertexAddress, busemann, height)
 
 R3 = TreeSpec.regular(3)
 R4 = TreeSpec.regular(4)
@@ -116,7 +116,7 @@ def test_confluent_examples():
     # the confluent of v and an end, the farthest vertex shared by
     # [origin, v] and the end, sits at their meet depth on v's path
     def confluent(a, end):
-        return path_vertex(a, end.meet_depth(a))
+        return a.vertex(end.meet_depth(a))
 
     assert confluent(v("3;"), GAMMA) == v("3;")
     assert confluent(v("0;0.1"), BranchingRay(0, (), (0,))) == v("0;0")
@@ -126,14 +126,14 @@ def test_confluent_examples():
 
 
 def test_ray_busemann_examples():
-    assert ray_busemann(BranchingRay(2, (), (0,)), ORIGIN) == 0
-    assert ray_busemann(GAMMA, v("2;")) == -2
-    assert ray_busemann(BranchingRay(0, (), (0,)), v("2;")) == 2
+    assert busemann(BranchingRay(2, (), (0,)), ORIGIN) == 0
+    assert busemann(GAMMA, v("2;")) == -2
+    assert busemann(BranchingRay(0, (), (0,)), v("2;")) == 2
 
 
 def test_ray_busemann_is_height_for_gamma():
     for a in R3.ball(4):
-        assert ray_busemann(GAMMA, a) == height(a)
+        assert busemann(GAMMA, a) == height(a)
 
 
 def test_level_busemann_examples():
@@ -144,6 +144,12 @@ def test_level_busemann_examples():
         assert level_busemann(k, ORIGIN) == 0
     for a in R3.ball(3):
         assert level_busemann(0, a) == -abs(height(a))
+
+
+def test_level_busemann_at_infinite_levels_is_height():
+    for a in R3.ball(4):
+        assert level_busemann(math.inf, a) == height(a)
+        assert level_busemann(-math.inf, a) == -height(a)
 
 
 def test_ray_split_depth():
@@ -187,7 +193,7 @@ def test_stabilization_along_ray():
     ray = BranchingRay(1, (0,), (1,))
     ball = R3.ball(4)
     for y in ball:
-        want = ray_busemann(ray, y)
+        want = busemann(ray, y)
         for n in range(7, 15):
             assert vertex_busemann(ray.vertex(n), y) == want
 

@@ -58,3 +58,20 @@ def test_walk_drift_experiment(tmp_path):
         first = simulate(WalkConfig.from_json(report["config"])).trajectories[0]
         assert int(last[0]) == first.steps == 2000
         assert int(last[1]) == first.final_dist
+
+
+def test_traced_benchmark_workload_reports_every_layer():
+    # the tracer wraps library entry points by name, and the end-to-end
+    # benchmark runs untraced, so a renamed entry point shows only here
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "workload.py"),
+         "--workload", "limits", "--seed", "1", "--trace", "1"],
+        env=ENV, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["failed"] == 0, result["failures"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = [m["name"] for m in declared
+               if m["name"] != "trace.overhead_s"
+               and m["name"] not in result["layers"]]
+    assert missing == []

@@ -17,6 +17,7 @@ from horoprod.tree import (
     SpecError,
     TreeSpec,
     VertexAddress,
+    busemann,
     gamma_ward,
     height,
     meet_depth,
@@ -89,6 +90,15 @@ def test_busemann_examples():
     assert vertex_busemann(v("4;0.1"), ORIGIN) == 0
     assert vertex_busemann(v("2;"), v("0;0")) == 1
     assert vertex_busemann(v("0;0"), v("0;0.1")) == 0
+
+
+@pytest.mark.parametrize("spec", [R3, TreeSpec.ray_periodic((3, 2), (2, 3))],
+                         ids=["regular3", "ray_periodic"])
+def test_busemann_of_a_vertex_is_its_definition(spec):
+    ball = spec.ball(3)
+    for z in ball:
+        for y in ball:
+            assert busemann(z, y) == vertex_busemann(z, y), (z, y)
 
 
 @given(addresses(), addresses())

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from horoprod.product import BASE, HoroProduct, product_dist, product_height
-from horoprod.rays import BranchingRay, GAMMA, ray_busemann
-from horoprod.tree import (CustomRule, TreeSpec, VertexAddress, height,
-                           origin_dist)
+from horoprod.rays import BranchingRay, GAMMA
+from horoprod.tree import (CustomRule, TreeSpec, VertexAddress, busemann,
+                           height, origin_dist)
 from horoprod.walk import (
     TrajectoryStats,
     WalkConfig,
@@ -416,7 +416,7 @@ def test_probe_values_match_busemann_along_replay(product, rays):
             v = step(product, v, rng, float(p_up))
             for (tree, ray), series in zip(probes, t.probe_values):
                 x = v.x1 if tree == 1 else v.x2
-                assert series[n] == ray_busemann(ray, x), (n, tree, str(ray))
+                assert series[n] == busemann(ray, x), (n, tree, str(ray))
 
 
 @pytest.mark.parametrize("product", [DL33, BUMPY, CORE_PRODUCT],
@@ -445,7 +445,7 @@ def test_values_match_replay_across_blocks(product):
         assert t.height[n] == product_height(v), n
         for (tree, ray), series in zip(probes, t.probe_values):
             x = v.x1 if tree == 1 else v.x2
-            assert series[n] == ray_busemann(ray, x), (n, tree, str(ray))
+            assert series[n] == busemann(ray, x), (n, tree, str(ray))
 
 
 def test_constant_count_walk_memory_is_flat():
