@@ -51,9 +51,7 @@ from .product import (
 )
 from .boundary import (
     BoundaryPoint,
-    HoroFunction,
     PointKind,
-    StabilizationReport,
     boundary_limit_check,
     evaluate,
     hm_coordinates,

@@ -14,13 +14,16 @@ followed by its side, the tree the payload lives in:
            sequences whose height freezes while both coordinates diverge
 
 ``PointKind.side`` and ``PointKind.is_ray`` read the tag, and every rule
-below reads the side once.  Each point evaluates as an integer-valued
-function on product vertices (``evaluate``); these are exactly the
-pointwise limits of the vertex-anchored Busemann functions.  A point,
-or a product vertex, is read as its coordinates (``hm_coordinates``):
-a point of each tree's compactification and a height.  Every kind then
+below reads the side once.  A point is its own function: it evaluates
+as an integer-valued function on product vertices (``evaluate``), and
+these are exactly the pointwise limits of the vertex-anchored Busemann
+functions, so no wrapper stands between the two.  A point, or a
+product vertex, is read as its coordinates (``hm_coordinates``): a
+point of each tree's compactification and a height.  Every kind then
 evaluates through the one formula of ``product.busemann_at``, two
-single-tree Busemann values plus a level term, with no rule of its own.
+single-tree Busemann values plus a level term, with no rule of its own,
+and a whole ball at once through ``product.busemann_rows``, which is
+how ``boundary_limit_check`` reads it.
 
 The closure points at height +/-infinity over the pair (gamma1, gamma2)
 are represented as C1:gamma and C2:gamma; they already belong to the
@@ -36,7 +39,7 @@ from typing import Iterable, Sequence
 
 from .rays import GAMMA, BranchingRay, Ray, parse_ray, require_valid_ray
 from .tree import VertexAddress, height, parse_decimal
-from .product import HoroProduct, ProductVertex, busemann_at
+from .product import HoroProduct, ProductVertex, busemann_at, busemann_rows
 
 
 class PointKind(Enum):
@@ -138,55 +141,27 @@ def evaluate(anchor: BoundaryPoint | ProductVertex, y: ProductVertex) -> int:
     return busemann_at(hm_coordinates(anchor), y)
 
 
-@dataclass(frozen=True)
-class HoroFunction:
-    """A tagged integer-valued function on the product graph.
-
-    Built from a descriptor it is the compactification isomorphism:
-    the same payload, read as a function.
-    """
-
-    anchor: BoundaryPoint | ProductVertex
-
-    def __call__(self, y: ProductVertex) -> int:
-        return evaluate(self.anchor, y)
-
-    def __str__(self):
-        if isinstance(self.anchor, ProductVertex):
-            return f"I:{self.anchor}"
-        return str(self.anchor)
-
-
 # -- limit checks ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StabilizationReport:
-    ok: bool
-    violations: tuple[dict, ...]
-
 
 def boundary_limit_check(product: HoroProduct,
                          seq: Sequence[BoundaryPoint | ProductVertex],
-                         target: HoroFunction | BoundaryPoint | ProductVertex,
-                         test_ball_radius: int) -> StabilizationReport:
-    """Pointwise stabilization of a finite descriptor sequence onto a
-    target, over the test ball.
+                         target: BoundaryPoint | ProductVertex,
+                         test_ball_radius: int) -> list[dict]:
+    """The violations of pointwise stabilization of a finite descriptor
+    sequence onto a target, over the test ball; none means it stabilized.
 
     A finite sequence stabilizes onto the target at a vertex exactly
     when its last term evaluates like the target there, so only the
-    last term is evaluated; each vertex where it disagrees (or, for an
-    empty sequence, every vertex) is a violation witness.
+    last term is read, from the same ``busemann_rows`` call as the
+    target.  Each vertex where it disagrees (or, for an empty sequence,
+    every vertex) is a violation witness.
     """
-    if isinstance(target, HoroFunction):
-        target = target.anchor
-    violations = []
-    for y in product.ball(test_ball_radius):
-        want = evaluate(target, y)
-        value = evaluate(seq[-1], y) if seq else None
-        if value != want:
-            violations.append({"vertex": str(y), "expected": want,
-                               "last_value": value})
-    return StabilizationReport(not violations, tuple(violations))
+    ball = product.ball(test_ball_radius)
+    anchors = [target, *seq[-1:]]
+    want, *last = busemann_rows([hm_coordinates(a) for a in anchors], ball)
+    values = last[0] if last else [None] * len(ball)
+    return [{"vertex": str(y), "expected": w, "last_value": v}
+            for y, w, v in zip(ball, want, values) if v != w]
 
 
 def standard_catalog(product: HoroProduct,

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
 import sys
 
 from .tree import TreeSpec, UndecidableFamilyError, parse_decimal
@@ -170,6 +171,14 @@ def cmd_verify(args) -> int:
     return 0 if result.ok else 1
 
 
+def _writing(path: str, write) -> None:
+    """write(), with an OSError reported as a usage error naming path."""
+    try:
+        write()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_walk(args) -> int:
     data = _load_json(args.config)
     try:
@@ -178,17 +187,19 @@ def cmd_walk(args) -> int:
         raise UsageError(f"bad walk config: {exc}") from exc
     if args.max_total_steps is not None:
         config = dataclasses.replace(config, max_total_steps=args.max_total_steps)
+    paths = [args.csv if config.trajectories == 1 else f"{args.csv}.{i}"
+             for i in range(config.trajectories)] if args.csv else []
+    if paths and config.record_stride == 0:
+        raise UsageError("config has record_stride 0, nothing to trace")
+    for path in paths:
+        # open each trace before the walk, and leave no new file behind
+        new = not os.path.exists(path)
+        _writing(path, lambda: open(path, "a").close())
+        if new:
+            os.remove(path)
     result = simulate(config)
-    if args.csv:
-        if config.record_stride == 0:
-            raise UsageError("config has record_stride 0, nothing to trace")
-        for stats in result.trajectories:
-            path = (args.csv if config.trajectories == 1
-                    else f"{args.csv}.{stats.index}")
-            try:
-                write_trace_csv(path, stats, len(config.probes))
-            except OSError as exc:
-                raise UsageError(f"cannot write {path}: {exc}") from exc
+    for stats, path in zip(result.trajectories, paths):
+        _writing(path, lambda: write_trace_csv(path, stats, len(config.probes)))
     report = drift_report(result)
     _emit(report, args.pretty)
     return 1 if result.partial else 0

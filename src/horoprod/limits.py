@@ -32,11 +32,14 @@ pairing only matters when the marching coordinate heads to the
 distinguished end, in which case the partner end names the boundary
 point.
 
-Every report records which height limits land in the trees' infinite
-level sets, under two readings: per divergent component (used by the
-classifier; a pinned coordinate imposes no condition) and the literal
-simultaneous reading (reported for comparison, since it would reject
-sequences whose convergence the empirical suite confirms).
+A report keeps its limit as one anchor, the boundary point or interior
+vertex; its payload spells that anchor out as its point, its two tree
+coordinates and its function's text.  Every report records which
+height limits land in the trees' infinite level sets, under two
+readings: per divergent component (used by the classifier; a pinned
+coordinate imposes no condition) and the literal simultaneous reading
+(reported for comparison, since it would reject sequences whose
+convergence the empirical suite confirms).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
 from .tree import (FieldCodec, Report, VertexAddress, height, int_tuple,
-                   strict_int)
+                   strict_int, to_payload)
 from .rays import (
     BranchingRay,
     FSet,
@@ -63,7 +66,6 @@ from .rays import (
 from .product import HoroProduct, ProductVertex, busemann_rows, product_height
 from .boundary import (
     BoundaryPoint,
-    HoroFunction,
     hm_coordinates,
     level_point,
     ray_point,
@@ -91,13 +93,13 @@ NOT_DECIDED = "not_decided"
 
 @dataclass(frozen=True)
 class LimitReport(Report):
+    """A verdict and the one point it converges to: ``anchor`` is the
+    boundary point, the interior vertex, or None when there is no limit.
+    The anchor is its own Busemann function (``evaluate``)."""
+
     status: str
-    hm_point: BoundaryPoint | None = None
-    interior: ProductVertex | None = None
-    component1: object = None  # VertexAddress | Ray | None
-    component2: object = None
+    anchor: BoundaryPoint | ProductVertex | None = None
     eta: int | float | None = None
-    busemann: HoroFunction | None = None
     window: tuple[int, int] | None = None
     f_flags: dict | None = None
     notes: tuple[str, ...] = ()
@@ -108,7 +110,19 @@ class LimitReport(Report):
         return self.window is not None
 
     def payload(self) -> dict:
-        return {**super().payload(), "heuristic": self.heuristic}
+        """The fields, with the anchor spelled out as ``hm_point`` or
+        ``interior`` (whichever it is), its two tree coordinates, and
+        ``busemann``: its text, ``I:<vertex>`` for an interior vertex."""
+        out = super().payload()
+        del out["anchor"]
+        a = self.anchor
+        inner = isinstance(a, ProductVertex)
+        comp1, comp2, _ = (None, None, None) if a is None else hm_coordinates(a)
+        spelled = {"hm_point": None if inner else a,
+                   "interior": a if inner else None,
+                   "component1": comp1, "component2": comp2,
+                   "busemann": f"I:{a}" if inner else a}
+        return {**out, **to_payload(spelled), "heuristic": self.heuristic}
 
 
 @dataclass(frozen=True)
@@ -149,27 +163,17 @@ def _flags(product, eta, divergent1, divergent2) -> dict:
     }
 
 
-def _interior(product, v: ProductVertex, **extra) -> LimitReport:
-    """The report of a sequence that settles at the vertex v."""
-    eta = product_height(v)
-    return LimitReport(INTERIOR, interior=v, component1=v.x1, component2=v.x2,
-                       eta=eta, busemann=HoroFunction(v),
-                       f_flags=_flags(product, eta, False, False),
-                       **extra)
-
-
-def _boundary(product, point: BoundaryPoint, **extra) -> LimitReport:
-    """The report of a sequence converging to the boundary point.
-
-    Components and height are the point's ``hm_coordinates``; every
-    coordinate diverges except the one a vertex point pins.
-    """
-    comp1, comp2, eta = hm_coordinates(point)
-    pinned = None if point.kind.is_ray else point.kind.side
-    return LimitReport(BOUNDARY, hm_point=point, component1=comp1,
-                       component2=comp2, eta=eta, busemann=HoroFunction(point),
-                       f_flags=_flags(product, eta, pinned != 1, pinned != 2),
-                       **extra)
+def _limit(product, anchor: BoundaryPoint | ProductVertex,
+           **extra) -> LimitReport:
+    """The report of a sequence converging to the anchor, a boundary
+    point or an interior vertex it settles at.  The height is the
+    anchor's third ``hm_coordinates``, and a coordinate diverges
+    exactly when the anchor's coordinate on its side is an end."""
+    xi1, xi2, eta = hm_coordinates(anchor)
+    status = INTERIOR if isinstance(anchor, ProductVertex) else BOUNDARY
+    return LimitReport(status, anchor, eta, f_flags=_flags(
+        product, eta, not isinstance(xi1, VertexAddress),
+        not isinstance(xi2, VertexAddress)), **extra)
 
 
 def _reached(report: LimitReport, note: str) -> LimitReport:
@@ -227,7 +231,7 @@ class EventuallyConstant(SequenceFamily):
         product.vertex(self.vertex.x1, self.vertex.x2)
 
     def classify(self, product):
-        return _interior(product, self.vertex)
+        return _limit(product, self.vertex)
 
     def stabilization_bound(self, product, radius):
         return 1
@@ -267,9 +271,9 @@ class RadialRay(SequenceFamily):
 
     def classify(self, product):
         if self.ray != GAMMA:
-            return _boundary(product, ray_point(self.tree, self.ray))
+            return _limit(product, ray_point(self.tree, self.ray))
         # marching to gamma, the partner's climb names the boundary point
-        return _boundary(product, ray_point(3 - self.tree, self.partner_end))
+        return _limit(product, ray_point(3 - self.tree, self.partner_end))
 
     def stabilization_bound(self, product, radius):
         b_march = self.ray.split_depth(GAMMA) or 0
@@ -295,7 +299,7 @@ class Horocyclic(SequenceFamily):
             yield ProductVertex(v1, v2)
 
     def classify(self, product):
-        return _reached(_boundary(product, level_point(self.level)),
+        return _reached(_limit(product, level_point(self.level)),
                         "a level enumeration is finite, no divergent sequence exists")
 
     def stabilization_bound(self, product, radius):
@@ -329,7 +333,7 @@ class _Pinned(SequenceFamily):
         product.tree(self.side).require_valid(self.vertex)
 
     def classify(self, product):
-        return _reached(_boundary(product, vertex_point(self.side, self.vertex)),
+        return _reached(_limit(product, vertex_point(self.side, self.vertex)),
                         "the divergent coordinate's level set is finite")
 
     def stabilization_bound(self, product, radius):
@@ -411,7 +415,7 @@ class Custom(SequenceFamily):
         tail = seq[len(seq) // 2:]
         heights = [product_height(v) for v in tail]
         if all(v == tail[0] for v in tail):
-            return _interior(product, tail[0], window=CUSTOM_WINDOW)
+            return _limit(product, tail[0], window=CUSTOM_WINDOW)
         if all(h == heights[0] for h in heights):
             return _window_bounded(product, tail, heights[0])
         up = all(b > a for a, b in zip(heights, heights[1:]))
@@ -453,9 +457,10 @@ def classify(product: HoroProduct, family: SequenceFamily) -> LimitReport:
 
     Structured kinds are decided exactly from their parameters; Custom
     generators get a verdict over ``CUSTOM_WINDOW`` marked ``heuristic``.  The
-    limit function is always the classified point read as a function
-    (interior anchors included), so the two compactification views stay
-    paired.
+    report keeps the one point the family converges to, its ``anchor``;
+    read as a function (``evaluate``, interior anchors included) that
+    point is the limit function, so the two compactification views are
+    one object.
     """
     return family.classify(product)
 
@@ -486,7 +491,7 @@ def _window_bounded(product, tail, k):
         return LimitReport(NOT_CONVERGENT, window=CUSTOM_WINDOW, eta=k,
                            f_flags=_flags(product, k, not const1, not const2),
                            notes=("bounded height but components wander",))
-    return _boundary(product, point, window=CUSTOM_WINDOW)
+    return _limit(product, point, window=CUSTOM_WINDOW)
 
 
 def _window_unbounded(product, tail, up):
@@ -496,7 +501,7 @@ def _window_unbounded(product, tail, up):
     toward_gamma = (all(b2 >= b1 for b1, b2 in zip(branches, branches[1:]))
                     and branches[-1] - branches[0] >= max(2, len(tail) // 4))
     if toward_gamma:
-        return _boundary(
+        return _limit(
             product, ray_point(1 if up else 2, GAMMA), window=CUSTOM_WINDOW,
             notes=("limit is the height function of a distinguished end",))
     return LimitReport(NOT_DECIDED, eta=eta, window=CUSTOM_WINDOW,
@@ -521,13 +526,14 @@ MAX_VIOLATIONS = 8
 
 def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
                               window: tuple[int, int], radius: int,
-                              target: HoroFunction | None = None,
-                              ) -> EmpiricalReport:
+                              target: BoundaryPoint | ProductVertex | None
+                              = None) -> EmpiricalReport:
     """Exact pointwise test over a window of indices and a test ball.
 
     For every ball vertex the anchored Busemann values across the
-    window must be constant and, when a target is supplied, equal to
-    the target's value.  Violations carry the witnessing index; the
+    window must be constant and, when a target anchor (a boundary point
+    or an interior vertex, such as a report's ``anchor``) is supplied,
+    equal to the target's value.  Violations carry the witnessing index; the
     scan stops at ``MAX_VIOLATIONS`` of them.  The values are the rows
     of ``busemann_rows`` over the terms' coordinates followed by the
     target's, so terms that agree on the ball share one row, and only
@@ -542,7 +548,7 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
         return EmpiricalReport(False, window, radius, 0, None,
                                ({"reason": str(exc)},))
     ball = product.ball(radius)
-    anchors = seq if target is None else [*seq, target.anchor]
+    anchors = seq if target is None else [*seq, target]
     rows = busemann_rows([hm_coordinates(a) for a in anchors], ball)
     want = None if target is None else rows.pop()
     # only the terms whose row differs from the first can witness a jump
@@ -610,7 +616,7 @@ def agreement(product: HoroProduct, family: SequenceFamily, rep: LimitReport,
         n0 = stabilization_bound(product, family, radius)
         window = (n0, n0 + EXTRA_WINDOW)
     emp = empirical_pointwise_check(product, family, window, radius,
-                                    rep.busemann)
+                                    rep.anchor)
     if rep.status in (INTERIOR, BOUNDARY):
         return emp, emp.convergent and emp.matched_target is True
     return emp, not emp.convergent

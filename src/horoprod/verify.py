@@ -32,7 +32,6 @@ from .rays import (
 from .product import (HoroProduct, busemann_rows, product_busemann,
                       product_dist, product_key)
 from .boundary import (
-    HoroFunction,
     boundary_limit_check,
     hm_coordinates,
     level_point,
@@ -373,7 +372,7 @@ def _level_witnesses(dl33: HoroProduct, levels: int, radius: int):
         family = Horocyclic(k)
         n0 = stabilization_bound(dl33, family, radius)
         emp = empirical_pointwise_check(dl33, family, (n0, n0 + 30), radius,
-                                        HoroFunction(level_point(k)))
+                                        level_point(k))
         if not (emp.convergent and emp.matched_target):
             yield {"k": k, "violations": list(emp.violations)}
 
@@ -445,11 +444,10 @@ def closure_suite(radius: int = 4, level_span: int = 10):
     details = {}
     # the first failing check ends the suite and names the witness
     for name, seq, target in checks:
-        report = boundary_limit_check(product, seq, target, radius)
-        details[name] = report.ok
-        if not report.ok:
-            details["witness"] = {"check": name,
-                                  "violations": list(report.violations[:3])}
+        violations = boundary_limit_check(product, seq, target, radius)
+        details[name] = not violations
+        if violations:
+            details["witness"] = {"check": name, "violations": violations[:3]}
             return False, details
     return True, details
 

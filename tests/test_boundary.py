@@ -6,8 +6,8 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from horoprod import verify
 from horoprod.boundary import (
-    HoroFunction,
     PointKind,
     boundary_limit_check,
     evaluate,
@@ -152,8 +152,6 @@ def test_theta_round_trip():
         vertex_point(2, va("2;")),
         level_point(0),
     ]
-    for p in points:
-        assert HoroFunction(p).anchor == p
     assert len({hm_coordinates(p) for p in points}) == len(points)
 
 
@@ -222,23 +220,21 @@ def test_catalog_shape():
 
 def test_levels_drain_into_heights():
     seq_up = [level_point(k) for k in range(1, 9)]
-    up = HoroFunction(ray_point(1, GAMMA))
+    up = ray_point(1, GAMMA)
     # stabilization happens once the level clears the ball's heights:
     # every prefix that reaches index 4 ends on the target, and the
     # first three terms do not
-    assert all(boundary_limit_check(DL33, seq_up[:i + 1], up, 4).ok
-               for i in range(4, len(seq_up)))
-    assert not boundary_limit_check(DL33, seq_up[:3], up, 4).ok
+    assert not any(boundary_limit_check(DL33, seq_up[:i + 1], up, 4)
+                   for i in range(4, len(seq_up)))
+    assert boundary_limit_check(DL33, seq_up[:3], up, 4)
     seq_down = [level_point(-k) for k in range(1, 9)]
-    rep = boundary_limit_check(DL33, seq_down, HoroFunction(ray_point(2, GAMMA)), 4)
-    assert rep.ok
+    assert not boundary_limit_check(DL33, seq_down, ray_point(2, GAMMA), 4)
 
 
 def test_pinned_points_march_to_ray():
     ray = BranchingRay(0, (), (1,))
     seq = [vertex_point(1, ray.vertex(n)) for n in range(1, 12)]
-    rep = boundary_limit_check(DL33, seq, HoroFunction(ray_point(1, ray)), 3)
-    assert rep.ok
+    assert not boundary_limit_check(DL33, seq, ray_point(1, ray), 3)
 
 
 def test_ray_families_closed_under_ray_limits():
@@ -246,18 +242,16 @@ def test_ray_families_closed_under_ray_limits():
     # onto the limit ray's function, in both coordinates
     limit = BranchingRay(0, (), (0,))
     seq1 = [ray_point(1, BranchingRay(0, (0,) * n, (1,))) for n in range(1, 10)]
-    rep = boundary_limit_check(DL33, seq1, HoroFunction(ray_point(1, limit)), 3)
-    assert rep.ok
+    assert not boundary_limit_check(DL33, seq1, ray_point(1, limit), 3)
     seq2 = [ray_point(2, BranchingRay(0, (0,) * n, (1,))) for n in range(1, 10)]
-    rep = boundary_limit_check(DL33, seq2, HoroFunction(ray_point(2, limit)), 3)
-    assert rep.ok
+    assert not boundary_limit_check(DL33, seq2, ray_point(2, limit), 3)
 
 
 def test_limit_check_reports_violations():
-    rep = boundary_limit_check(DL33, [level_point(0)] * 4,
-                               HoroFunction(level_point(1)), 2)
-    assert not rep.ok
-    witness = rep.violations[0]
+    violations = boundary_limit_check(DL33, [level_point(0)] * 4,
+                                      level_point(1), 2)
+    assert violations
+    witness = violations[0]
     assert witness["expected"] != witness["last_value"]
 
 
@@ -270,3 +264,36 @@ def test_lipschitz_on_sample():
         vals = [evaluate(p, y) for y in ball]
         for (i, v), (j, w) in itertools.combinations(enumerate(ball), 2):
             assert abs(vals[i] - vals[j]) <= product_dist(v, w)
+
+
+def _reference_limit_check(product, seq, target, radius):
+    """The violations as a per-vertex loop of ``evaluate`` calls, against
+    which the row-based check is compared."""
+    violations = []
+    for y in product.ball(radius):
+        want = evaluate(target, y)
+        value = evaluate(seq[-1], y) if seq else None
+        if value != want:
+            violations.append({"vertex": str(y), "expected": want,
+                               "last_value": value})
+    return violations
+
+
+def test_limit_check_matches_reference_loop(monkeypatch):
+    calls = []
+
+    def recorded(product, seq, target, radius):
+        calls.append((product, seq, target, radius))
+        return boundary_limit_check(product, seq, target, radius)
+
+    monkeypatch.setattr(verify, "boundary_limit_check", recorded)
+    assert verify.closure_suite().ok
+    assert len(calls) == 6
+    calls += [(DL33, [level_point(0)] * 4, level_point(1), 2),
+              (DL33, [], ray_point(1, GAMMA), 2)]
+    for args in calls:
+        assert boundary_limit_check(*args) == _reference_limit_check(*args)
+    assert boundary_limit_check(*calls[-2])
+    empty = boundary_limit_check(*calls[-1])
+    assert len(empty) == len(DL33.ball(2))
+    assert all(v["last_value"] is None for v in empty)

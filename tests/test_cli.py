@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from horoprod import cli
 from horoprod.cli import main
 from test_scripts import ENV
 
@@ -404,6 +405,49 @@ def test_unwritable_csv_usage_error(capsys, tmp_path, where):
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1
     assert f"cannot write {csv_path}" in captured.err
+
+
+@pytest.mark.parametrize("where", ["zero-stride", "missing-dir", "directory"])
+def test_trace_request_checked_before_the_walk(capsys, monkeypatch, tmp_path,
+                                               where):
+    def no_walk(config):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(cli, "simulate", no_walk)
+    config = {"spec": DL33, "p_up": "1", "steps": 10, "seed": 5,
+              "trajectories": 2, "probes": [],
+              "record_stride": 0 if where == "zero-stride" else 1}
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(config))
+    csv_path = {"zero-stride": tmp_path / "t.csv",
+                "missing-dir": tmp_path / "missing" / "t.csv",
+                "directory": tmp_path / "t.csv"}[where]
+    if where == "directory":
+        (tmp_path / "t.csv.0").mkdir()
+    code = main(["walk", "--config", str(path), "--csv", str(csv_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert ("record_stride 0" if where == "zero-stride"
+            else f"cannot write {csv_path}.0") in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        (["t.csv.0", "walk.json"] if where == "directory" else ["walk.json"])
+
+
+def test_trace_files_only_for_walked_trajectories(capsys, tmp_path):
+    # a budget of 15 steps walks trajectory 0 and part of 1, and never
+    # starts 2: only the first two traces are written
+    config = {"spec": DL33, "p_up": "1", "steps": 10, "seed": 5,
+              "trajectories": 3, "probes": []}
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(config))
+    csv_path = tmp_path / "t.csv"
+    code = main(["walk", "--config", str(path), "--csv", str(csv_path),
+                 "--max-total-steps", "15"])
+    assert code == 1 and json.loads(capsys.readouterr().out)["partial"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["t.csv.0", "t.csv.1", "walk.json"]
+    assert len((tmp_path / "t.csv.1").read_text().splitlines()) == 1 + 6
 
 
 @pytest.mark.parametrize("argv,message", [

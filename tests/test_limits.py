@@ -8,7 +8,7 @@ import pytest
 
 from horoprod import limits
 from horoprod.boundary import (
-    HoroFunction,
+    evaluate,
     level_point,
     ray_point,
     vertex_point,
@@ -98,32 +98,31 @@ def test_fixed_terms():
 def test_classify_constant():
     rep = classify(DL33, EventuallyConstant(BASE))
     assert rep.status == "interior"
-    assert rep.interior == BASE
-    assert str(rep.busemann) == "I:0;|0;"
+    assert rep.anchor == BASE
+    assert rep.payload()["busemann"] == "I:0;|0;"
 
 
 def test_classify_horocyclic():
     rep = classify(DL33, Horocyclic(2))
     assert rep.status == "boundary"
-    assert rep.hm_point == level_point(2)
+    assert rep.anchor == level_point(2)
     assert rep.eta == 2
-    assert rep.busemann.anchor == level_point(2)
 
 
 def test_classify_radial():
     ray = BranchingRay(0, (), (0,))
     rep = classify(DL33, RadialRay(1, ray))
-    assert rep.hm_point == ray_point(1, ray)
+    assert rep.anchor == ray_point(1, ray)
     assert rep.eta == math.inf
     rep = classify(DL33, RadialRay(2, ray))
-    assert rep.hm_point == ray_point(2, ray)
+    assert rep.anchor == ray_point(2, ray)
     assert rep.eta == -math.inf
     rep = classify(DL33, RadialRay(1, GAMMA))
-    assert rep.hm_point == ray_point(2, BranchingRay(0, (), (0,)))
+    assert rep.anchor == ray_point(2, BranchingRay(0, (), (0,)))
     assert rep.eta == -math.inf
     pairing = BranchingRay(1, (), (0,))
     rep = classify(DL33, RadialRay(1, GAMMA, pairing))
-    assert rep.hm_point == ray_point(2, pairing)
+    assert rep.anchor == ray_point(2, pairing)
 
 
 RADIAL_ENDS = (GAMMA,) + tuple(map(parse_ray, ("0;(1)", "2;1(0)", "3;(0.1)")))
@@ -151,26 +150,26 @@ def test_radial_ray_grid_is_pinned():
 
 def test_classify_pinned():
     rep = classify(DL33, FixedSecond(va("1;")))
-    assert rep.hm_point == vertex_point(2, va("1;"))
+    assert rep.anchor == vertex_point(2, va("1;"))
     assert rep.eta == 1
     rep = classify(DL33, FixedFirst(va("0;0")))
-    assert rep.hm_point == vertex_point(1, va("0;0"))
+    assert rep.anchor == vertex_point(1, va("0;0"))
     assert rep.eta == 1
 
 
 def test_busemann_limit_wrapper():
-    assert classify(DL33, Horocyclic(-2)).busemann.anchor == level_point(-2)
-    assert classify(DL33, FixedSecond(va("1;"))).busemann.anchor == \
+    assert classify(DL33, Horocyclic(-2)).anchor == level_point(-2)
+    assert classify(DL33, FixedSecond(va("1;"))).anchor == \
         vertex_point(2, va("1;"))
     ray = BranchingRay(1, (), (0,))
-    assert classify(DL33, RadialRay(2, ray)).busemann.anchor == ray_point(2, ray)
-    assert classify(DL33, Alternating((0, 1))).busemann is None
+    assert classify(DL33, RadialRay(2, ray)).anchor == ray_point(2, ray)
+    assert classify(DL33, Alternating((0, 1))).anchor is None
 
 
 def test_classify_alternating():
     assert classify(DL33, Alternating((0, 1))).status == "not_convergent"
     rep = classify(DL33, Alternating((2, 2)))
-    assert rep.hm_point == level_point(2)
+    assert rep.anchor == level_point(2)
 
 
 def test_classify_respects_finite_levels():
@@ -191,7 +190,7 @@ def test_interpretation_split_on_pinned_families():
     assert rep.f_flags["per_divergent_component"] is True
     assert rep.f_flags["literal"] is False
     n0 = stabilization_bound(DL3LINE, fam, 3)
-    emp = empirical_pointwise_check(DL3LINE, fam, (n0, n0 + 25), 3, rep.busemann)
+    emp = empirical_pointwise_check(DL3LINE, fam, (n0, n0 + 25), 3, rep.anchor)
     assert emp.convergent and emp.matched_target
 
 
@@ -200,7 +199,7 @@ def test_classify_custom_window_heuristics():
                      label="wrapped", stabilizes_like=Horocyclic(1), offset=2)
     rep = classify(DL33, wrapped)
     assert rep.heuristic
-    assert rep.hm_point == level_point(1)
+    assert rep.anchor == level_point(1)
 
     osc = Custom(lambda n: terms(DL33, Horocyclic(n % 2), n + 1, n)[0],
                  label="osc")
@@ -212,21 +211,44 @@ def test_classify_custom_window_verdicts():
     # height 0 while the first stays put: the first tree's vertex point
     fixed = Custom(lambda n: ProductVertex(va("0;"), VertexAddress(n, (0,) * n)))
     rep = classify(DL33, fixed)
-    assert (rep.status, str(rep.hm_point), rep.heuristic) == \
+    assert (rep.status, str(rep.anchor), rep.heuristic) == \
         ("boundary", "T1:0;", True)
     # bounded height, but both coordinates hop between two vertices
     hop = Custom(lambda n: BASE if n % 2 == 0 else pv("1;0|1;0"))
-    rep = classify(DL33, hop)
-    assert rep.status == "not_convergent"
-    assert rep.notes == ("bounded height but components wander",)
+    assert classify(DL33, hop).payload() == {
+        **NO_LIMIT, "status": "not_convergent", "eta": 0,
+        "f_flags": {"literal": True, "per_divergent_component": True},
+        "notes": ["bounded height but components wander"]}
     # heights climb, but tree 1 leaves the origin along 0;(0) with its
     # branch index fixed, so the window cannot name the escaping end
     climb = Custom(lambda n: ProductVertex(VertexAddress(0, (0,) * n),
                                            VertexAddress(n, ())))
-    assert classify(DL33, climb).status == "not_decided"
+    assert classify(DL33, climb).payload() == {
+        **NO_LIMIT, "status": "not_decided", "eta": "+inf",
+        "notes": ["diverging heights, but the escaping end cannot be read"
+                  " off a finite window"]}
     summary = isomorphism_check(DL33, [climb])
     assert (summary.total, summary.undecided, summary.agreed) == (1, 1, 0)
     assert summary.ok
+    # heights alternate between 0 and 1
+    osc = Custom(lambda n: BASE if n % 2 == 0 else pv("0;0|1;"))
+    assert classify(DL33, osc).payload() == {
+        **NO_LIMIT, "status": "not_convergent",
+        "notes": ["heights neither stabilize nor diverge in window"]}
+    # a constant generator settles at its vertex, heuristically
+    const = Custom(lambda n: pv("0;0|1;"))
+    assert classify(DL33, const).payload() == {
+        **NO_LIMIT, "status": "interior", "busemann": "I:0;0|1;",
+        "component1": "0;0", "component2": "1;", "eta": 1,
+        "f_flags": {"literal": True, "per_divergent_component": True},
+        "interior": "0;0|1;", "notes": []}
+
+
+# the payload of a window verdict with no limit point, before its
+# status, height, flags and notes
+NO_LIMIT = {"busemann": None, "component1": None, "component2": None,
+            "eta": None, "f_flags": None, "heuristic": True, "hm_point": None,
+            "interior": None, "window": [0, 80]}
 
 
 def test_diagonal_customs_reach_the_distinguished_ends():
@@ -235,11 +257,11 @@ def test_diagonal_customs_reach_the_distinguished_ends():
     fam = _diagonal_custom(DL33, toward_first=True)
     rep = classify(DL33, fam)
     assert rep.status == "boundary"
-    assert rep.hm_point == ray_point(1, GAMMA)
+    assert rep.anchor == ray_point(1, GAMMA)
     assert rep.heuristic
     assert any("height function" in note for note in rep.notes)
     n0 = stabilization_bound(DL33, fam, 3)
-    emp = empirical_pointwise_check(DL33, fam, (n0, n0 + 20), 3, rep.busemann)
+    emp = empirical_pointwise_check(DL33, fam, (n0, n0 + 20), 3, rep.anchor)
     assert emp.convergent and emp.matched_target
 
 
@@ -247,7 +269,7 @@ def test_diagonal_customs_reach_the_distinguished_ends():
 
 def test_empirical_constant():
     emp = empirical_pointwise_check(DL33, EventuallyConstant(BASE), (0, 10), 2,
-                                    HoroFunction(BASE))
+                                    BASE)
     assert emp.convergent and emp.matched_target
 
 
@@ -255,7 +277,7 @@ def test_empirical_horocyclic():
     fam = Horocyclic(1)
     n0 = stabilization_bound(DL33, fam, 3)
     emp = empirical_pointwise_check(DL33, fam, (n0, n0 + 30), 3,
-                                    HoroFunction(level_point(1)))
+                                    level_point(1))
     assert emp.convergent and emp.matched_target
     assert emp.violations == ()
 
@@ -271,7 +293,7 @@ def test_empirical_rejects_wrong_target():
     fam = Horocyclic(1)
     n0 = stabilization_bound(DL33, fam, 3)
     emp = empirical_pointwise_check(DL33, fam, (n0, n0 + 20), 3,
-                                    HoroFunction(level_point(0)))
+                                    level_point(0))
     assert emp.convergent and emp.matched_target is False
 
 
@@ -297,10 +319,10 @@ def _reference_check(product, family, window, radius, target=None,
                                    "value": val, "previous": first})
                 break
         else:
-            if target is not None and first != target(y):
+            if target is not None and first != evaluate(target, y):
                 matched = False
                 violations.append({"vertex": str(y), "value": first,
-                                   "expected": target(y)})
+                                   "expected": evaluate(target, y)})
         if len(violations) >= max_violations:
             break
     convergent = not any("previous" in v or "reason" in v for v in violations)
@@ -312,12 +334,12 @@ def _reference_check(product, family, window, radius, target=None,
                          ids=["dl33", "dl34", "r3_line"])
 def test_empirical_check_matches_reference_loop(product, monkeypatch):
     radius = 3
-    wrong = HoroFunction(level_point(7))
+    wrong = level_point(7)
     families = random_families(product, 12, seed=5) + [Alternating((0, 1))]
     violated = 0
     for family in families:
         n0 = stabilization_bound(product, family, radius)
-        for target in (classify(product, family).busemann, None, wrong):
+        for target in (classify(product, family).anchor, None, wrong):
             for window in ((n0, n0 + 55), (0, 30), (3, 9)):
                 for cap in (1, 8):
                     monkeypatch.setattr(limits, "MAX_VIOLATIONS", cap)

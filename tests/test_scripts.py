@@ -75,3 +75,15 @@ def test_traced_benchmark_workload_reports_every_layer():
                if m["name"] != "trace.overhead_s"
                and m["name"] not in result["layers"]]
     assert missing == []
+
+
+def test_readme_quickstart_runs():
+    # the quickstart names public entry points, so a removed or renamed
+    # one fails here and not only in the docs
+    readme = (ROOT / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    code = blocks[0].split("```")[0]
+    run = subprocess.run([sys.executable, "-c", code], env=ENV,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr

@@ -3,8 +3,7 @@
 import pytest
 
 from horoprod import verify
-from horoprod.boundary import (HoroFunction, boundary_limit_check,
-                               level_point, ray_point)
+from horoprod.boundary import boundary_limit_check, level_point, ray_point
 from horoprod.limits import Custom, empirical_pointwise_check
 from horoprod.product import BASE, ProductVertex, busemann_rows, product_busemann
 from horoprod.rays import GAMMA, BranchingRay, GammaEnd
@@ -62,7 +61,7 @@ def test_fset_failure_names_realizable_level(monkeypatch):
 
 def _wrong_level_target(product, family, window, radius, target):
     return empirical_pointwise_check(product, family, window, radius,
-                                     HoroFunction(level_point(7)))
+                                     level_point(7))
 
 
 def _gamma_leaves_ray(gamma, step):
