@@ -200,6 +200,10 @@ def cmd_walk(args) -> int:
     result = simulate(config)
     for stats, path in zip(result.trajectories, paths):
         _writing(path, lambda: write_trace_csv(path, stats, len(config.probes)))
+    for path in paths[len(result.trajectories):]:
+        # an earlier run's trace of a trajectory this run never walked
+        if os.path.exists(path):
+            _writing(path, lambda: os.remove(path))
     report = drift_report(result)
     _emit(report, args.pretty)
     return 1 if result.partial else 0

@@ -58,6 +58,7 @@ from .rays import (
     GAMMA,
     Ray,
     f_set,
+    level_prefix_count,
     level_sequence,
     parse_ray,
     random_ray,
@@ -186,26 +187,16 @@ def _reached(report: LimitReport, note: str) -> LimitReport:
                        notes=(note,))
 
 
-def _level_prefix_count(spec, k, radius) -> int:
-    """How many level-k vertices have branch index <= radius."""
-    count = 0
-    for v in level_sequence(spec, k):
-        if v.branch > radius:
-            break
-        count += 1
-    return count
-
-
 # -- sequence families ----------------------------------------------------------
 
 class SequenceFamily(FieldCodec):
     """Base of the sequence families.
 
-    Each family answers ``stream(product)``, its terms from index 0;
+    Each family answers ``stream(product, start=0)``, its terms from
+    index ``start`` on, reached without listing the terms before it;
     ``classify(product)``, where they go; ``stabilization_bound(product,
-    radius)``;
-    ``require_valid(product)``; and ``describe()``, the label reports
-    list it by.  In JSON it is its ``kind`` plus its fields.
+    radius)``; ``require_valid(product)``; and ``describe()``, the label
+    reports list it by.  In JSON it is its ``kind`` plus its fields.
     """
 
     kind: ClassVar[str | None] = None
@@ -224,7 +215,7 @@ class EventuallyConstant(SequenceFamily):
     parsers = {"vertex": ProductVertex.parse}
     vertex: ProductVertex
 
-    def stream(self, product):
+    def stream(self, product, start=0):
         return itertools.repeat(self.vertex)
 
     def require_valid(self, product):
@@ -258,9 +249,9 @@ class RadialRay(SequenceFamily):
         ``CANONICAL_END`` when the pairing is None or gamma."""
         return CANONICAL_END if self.pairing in (None, GAMMA) else self.pairing
 
-    def stream(self, product):
+    def stream(self, product, start=0):
         end = self.partner_end
-        for n in itertools.count():
+        for n in itertools.count(start):
             v = self.ray.vertex(n)
             yield _pair(self.tree, v, _partner(-height(v), end))
 
@@ -290,10 +281,11 @@ class Horocyclic(SequenceFamily):
     parsers = {"level": strict_int}
     level: int
 
-    def stream(self, product):
+    def stream(self, product, start=0):
         k = self.level
-        for v1, v2 in itertools.zip_longest(level_sequence(product.tree1, k),
-                                            level_sequence(product.tree2, -k)):
+        pairs = itertools.zip_longest(level_sequence(product.tree1, k, start),
+                                      level_sequence(product.tree2, -k, start))
+        for v1, v2 in pairs:
             if v1 is None or v2 is None:
                 raise FamilyExhausted(f"a level set at height {k} or {-k} is finite")
             yield ProductVertex(v1, v2)
@@ -303,8 +295,8 @@ class Horocyclic(SequenceFamily):
                         "a level enumeration is finite, no divergent sequence exists")
 
     def stabilization_bound(self, product, radius):
-        c1 = _level_prefix_count(product.tree1, self.level, radius)
-        c2 = _level_prefix_count(product.tree2, -self.level, radius)
+        c1 = level_prefix_count(product.tree1, self.level, radius)
+        c2 = level_prefix_count(product.tree2, -self.level, radius)
         return max(c1, c2)
 
     def describe(self):
@@ -320,13 +312,13 @@ class _Pinned(SequenceFamily):
     parsers = {"vertex": VertexAddress.parse}
     vertex: VertexAddress
 
-    def stream(self, product):
+    def stream(self, product, start=0):
         free = 3 - self.side
         k = -height(self.vertex)
-        found = "empty"
-        for t in level_sequence(product.tree(free), k):
-            found = "finite"
+        tree = product.tree(free)
+        for t in level_sequence(tree, k, start):
             yield _pair(self.side, self.vertex, t)
+        found = "empty" if next(level_sequence(tree, k), None) is None else "finite"
         raise FamilyExhausted(f"level set at height {k} of tree {free} is {found}")
 
     def require_valid(self, product):
@@ -337,8 +329,8 @@ class _Pinned(SequenceFamily):
                         "the divergent coordinate's level set is finite")
 
     def stabilization_bound(self, product, radius):
-        return _level_prefix_count(product.tree(3 - self.side),
-                                   -height(self.vertex), radius)
+        return level_prefix_count(product.tree(3 - self.side),
+                                  -height(self.vertex), radius)
 
     def describe(self):
         return f"fixed{self.side}[{self.vertex}]"
@@ -365,9 +357,22 @@ class Alternating(SequenceFamily):
         if not self.levels:
             raise ValueError("levels must be nonempty")
 
-    def stream(self, product):
-        streams = [Horocyclic(k).stream(product) for k in self.levels]
-        return (next(streams[n % len(streams)]) for n in itertools.count())
+    def stream(self, product, start=0):
+        # term n is term n // m of stream n % m; stream i opens at the
+        # first of its terms at or past start
+        m = len(self.levels)
+        streams = [Horocyclic(k).stream(product, (start - i + m - 1) // m)
+                   for i, k in enumerate(self.levels)]
+        try:
+            for n in itertools.count(start):
+                yield next(streams[n % m])
+        except FamilyExhausted:
+            if start:
+                # the first missing term may come before start, and the
+                # stream from 0 stops there, within the finite level sets
+                for _ in self.stream(product):
+                    pass
+            raise
 
     def classify(self, product):
         if len(set(self.levels)) == 1:
@@ -398,8 +403,8 @@ class Custom(SequenceFamily):
     stabilizes_like: SequenceFamily | None = None
     offset: int = 0
 
-    def stream(self, product):
-        return (self.generator(n) for n in itertools.count())
+    def stream(self, product, start=0):
+        return (self.generator(n) for n in itertools.count(start))
 
     def classify(self, product):
         """Heuristics over the indices ``CUSTOM_WINDOW``.
@@ -447,7 +452,11 @@ FAMILY_KINDS = {cls.kind: cls for cls in (EventuallyConstant, RadialRay,
 
 def terms(product: HoroProduct, family: SequenceFamily,
           stop: int, start: int = 0) -> list[ProductVertex]:
-    return list(itertools.islice(family.stream(product), start, stop))
+    """The family's terms with indices start..stop-1."""
+    if start < 0:
+        raise ValueError("start must be >= 0")
+    return list(itertools.islice(family.stream(product, start),
+                                 max(stop - start, 0)))
 
 
 # -- classification -----------------------------------------------------------
@@ -539,6 +548,13 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
     target's, so terms that agree on the ball share one row, and only
     rows that differ from the first are scanned vertex by vertex.
     """
+    return _pointwise_check(product, family, window, radius, target,
+                            product.ball(radius))
+
+
+def _pointwise_check(product, family, window, radius, target, ball):
+    """``empirical_pointwise_check`` on the radius ball, built by the
+    caller, so a check of many families builds it once."""
     n0, n1 = window
     if not (0 <= n0 < n1):
         raise ValueError("window must satisfy 0 <= n0 < n1")
@@ -547,7 +563,6 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
     except FamilyExhausted as exc:
         return EmpiricalReport(False, window, radius, 0, None,
                                ({"reason": str(exc)},))
-    ball = product.ball(radius)
     anchors = seq if target is None else [*seq, target]
     rows = busemann_rows([hm_coordinates(a) for a in anchors], ball)
     want = None if target is None else rows.pop()
@@ -612,11 +627,16 @@ def agreement(product: HoroProduct, family: SequenceFamily, rep: LimitReport,
     converge and the empirical values equal the classified limit
     function pointwise, or both routes report non-convergence.
     """
+    return _agreement(product, family, rep, radius, window,
+                      product.ball(radius))
+
+
+def _agreement(product, family, rep, radius, window, ball):
+    """``agreement`` on the radius ball, built by the caller."""
     if window is None:
         n0 = stabilization_bound(product, family, radius)
         window = (n0, n0 + EXTRA_WINDOW)
-    emp = empirical_pointwise_check(product, family, window, radius,
-                                    rep.anchor)
+    emp = _pointwise_check(product, family, window, radius, rep.anchor, ball)
     if rep.status in (INTERIOR, BOUNDARY):
         return emp, emp.convergent and emp.matched_target is True
     return emp, not emp.convergent
@@ -627,8 +647,10 @@ def isomorphism_check(product: HoroProduct,
                       radius: int = 4) -> IsomorphismSummary:
     """Symbolic classification against empirical pointwise convergence,
     family by family through ``agreement``.  Families the window
-    heuristic cannot decide are counted separately.
+    heuristic cannot decide are counted separately.  Every family is
+    checked on one radius ball.
     """
+    ball = product.ball(radius)
     disagreements = []
     undecided = 0
     for family in families:
@@ -636,7 +658,7 @@ def isomorphism_check(product: HoroProduct,
         if rep.status == NOT_DECIDED:
             undecided += 1
             continue
-        emp, agreed = agreement(product, family, rep, radius)
+        emp, agreed = _agreement(product, family, rep, radius, None, ball)
         if not agreed:
             disagreements.append({"family": family.describe(),
                                   "status": rep.status,
@@ -727,20 +749,28 @@ def random_families(product: HoroProduct, count: int, seed: int,
 
 
 def _shifted_custom(product, inner: SequenceFamily, offset: int) -> Custom:
-    stream_cache: list[ProductVertex] = []
+    # the inner terms from index base on; a request before them, or past
+    # the next one of a stream still open, reopens the stream there
+    base = 0
+    cache: list[ProductVertex] = []
     stream = inner.stream(product)
-    ended: list[FamilyExhausted] = []   # a stream that raised is closed
+    ended: FamilyExhausted | None = None   # a stream that raised is closed
 
     def gen(n: int) -> ProductVertex:
-        while len(stream_cache) <= n + offset:
-            if ended:
-                raise FamilyExhausted(*ended[0].args)
+        nonlocal base, cache, stream, ended
+        i = n + offset
+        if i < base or (ended is None and i > base + len(cache)):
+            base, cache, ended = i, [], None
+            stream = inner.stream(product, i)
+        while len(cache) <= i - base:
+            if ended is not None:
+                raise FamilyExhausted(*ended.args)
             try:
-                stream_cache.append(next(stream))
+                cache.append(next(stream))
             except FamilyExhausted as exc:
-                ended.append(exc)
+                ended = exc
                 raise
-        return stream_cache[n + offset]
+        return cache[i - base]
 
     return Custom(gen, label=f"shifted+{offset}:{inner.describe()}",
                   stabilizes_like=inner, offset=offset)

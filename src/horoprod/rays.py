@@ -25,17 +25,19 @@ ray vertices carry a labeled child, independently of k; the set of
 infinite levels is all of Z or empty.  ``f_set`` implements that
 dichotomy and the level-counting oracle cross-checks it.
 
-Words are checked, enumerated and sampled on plain (branch, suffix)
-positions through ``TreeSpec.label_count``: ``TreeSpec.is_valid`` is
-the one rule behind ``BranchingRay.is_valid``, ``level_sequence``
-builds an address only for the vertices it yields, and ``random_ray``
-draws the ends that the verification suites and the random families
-use.
+Words are checked, counted, ranked and sampled on plain (branch,
+suffix) positions through ``TreeSpec.label_count``: ``TreeSpec.is_valid``
+is the one rule behind ``BranchingRay.is_valid``, ``level_prefix_count``
+and ``level_sequence`` read a level set as blocks of mixed-radix words,
+so a count lists no vertex and a stream starts at any index, and
+``random_ray`` draws the ends that the verification suites and the
+random families use.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from random import Random
 from typing import Iterator
@@ -228,34 +230,85 @@ def f_set(spec: TreeSpec) -> str:
     return FSet.EMPTY if spec.family.branching_bound() is not None else FSet.ALL
 
 
-def level_sequence(spec: TreeSpec, k: int) -> Iterator[VertexAddress]:
-    """The height-k vertices, by increasing branch index then word order.
-
-    Terminates when the level set is finite; otherwise never exhausts.
-    """
-    bound = spec.family.branching_bound()
+def _level_blocks(spec: TreeSpec, k: int
+                  ) -> Iterator[tuple[int, tuple[int, ...], list[int]]]:
+    """The height-k vertices in level order, as blocks (branch, stem,
+    radices).  A block holds the words stem + digits, where digit j runs
+    below radices[j]; read as a mixed-radix number with the first digit
+    most significant, the digits rank the block's prod(radices) words in
+    word order.  A branch's stems are its words down to the first depth
+    that is ``uniform_below``: the empty word, except inside an explicit
+    core.  Terminates when the level set is finite."""
+    family = spec.family
+    bound = family.branching_bound()
+    count = spec.label_count
     for n in itertools.count(max(0, -k)):
         if bound is not None and n > max(bound, -k):
             return
-        yield from _words_below(spec.label_count, n, (), n + k)
+        length = n + k
+        stems = [()]
+        for depth in range(length):
+            if family.uniform_below(n, depth):
+                break
+            stems = [w + (a,) for w in stems for a in range(count(n, w))]
+        for stem in stems:
+            # below a uniform stem, the all-zero word stands for its depth
+            word = list(stem)
+            radices = []
+            while len(word) < length:
+                radices.append(count(n, word))
+                word.append(0)
+            yield n, stem, radices
 
 
-def _words_below(count, branch: int, suffix: tuple[int, ...],
-                 length: int) -> Iterator[VertexAddress]:
-    """The vertices ``length`` letters below (branch, suffix), in word
-    order, where ``count(branch, suffix)`` is the spec's label count."""
-    if length == 0:
-        yield VertexAddress(branch, suffix)
-        return
-    for letter in range(count(branch, suffix)):
-        yield from _words_below(count, branch, suffix + (letter,), length - 1)
+def level_sequence(spec: TreeSpec, k: int,
+                   start: int = 0) -> Iterator[VertexAddress]:
+    """The height-k vertices, by increasing branch index then word order,
+    from the start-th on.  Blocks before it are skipped by their size,
+    the start-th word is read from its mixed-radix digits, and each next
+    word is the digits plus one.
+
+    Terminates when the level set is finite; otherwise never exhausts.
+    """
+    if start < 0:
+        raise ValueError("start must be >= 0")
+    for n, stem, radices in _level_blocks(spec, k):
+        size = math.prod(radices)
+        if start >= size:
+            start -= size
+            continue
+        digits = []
+        for radix in reversed(radices):
+            start, digit = divmod(start, radix)
+            digits.append(digit)
+        digits.reverse()
+        while True:
+            yield VertexAddress(n, stem + tuple(digits))
+            j = len(digits) - 1
+            while j >= 0 and digits[j] == radices[j] - 1:
+                digits[j] = 0
+                j -= 1
+            if j < 0:
+                break
+            digits[j] += 1
+
+
+def level_prefix_count(spec: TreeSpec, k: int, max_branch: int) -> int:
+    """How many height-k vertices have branch index <= max_branch: the
+    sizes of the level's blocks, added up without listing a vertex."""
+    total = 0
+    for n, _, radices in _level_blocks(spec, k):
+        if n > max_branch:
+            break
+        total += math.prod(radices)
+    return total
 
 
 def level_count(spec: TreeSpec, k: int, radius: int) -> int:
     """|H_k within the radius ball|, by brute-force ball filtering.
 
-    Deliberately independent of ``level_sequence`` so the two routes can
-    check each other.
+    Deliberately independent of ``level_sequence`` and
+    ``level_prefix_count`` so the routes can check each other.
     """
     return sum(1 for v in spec.ball(radius) if height(v) == k)
 

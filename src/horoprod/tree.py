@@ -233,11 +233,18 @@ class DegreeRule(FieldCodec):
     decide that it exists).  A rule that is not ``decidable`` answers
     the first and the last by probing: out to
     ``CustomRule.PROBE_RADIUS`` and over ``CustomRule.PROBE_LETTERS``
-    letters.  In JSON a family is its ``kind`` plus its fields.
+    letters.  ``uniform_below(branch, depth)`` says whether, below any
+    one position of that branch and suffix length, the label count of
+    a position is fixed by its depth, so the words there count and rank
+    as mixed-radix numbers.  In JSON a family is its ``kind`` plus its
+    fields.
     """
 
     kind: ClassVar[str | None] = None
     decidable: ClassVar[bool] = True
+
+    def uniform_below(self, branch: int, depth: int) -> bool:
+        return False
 
     def constant_counts(self) -> int | None:
         """The number of upward neighbors every vertex has, or None when
@@ -268,6 +275,9 @@ class Regular(DegreeRule):
 
     def ray_letters_to_check(self, ray):
         return len(ray.prefix) + len(ray.cycle)
+
+    def uniform_below(self, branch, depth):
+        return True
 
     def constant_counts(self):
         return self.degree - 1
@@ -326,6 +336,9 @@ class RayPeriodic(DegreeRule):
         return (len(ray.prefix)
                 + math.lcm(len(ray.cycle), len(self.off_ray_degrees))
                 + len(ray.cycle))
+
+    def uniform_below(self, branch, depth):
+        return True
 
 
 @dataclass(frozen=True)
@@ -392,6 +405,10 @@ class ExplicitCore(DegreeRule):
     def ray_letters_to_check(self, ray):
         return (max(self.radius - ray.branch, 0)
                 + len(ray.prefix) + len(ray.cycle))
+
+    def uniform_below(self, branch, depth):
+        # every position past the core has the tail degree
+        return branch + depth >= self.radius
 
     def to_json(self):
         return {"core": dict(self.entries), "radius": self.radius,

@@ -130,6 +130,31 @@ def test_classify_oscillator(capsys, tmp_path):
     assert payload["agreement"] is True
 
 
+DEEP = "0;" + ".".join(["0", "1"] * 100)  # 200 letters below the origin
+
+
+@pytest.mark.parametrize("family", [
+    {"kind": "horocyclic", "level": 1000},
+    {"kind": "horocyclic", "level": -1000},
+    {"kind": "fixed_first", "vertex": DEEP},
+    {"kind": "fixed_first", "vertex": "200;"},
+], ids=["level1000", "level-1000", "pinned-200-letters", "pinned-branch-200"])
+def test_classify_far_levels(tmp_path, family):
+    # the stabilization bound is counted and the window is reached
+    # without listing the terms before it, whose number has hundreds of
+    # digits here
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"spec": DL33, "family": family}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "horoprod", "classify", "--family", str(path)],
+        env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    payload = json.loads(proc.stdout)
+    assert payload["agreement"] is True
+    assert payload["empirical"]["violations"] == []
+
+
 def test_verify_quick_suite(capsys):
     code, out = run(capsys, "verify", "lemma41", "--radius", "3")
     assert code == 0
@@ -445,6 +470,24 @@ def test_trace_files_only_for_walked_trajectories(capsys, tmp_path):
     code = main(["walk", "--config", str(path), "--csv", str(csv_path),
                  "--max-total-steps", "15"])
     assert code == 1 and json.loads(capsys.readouterr().out)["partial"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["t.csv.0", "t.csv.1", "walk.json"]
+    assert len((tmp_path / "t.csv.1").read_text().splitlines()) == 1 + 6
+
+
+def test_trace_files_of_an_earlier_run_removed(capsys, tmp_path):
+    # a full 3-trajectory run, then one that never starts trajectory 2:
+    # the earlier run's trace of trajectory 2 is removed
+    config = {"spec": DL33, "p_up": "1", "steps": 10, "seed": 5,
+              "trajectories": 3, "probes": []}
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(config))
+    csv_path = tmp_path / "t.csv"
+    assert main(["walk", "--config", str(path), "--csv", str(csv_path)]) == 0
+    assert len((tmp_path / "t.csv.2").read_text().splitlines()) == 1 + 11
+    code = main(["walk", "--config", str(path), "--csv", str(csv_path),
+                 "--max-total-steps", "15"])
+    assert code == 1 and json.loads(capsys.readouterr().out.splitlines()[-1])["partial"]
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         ["t.csv.0", "t.csv.1", "walk.json"]
     assert len((tmp_path / "t.csv.1").read_text().splitlines()) == 1 + 6

@@ -9,7 +9,9 @@ from random import Random
 import pytest
 
 from horoprod import verify
-from horoprod.limits import CANONICAL_END, _partner
+from horoprod.limits import (CANONICAL_END, FamilyExhausted, FixedFirst,
+                             _partner, random_families, terms)
+from horoprod.product import HoroProduct
 from horoprod.rays import (
     BranchingRay,
     FSet,
@@ -17,12 +19,14 @@ from horoprod.rays import (
     f_set,
     level_busemann,
     level_count,
+    level_prefix_count,
     level_sequence,
     parse_ray,
     random_ray,
 )
-from horoprod.tree import (CustomRule, ORIGIN, TreeSpec, UndecidableFamilyError,
-                           VertexAddress, busemann, height)
+from horoprod.tree import (CustomRule, ExplicitCore, ORIGIN, TreeSpec,
+                           UndecidableFamilyError, VertexAddress, busemann,
+                           height)
 
 R3 = TreeSpec.regular(3)
 R4 = TreeSpec.regular(4)
@@ -235,6 +239,134 @@ def test_level_sequence_order():
 def test_level_sequence_finite_on_line():
     assert [str(a) for a in level_sequence(LINE, 2)] == ["0;0.0"]
     assert [str(a) for a in level_sequence(LINE, -1)] == ["1;"]
+
+
+# -- counting and ranking level sets ---------------------------------------------
+
+def _words_below(count, branch, suffix, length):
+    """The vertices ``length`` letters below (branch, suffix) in word
+    order, listed one by one: the reference for counting and ranking."""
+    if length == 0:
+        yield VertexAddress(branch, suffix)
+        return
+    for letter in range(count(branch, suffix)):
+        yield from _words_below(count, branch, suffix + (letter,), length - 1)
+
+
+def _reference_level(spec, k):
+    bound = spec.family.branching_bound()
+    for n in itertools.count(max(0, -k)):
+        if bound is not None and n > max(bound, -k):
+            return
+        yield from _words_below(spec.label_count, n, (), n + k)
+
+
+# every address of the ball of radius 2, with uneven degrees
+IRREGULAR_CORE = TreeSpec(ExplicitCore(
+    (("0;", 4), ("1;", 3), ("2;", 5), ("0;0", 2), ("0;1", 3), ("0;2", 4),
+     ("1;0", 3), ("0;0.0", 3), ("0;1.0", 2), ("0;1.1", 4), ("0;2.0", 3),
+     ("0;2.1", 2), ("0;2.2", 3)), 2, 3), 2)
+COUNTED = {"regular3": R3, "regular4": R4, "line": LINE,
+           "ray_periodic": TreeSpec.ray_periodic((3, 4), (3,)),
+           "core": TreeSpec.explicit_core_of(R3, 3, 3),
+           "irregular_core": IRREGULAR_CORE,
+           "finite_core": TreeSpec.explicit_core_of(R3, 2, 2),
+           "finite_ray_periodic": TreeSpec.ray_periodic((2,), (3,))}
+
+
+def test_irregular_core_is_a_tree():
+    assert IRREGULAR_CORE.validate() is None
+
+
+@pytest.mark.parametrize("label", list(COUNTED))
+def test_level_prefix_count_matches_ball_filter(label):
+    # a height-k vertex at branch n lies at distance 2n + k from the origin
+    spec = COUNTED[label]
+    for k in range(-3, 4):
+        for radius in range(5):
+            assert level_prefix_count(spec, k, (radius - k) // 2) == \
+                level_count(spec, k, radius), (k, radius)
+
+
+@pytest.mark.parametrize("label", list(COUNTED))
+def test_level_sequence_from_any_start_matches_enumeration(label):
+    spec = COUNTED[label]
+    for k in (-3, -1, 0, 2, 3):
+        want = list(itertools.islice(_reference_level(spec, k), 2000))
+        for start in (0, 1, 37, 500, 1999, 2500):
+            got = list(itertools.islice(level_sequence(spec, k, start),
+                                        max(2000 - start, 0)))
+            assert got == want[start:], (k, start)
+
+
+@pytest.mark.parametrize("k", [-1000, -12, 1000])
+def test_level_sequence_far_start_lands_in_its_branch(k):
+    # the start-th vertex sits at the branch whose prefix counts
+    # bracket the index
+    for spec in (R3, COUNTED["ray_periodic"], COUNTED["irregular_core"]):
+        for start in (2 ** 40 + 3, 3 ** 300 + 1):
+            first, second = itertools.islice(level_sequence(spec, k, start), 2)
+            n = first.branch
+            assert height(first) == k and spec.is_valid(first)
+            assert level_prefix_count(spec, k, n - 1) <= start \
+                < level_prefix_count(spec, k, n)
+            assert second == next(level_sequence(spec, k, start + 1))
+
+
+def test_level_sequence_refuses_negative_start():
+    with pytest.raises(ValueError, match="start must be >= 0"):
+        next(level_sequence(R3, 0, -1))
+
+
+def test_counting_refuses_custom_rule():
+    spec = TreeSpec(CustomRule(lambda branch, suffix: 3), 2)
+    with pytest.raises(UndecidableFamilyError):
+        level_prefix_count(spec, 0, 3)
+
+
+STREAMED = {"dl33": HoroProduct(R3, R3), "dl3line": HoroProduct(R3, LINE),
+            "general": HoroProduct(COUNTED["ray_periodic"], COUNTED["core"]),
+            "finite": HoroProduct(R3, COUNTED["finite_ray_periodic"])}
+
+
+def _stream_run(product, family, start, limit):
+    """The texts of up to ``limit`` terms from ``start``, and the message
+    the stream ran out with (None if it did not)."""
+    out = []
+    try:
+        for t in itertools.islice(family.stream(product, start), limit):
+            out.append(str(t))
+    except FamilyExhausted as exc:
+        return out, str(exc)
+    return out, None
+
+
+@pytest.mark.parametrize("label", list(STREAMED))
+def test_streams_from_any_start(label):
+    # every kind of family, custom wrappers included: the stream from
+    # start is the stream from 0 past start, and a finite one runs out
+    # at the same index with the same message
+    product = STREAMED[label]
+    families = random_families(product, 24, 11)
+    runs = [_stream_run(product, family, 0, 100) for family in families]
+    for start in (1, 2, 5, 13, 40, 99):
+        fresh = random_families(product, 24, 11)
+        for family, (whole, message) in zip(fresh, runs):
+            got = _stream_run(product, family, start, 100 - start)
+            assert got == (whole[start:], message), (family.describe(), start)
+        for family, (whole, message) in zip(families, runs):
+            if message is None:
+                assert [str(t) for t in terms(product, family, 100, start)] \
+                    == whole[start:]
+
+
+def test_pinned_stream_past_a_finite_level_says_finite():
+    family = FixedFirst(VertexAddress(0, (0,)))    # tree 2 level -1: one vertex
+    product = STREAMED["dl3line"]
+    for start in (0, 1, 5):
+        with pytest.raises(FamilyExhausted,
+                           match="level set at height -1 of tree 2 is finite"):
+            terms(product, family, 10, start)
 
 
 def test_f_set():
