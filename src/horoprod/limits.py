@@ -189,6 +189,14 @@ def _reached(report: LimitReport, note: str) -> LimitReport:
 
 # -- sequence families ----------------------------------------------------------
 
+def _level_size(spec, k) -> int | float:
+    """|H_k|, counted, or math.inf when the level set is infinite."""
+    bound = spec.family.branching_bound()
+    if bound is None:
+        return math.inf
+    return level_prefix_count(spec, k, max(bound, -k))
+
+
 class SequenceFamily(FieldCodec):
     """Base of the sequence families.
 
@@ -287,8 +295,19 @@ class Horocyclic(SequenceFamily):
                                       level_sequence(product.tree2, -k, start))
         for v1, v2 in pairs:
             if v1 is None or v2 is None:
-                raise FamilyExhausted(f"a level set at height {k} or {-k} is finite")
+                break
             yield ProductVertex(v1, v2)
+        # one level set ended, or both did before start
+        raise self._exhausted()
+
+    def _exhausted(self) -> FamilyExhausted:
+        k = self.level
+        return FamilyExhausted(f"a level set at height {k} or {-k} is finite")
+
+    def length(self, product) -> int | float:
+        """How many terms there are: the smaller level set's size."""
+        return min(_level_size(product.tree1, self.level),
+                   _level_size(product.tree2, -self.level))
 
     def classify(self, product):
         return _reached(_limit(product, level_point(self.level)),
@@ -361,18 +380,18 @@ class Alternating(SequenceFamily):
         # term n is term n // m of stream n % m; stream i opens at the
         # first of its terms at or past start
         m = len(self.levels)
-        streams = [Horocyclic(k).stream(product, (start - i + m - 1) // m)
-                   for i, k in enumerate(self.levels)]
+        inner = [Horocyclic(k) for k in self.levels]
+        streams = [h.stream(product, (start - i + m - 1) // m)
+                   for i, h in enumerate(inner)]
         try:
             for n in itertools.count(start):
                 yield next(streams[n % m])
         except FamilyExhausted:
-            if start:
-                # the first missing term may come before start, and the
-                # stream from 0 stops there, within the finite level sets
-                for _ in self.stream(product):
-                    pass
-            raise
+            # the family ends at its first missing term, which may come
+            # before start: stream i's is term m * length + i
+            first = min(range(m),
+                        key=lambda i: m * inner[i].length(product) + i)
+            raise inner[first]._exhausted() from None
 
     def classify(self, product):
         if len(set(self.levels)) == 1:
@@ -735,9 +754,9 @@ def random_families(product: HoroProduct, count: int, seed: int,
         lambda: FixedFirst(_random_vertex(product.tree1, rng)),
         lambda: FixedSecond(_random_vertex(product.tree2, rng)),
         lambda: Alternating((rng.randrange(-2, 3), rng.randrange(-2, 3))),
-        lambda: _shifted_custom(product, Horocyclic(rng.randrange(-3, 4)),
+        lambda: _shifted_custom(Horocyclic(rng.randrange(-3, 4)),
                                 rng.randrange(1, 9)),
-        lambda: _shifted_custom(product, FixedSecond(_random_vertex(product.tree2, rng)),
+        lambda: _shifted_custom(FixedSecond(_random_vertex(product.tree2, rng)),
                                 rng.randrange(1, 9)),
         lambda: _diagonal_custom(product, toward_first=rng.random() < 0.5),
     ]
@@ -748,32 +767,20 @@ def random_families(product: HoroProduct, count: int, seed: int,
     return out
 
 
-def _shifted_custom(product, inner: SequenceFamily, offset: int) -> Custom:
-    # the inner terms from index base on; a request before them, or past
-    # the next one of a stream still open, reopens the stream there
-    base = 0
-    cache: list[ProductVertex] = []
-    stream = inner.stream(product)
-    ended: FamilyExhausted | None = None   # a stream that raised is closed
+@dataclass(frozen=True)
+class _Shifted(Custom):
+    """A custom wrapper whose terms are those of its ``stabilizes_like``
+    family from index ``offset`` on, streamed from there."""
 
-    def gen(n: int) -> ProductVertex:
-        nonlocal base, cache, stream, ended
-        i = n + offset
-        if i < base or (ended is None and i > base + len(cache)):
-            base, cache, ended = i, [], None
-            stream = inner.stream(product, i)
-        while len(cache) <= i - base:
-            if ended is not None:
-                raise FamilyExhausted(*ended.args)
-            try:
-                cache.append(next(stream))
-            except FamilyExhausted as exc:
-                ended = exc
-                raise
-        return cache[i - base]
+    generator: None = None
 
-    return Custom(gen, label=f"shifted+{offset}:{inner.describe()}",
-                  stabilizes_like=inner, offset=offset)
+    def stream(self, product, start=0):
+        return self.stabilizes_like.stream(product, start + self.offset)
+
+
+def _shifted_custom(inner: SequenceFamily, offset: int) -> Custom:
+    return _Shifted(label=f"shifted+{offset}:{inner.describe()}",
+                    stabilizes_like=inner, offset=offset)
 
 
 def _diagonal_custom(product, toward_first: bool) -> Custom:

@@ -9,8 +9,9 @@ from random import Random
 import pytest
 
 from horoprod import verify
-from horoprod.limits import (CANONICAL_END, FamilyExhausted, FixedFirst,
-                             _partner, random_families, terms)
+from horoprod.limits import (CANONICAL_END, Alternating, FamilyExhausted,
+                             FixedFirst, Horocyclic, _partner, random_families,
+                             terms)
 from horoprod.product import HoroProduct
 from horoprod.rays import (
     BranchingRay,
@@ -326,7 +327,8 @@ def test_counting_refuses_custom_rule():
 
 STREAMED = {"dl33": HoroProduct(R3, R3), "dl3line": HoroProduct(R3, LINE),
             "general": HoroProduct(COUNTED["ray_periodic"], COUNTED["core"]),
-            "finite": HoroProduct(R3, COUNTED["finite_ray_periodic"])}
+            "finite": HoroProduct(R3, COUNTED["finite_ray_periodic"]),
+            "two_finite": HoroProduct(LINE, COUNTED["finite_ray_periodic"])}
 
 
 def _stream_run(product, family, start, limit):
@@ -367,6 +369,29 @@ def test_pinned_stream_past_a_finite_level_says_finite():
         with pytest.raises(FamilyExhausted,
                            match="level set at height -1 of tree 2 is finite"):
             terms(product, family, 10, start)
+
+
+def test_alternating_past_a_huge_finite_level_counts_its_end():
+    # tree 2's level 1000 holds 2**999 vertices: a stream opened past its
+    # end runs out at once, and the first missing term is counted, not
+    # reached by listing the terms before it
+    product = STREAMED["finite"]
+    size = 2 ** 999
+    assert level_prefix_count(product.tree2, 1000, 0) == size
+    message = "a level set at height -1000 or 1000 is finite"
+    for family in (Horocyclic(-1000), Alternating((-1000,))):
+        assert len(terms(product, family, size, size - 3)) == 3
+        with pytest.raises(FamilyExhausted, match=message):
+            terms(product, family, size + 5, size)
+    pair = Alternating((-1000, -1000))
+    assert len(terms(product, pair, 2 * size, 2 * size - 3)) == 3
+    for start in (2 * size - 3, 2 * size + 1, 5 * size):
+        with pytest.raises(FamilyExhausted, match=message):
+            terms(product, pair, start + 9, start)
+    # level 2 of tree 2 is small, so the mixed family ends there first,
+    # even for a stream opened far past it
+    with pytest.raises(FamilyExhausted, match="height 2 or -2 is finite"):
+        terms(product, Alternating((-1000, 2)), size + 5, size)
 
 
 def test_f_set():
