@@ -159,18 +159,22 @@ FINITE_RAY_PERIODIC = {"family": "ray_periodic", "ray_degrees": [2],
                        "off_ray_degrees": [3]}
 
 
-@pytest.mark.parametrize("tree1", [
-    {"family": "line"},
-    {"family": "explicit_core", "radius": 2, "tail_degree": 2,
-     "core": {"0;": 3, "0;0": 3, "0;0.0": 3, "0;0.1": 3, "0;1": 3,
-              "0;1.0": 3, "0;1.1": 3, "1;": 3, "1;0": 3, "2;": 3}},
-], ids=["line", "finite-core"])
-def test_classify_window_past_two_finite_levels(capsys, tmp_path, tree1):
+@pytest.mark.parametrize("tree1,tree2", [
+    ({"family": "line"}, FINITE_RAY_PERIODIC),
+    ({"family": "explicit_core", "radius": 2, "tail_degree": 2,
+      "core": {"0;": 3, "0;0": 3, "0;0.0": 3, "0;0.1": 3, "0;1": 3,
+               "0;1.0": 3, "0;1.1": 3, "1;": 3, "1;0": 3, "2;": 3}},
+     FINITE_RAY_PERIODIC),
+    ({"family": "line"}, {"family": "line"}),
+], ids=["line", "finite-core", "line-line"])
+def test_classify_window_past_two_finite_levels(capsys, tmp_path, tree1,
+                                                tree2):
     # both level sets are finite and the window starts past the end of
-    # both: the family has run out, which agrees with not_convergent
+    # both (on two lines, both hold one vertex): the family has run out,
+    # which agrees with not_convergent
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(
-        {"spec": {"tree1": tree1, "tree2": FINITE_RAY_PERIODIC},
+        {"spec": {"tree1": tree1, "tree2": tree2},
          "family": {"kind": "horocyclic", "level": -2}}))
     code, out = run(capsys, "classify", "--family", str(path))
     payload = json.loads(out)
