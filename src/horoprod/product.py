@@ -21,7 +21,10 @@ Output order is deterministic: breadth-first layers, each sorted by the
 textual form.  ``neighbors`` and ``ball`` hand out ProductVertex
 objects; ``ball_graph`` hands out the keys of the ball in that order,
 with the induced graph as integer adjacency lists, which the metric
-oracle sweeps.  So a ProductVertex is built only for a vertex that a
+oracle sweeps.  An inner vertex lists its neighbours in edge-relation
+order; the rim, the vertices at exactly the radius, is never expanded,
+and a rim vertex's list is read back from the inner lists, in
+ascending index.  So a ProductVertex is built only for a vertex that a
 caller asks for.
 """
 
@@ -216,9 +219,10 @@ class HoroProduct:
         """Up moves (first coordinate climbs) then down moves."""
         return _vertices(self._key_neighbors(product_key(v)))
 
-    def _ball_index(self, radius: int) -> dict[Key, int]:
+    def _ball_index(self, radius: int) -> tuple[dict[Key, int], int]:
         """The radius ball as a map from key to output position, in
-        output order."""
+        output order, and the position where its rim (the vertices at
+        exactly the radius) starts."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         index = {BASE_KEY: 0}
@@ -228,14 +232,14 @@ class HoroProduct:
             frontier = sorted({n for k in frontier for n in self._key_neighbors(k)
                                if n not in index}, key=_sort_key)
             index.update(zip(frontier, range(len(index), len(index) + len(frontier))))
-        return index
+        return index, len(index) - len(frontier)
 
     def ball(self, radius: int) -> list[ProductVertex]:
         """All vertices within the radius of the base point.
 
         Breadth-first layers; each layer sorted by textual form.
         """
-        return _vertices(self._ball_index(radius))
+        return _vertices(self._ball_index(radius)[0])
 
     def dist_bfs(self, v: ProductVertex, w: ProductVertex,
                  radius_cap: int) -> int | None:
@@ -276,11 +280,25 @@ class HoroProduct:
         """The induced graph on the radius ball: the keys of its vertices
         and their integer adjacency lists.
 
-        Key i is that of ``ball(radius)[i]``.  Built from the edge
-        relation alone, so breadth-first sweeps over it stay independent
-        of the closed-form distance.
+        Key i is that of ``ball(radius)[i]``.  An inner vertex lists its
+        in-ball neighbours in edge-relation order.  A rim vertex, at
+        exactly the radius, is not expanded: every edge changes the
+        height by one, and a vertex's distance from the base has the
+        parity of its height, so every edge joins consecutive
+        breadth-first layers.  A rim vertex's in-ball neighbours thus
+        all lie one layer in, and its list is read back from the inner
+        lists, in ascending index.  Built from the edge relation alone,
+        so breadth-first sweeps over it stay independent of the
+        closed-form distance.
         """
-        index = self._ball_index(radius)
+        index, rim = self._ball_index(radius)
+        keys = list(index)
         adj = [[j for j in map(index.get, self._key_neighbors(k)) if j is not None]
-               for k in index]
-        return list(index), adj
+               for k in keys[:rim]]
+        rim_adj = [[] for _ in range(len(keys) - rim)]
+        for i, ns in enumerate(adj):
+            for j in ns:
+                if j >= rim:
+                    rim_adj[j - rim].append(i)
+        adj.extend(rim_adj)
+        return keys, adj

@@ -29,8 +29,8 @@ from .rays import (
     level_sequence,
     random_ray,
 )
-from .product import (HoroProduct, busemann_rows, product_busemann,
-                      product_dist, product_key)
+from .product import (HoroProduct, ProductVertex, busemann_rows,
+                      product_busemann, product_dist, product_key)
 from .boundary import (
     boundary_limit_check,
     hm_coordinates,
@@ -140,6 +140,30 @@ def _bitset_distances(adj: list[list[int]], sources: int) -> tuple[np.ndarray, i
     return dist.T, level
 
 
+def _dist_matrix(vs: list[ProductVertex]) -> np.ndarray:
+    """``[[product_dist(v, w) for w in vs] for v in vs]`` as one matrix.
+
+    The closed form d1 + d2 - |h(v) - h(w)| on tables: -|h(v) - h(w)|
+    over all pairs, plus ``tree_dist`` over the distinct first and over
+    the distinct second coordinates, each gathered per pair.  Distances
+    within a ball are at most its diameter, far inside int64.
+    """
+    h = np.fromiter((height(v.x1) for v in vs), np.int64, len(vs))
+    dist = np.subtract.outer(h, h)
+    np.negative(np.abs(dist, out=dist), out=dist)
+    for side in ([v.x1 for v in vs], [v.x2 for v in vs]):
+        us = list(dict.fromkeys(side))
+        # tree_dist is symmetric and 0 on the diagonal: fill one triangle
+        table = np.zeros((len(us), len(us)), dtype=np.int64)
+        table[np.triu_indices(len(us), 1)] = [
+            tree_dist(u, w) for i, u in enumerate(us) for w in us[i + 1:]]
+        table += table.T
+        at = {u: i for i, u in enumerate(us)}
+        rows = np.fromiter(map(at.__getitem__, side), np.intp, len(side))
+        dist += table[np.ix_(rows, rows)]
+    return dist
+
+
 def _all_pairs_bfs_check(product: HoroProduct, radius: int) -> dict:
     """Closed-form distance against breadth-first distance, all pairs.
 
@@ -150,9 +174,9 @@ def _all_pairs_bfs_check(product: HoroProduct, radius: int) -> dict:
     begins with the R ball, in the same order, so the sources are its
     first |ball(R)| vertices, and only they become ProductVertex
     objects.  All sources are swept at once, bit-parallel
-    (``_bitset_distances``); then every pair is compared with
-    ``product_dist``, source-major, and the first disagreement is the
-    witness.
+    (``_bitset_distances``); then the whole distance matrix is compared
+    with the closed form's (``_dist_matrix``), and the first
+    disagreement in source-major order is the witness.
     """
     keys, adj = product.ball_graph(2 * radius)
     targets = product.ball(radius)
@@ -160,15 +184,16 @@ def _all_pairs_bfs_check(product: HoroProduct, radius: int) -> dict:
         "the 2R ball must list the R ball first")
     counters = {"graph_vertices": len(keys)}
     dist, counters["bfs_levels"] = _bitset_distances(adj, len(targets))
-    for i, v in enumerate(targets):
-        bfs = dist[i].tolist()
-        formula = [product_dist(v, w) for w in targets]
-        if formula != bfs:
-            j = next(j for j, (f, b) in enumerate(zip(formula, bfs)) if f != b)
-            return {"ok": False, "pairs_checked": i * len(targets) + j + 1,
-                    "witness": {"v": str(v), "w": str(targets[j]),
-                                "formula": formula[j], "bfs": bfs[j]},
-                    **counters}
+    del keys, adj
+    formula = _dist_matrix(targets)
+    wrong = np.flatnonzero(formula != dist)
+    if wrong.size:
+        i, j = divmod(int(wrong[0]), len(targets))
+        return {"ok": False, "pairs_checked": int(wrong[0]) + 1,
+                "witness": {"v": str(targets[i]), "w": str(targets[j]),
+                            "formula": int(formula[i, j]),
+                            "bfs": int(dist[i, j])},
+                **counters}
     return {"ok": True, "ball_size": len(targets),
             "pairs_checked": len(targets) ** 2, **counters}
 
@@ -302,18 +327,24 @@ def _boundary_witnesses(product: HoroProduct, catalog, ball, sep_ball):
     """Catalog functions that are nonzero at the base, then pairs of ball
     vertices where one stretches distance, then pairs of functions that
     agree on the separation ball.  The values are rows of
-    ``busemann_rows`` over the catalog's coordinates."""
+    ``busemann_rows`` over the catalog's coordinates; the stretch check
+    compares each row with ``_dist_matrix(ball)`` over all pairs i < j
+    at once."""
     coords = [hm_coordinates(p) for p in catalog]
     for p, (value,) in zip(catalog, busemann_rows(coords, [product.base])):
         if value != 0:
             yield {"point": str(p), "base_value": value}
-    pairs = [(i, j, product_dist(v, ball[j]))
-             for i, v in enumerate(ball) for j in range(i + 1, len(ball))]
+    first, second = np.triu_indices(len(ball), 1)
+    dist = _dist_matrix(ball)[first, second]
+    # one row at a time: the whole catalog's pair gaps would take
+    # several MB for a sub-millisecond saving
     for p, vals in zip(catalog, busemann_rows(coords, ball)):
-        for i, j, dist in pairs:
-            if abs(vals[i] - vals[j]) > dist:
-                yield {"point": str(p), "v": str(ball[i]), "w": str(ball[j]),
-                       "gap": abs(vals[i] - vals[j]), "dist": dist}
+        vals = np.array(vals, dtype=np.int64)
+        gaps = np.abs(vals[first] - vals[second])
+        for m in np.flatnonzero(gaps > dist):
+            yield {"point": str(p), "v": str(ball[first[m]]),
+                   "w": str(ball[second[m]]), "gap": int(gaps[m]),
+                   "dist": int(dist[m])}
     profiles = busemann_rows(coords, sep_ball)
     for i, j in itertools.combinations(range(len(catalog)), 2):
         if profiles[i] == profiles[j]:

@@ -27,6 +27,12 @@ DL34 = HoroProduct(R3, R4)
 DL3LINE = HoroProduct(R3, LINE)
 MIXED = HoroProduct(TreeSpec.ray_periodic((3, 4), (3,)),
                     TreeSpec.explicit_core_of(R3, 3, 3))
+# the core ends at origin distance 2, well inside the balls tested
+CORE = HoroProduct(TreeSpec.explicit_core_of(R4, 2, 3), R3)
+PERIODIC = HoroProduct(TreeSpec.ray_periodic((2, 3), (3, 2)),
+                       TreeSpec.ray_periodic((4,), (3,)))
+CUSTOM = HoroProduct(TreeSpec(CustomRule(
+    lambda b, s: 4 if (b + len(s)) % 3 == 0 else 3), 3), R3)
 
 
 def pv(text):
@@ -220,22 +226,27 @@ def _tree_level_neighbors(product, v):
 
 
 @pytest.mark.parametrize("product,radius", [
-    # the core ends at origin distance 2, well inside the ball
-    (HoroProduct(TreeSpec.explicit_core_of(R4, 2, 3), R3), 5),
-    (HoroProduct(TreeSpec.ray_periodic((2, 3), (3, 2)),
-                 TreeSpec.ray_periodic((4,), (3,))), 5),
-    (HoroProduct(TreeSpec(CustomRule(
-        lambda b, s: 4 if (b + len(s)) % 3 == 0 else 3), 3), R3), 4),
-], ids=["explicit-core", "ray-periodic", "custom-rule"])
+    (CORE, 5), (PERIODIC, 5), (CUSTOM, 4),
+    *((MIXED, radius) for radius in range(4, 9)),
+], ids=["explicit-core", "ray-periodic", "custom-rule",
+        *(f"mixed-{radius}" for radius in range(4, 9))])
 def test_key_relation_matches_tree_relation(product, radius):
     keys, adj = product.ball_graph(radius)
     verts = product.ball(radius)
     assert keys == list(map(product_key, verts))
+    rim = len(product.ball(radius - 1))
     index = {v: i for i, v in enumerate(verts)}
     for v, i in index.items():
         neighbors = product.neighbors(v)
         assert neighbors == _tree_level_neighbors(product, v)
-        assert adj[i] == [index[w] for w in neighbors if w in index]
+        inside = [index[w] for w in neighbors if w in index]
+        if i < rim:
+            assert adj[i] == inside
+        else:
+            # a rim list is read back from the inner lists: index order,
+            # and no neighbour on the rim itself
+            assert adj[i] == sorted(inside)
+            assert all(j < rim for j in adj[i])
 
 
 def test_ball_order_is_layers_sorted_by_text():
@@ -279,25 +290,41 @@ def test_bitset_sweep_matches_dist_bfs():
             assert dist[i, j] == MIXED.dist_bfs(verts[i], verts[j], 2 * radius)
 
 
+@pytest.mark.parametrize("product,radius", [
+    (MIXED, 4), (CORE, 3), (PERIODIC, 3), (CUSTOM, 3),
+], ids=["mixed", "explicit-core", "ray-periodic", "custom-rule"])
+def test_dist_matrix_is_product_dist(product, radius):
+    vs = product.ball(radius)
+    assert (verify._dist_matrix(vs).tolist()
+            == [[product_dist(v, w) for w in vs] for v in vs])
+
+
 def test_oracle_reports_first_corrupted_pair(monkeypatch):
     targets = DL33.ball(2)
-    v, w = targets[3], targets[7]
-    true_dist = product_dist
+    true_matrix = verify._dist_matrix
+    # (14, 14) is the last of the 15 * 15 pairs compared
+    assert len(targets) == 15
+    for i, j in ((3, 7), (14, 14)):
+        v, w = targets[i], targets[j]
 
-    def off_by_one(a, b):
-        return true_dist(a, b) + (a == v and b == w)
+        def off_by_one(vs):
+            dist = true_matrix(vs)
+            if vs == targets:
+                dist[i, j] += 1
+            return dist
 
-    monkeypatch.setattr(verify, "product_dist", off_by_one)
-    result = verify.metric_oracle_suite(radius33=2, radius34=1)
-    assert not result.ok
-    details = result.details["dl33"]
-    assert details["pairs_checked"] == 3 * len(targets) + 7 + 1
-    assert details["witness"] == {"v": str(v), "w": str(w),
-                                  "formula": true_dist(v, w) + 1,
-                                  "bfs": true_dist(v, w)}
-    assert details["witness"]["bfs"] == DL33.dist_bfs(v, w, 4)
-    assert details["bfs_levels"] == 4
-    assert details["graph_vertices"] == len(DL33.ball(4))
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_dist_matrix", off_by_one)
+            result = verify.metric_oracle_suite(radius33=2, radius34=1)
+        assert not result.ok
+        details = result.details["dl33"]
+        assert details["pairs_checked"] == i * len(targets) + j + 1
+        assert details["witness"] == {"v": str(v), "w": str(w),
+                                      "formula": product_dist(v, w) + 1,
+                                      "bfs": product_dist(v, w)}
+        assert details["witness"]["bfs"] == DL33.dist_bfs(v, w, 4)
+        assert details["bfs_levels"] == 4
+        assert details["graph_vertices"] == len(DL33.ball(4))
 
 
 def test_oracle_builds_vertices_only_for_the_sources(monkeypatch):
