@@ -51,7 +51,6 @@ from .product import (
 )
 from .boundary import (
     BoundaryPoint,
-    PointKind,
     boundary_limit_check,
     evaluate,
     hm_coordinates,

@@ -1,40 +1,38 @@
 """Boundary points of the product compactification and their functions.
 
-A boundary point is a payload plus the side it lives on.  Its tag, on
-the wire ``C1:<ray>``, ``C2:<ray>``, ``T1:<vertex>``, ``T2:<vertex>`` or
-``Z:<k>``, is the payload's kind (C an end, T a vertex, Z a level)
-followed by its side, the tree the payload lives in:
+A point of the height compactification is its coordinates
+(``xi1``, ``xi2``, ``eta``): a vertex or end of each tree, and a
+height in Z or +/-infinity.  The points off the interior are
 
-  C<side>  an end of tree <side>; the height coordinate is +infinity on
-           side 1 and -infinity on side 2
-  T<side>  a vertex of tree <side>, reached when the other coordinate
-           runs off to its end: the vertex pins its own coordinate, and
-           the height coordinate is its height, negated on side 2
-  Z        an integer horocycle level, on neither side, reached by
-           sequences whose height freezes while both coordinates diverge
+  C1  (xi, gamma, +inf)     an end xi of the first tree
+  C2  (gamma, xi, -inf)     an end xi of the second tree
+  T1  (v, gamma, h(v))      a vertex v of the first tree, reached when
+                            the second coordinate runs off to gamma
+  T2  (gamma, v, -h(v))     the same with the trees swapped
+  Z   (gamma, gamma, k)     an integer horocycle level, reached by
+                            sequences whose height freezes while both
+                            coordinates diverge
 
-``PointKind.side`` and ``PointKind.is_ray`` read the tag, and every rule
-below reads the side once.  A point is its own function: it evaluates
-as an integer-valued function on product vertices (``evaluate``), and
-these are exactly the pointwise limits of the vertex-anchored Busemann
-functions, so no wrapper stands between the two.  A point, or a
-product vertex, is read as its coordinates (``hm_coordinates``): a
-point of each tree's compactification and a height.  Every kind then
-evaluates through the one formula of ``product.busemann_at``, two
-single-tree Busemann values plus a level term, with no rule of its own,
-and a whole ball at once through ``product.busemann_rows``, which is
-how ``boundary_limit_check`` reads it.
+The tag is the point's text only: ``str`` reads it off the coordinates
+as ``C1:<ray>``, ``C2:<ray>``, ``T1:<vertex>``, ``T2:<vertex>`` or
+``Z:<k>``, and ``parse_point`` reads it back through ``ray_point``,
+``vertex_point`` and ``level_point``.  The closure points at height
++/-infinity over the pair (gamma1, gamma2) are C1:gamma and C2:gamma.
 
-The closure points at height +/-infinity over the pair (gamma1, gamma2)
-are represented as C1:gamma and C2:gamma; they already belong to the
-ray families, so no extra variants exist.
+A point is its own function: it evaluates as an integer-valued function
+on product vertices (``evaluate``), and these are exactly the pointwise
+limits of the vertex-anchored Busemann functions.  A point, or a
+product vertex (x1, x2, h(x1)), is read as its coordinates
+(``hm_coordinates``), and every point evaluates through the one formula
+of ``product.busemann_at``, two single-tree Busemann values plus a
+level term, and a whole ball at once through ``product.busemann_rows``,
+which is how ``boundary_limit_check`` reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .rays import GAMMA, BranchingRay, Ray, parse_ray, require_valid_ray
@@ -42,48 +40,46 @@ from .tree import VertexAddress, height, parse_decimal
 from .product import HoroProduct, ProductVertex, busemann_at, busemann_rows
 
 
-class PointKind(Enum):
-    RAY1 = "C1"
-    RAY2 = "C2"
-    VERTEX1 = "T1"
-    VERTEX2 = "T2"
-    LEVEL = "Z"
-
-    def __init__(self, tag: str):
-        # the tag is the payload's kind letter followed by its side
-        self._side = int(tag[1:]) if tag[1:] else None
-        self._is_ray = tag[0] == "C"
-
-    @property
-    def side(self) -> int | None:
-        """The tree the payload lives in: 1, 2, or None for a level."""
-        return self._side
-
-    @property
-    def is_ray(self) -> bool:
-        """Whether the payload is an end, not a vertex or a level."""
-        return self._is_ray
-
-
 @dataclass(frozen=True)
 class BoundaryPoint:
-    kind: PointKind
-    payload: Ray | VertexAddress | int
+    """The point (xi1, xi2, eta) of the height compactification."""
+
+    xi1: Ray | VertexAddress
+    xi2: Ray | VertexAddress
+    eta: int | float
 
     def __str__(self):
-        return f"{self.kind.value}:{self.payload}"
+        if self.eta == math.inf:
+            return f"C1:{self.xi1}"
+        if self.eta == -math.inf:
+            return f"C2:{self.xi2}"
+        if self.xi1 != GAMMA:
+            return f"T1:{self.xi1}"
+        if self.xi2 != GAMMA:
+            return f"T2:{self.xi2}"
+        return f"Z:{self.eta}"
+
+
+def _on_side(side: int, xi: Ray | VertexAddress, eta: int | float
+             ) -> BoundaryPoint:
+    """xi in tree ``side``, gamma in the other, and eta negated on side 2."""
+    if side == 1:
+        return BoundaryPoint(xi, GAMMA, eta)
+    if side == 2:
+        return BoundaryPoint(GAMMA, xi, -eta)
+    raise ValueError(f"side must be 1 or 2, got {side!r}")
 
 
 def ray_point(side: int, ray: Ray) -> BoundaryPoint:
-    return BoundaryPoint(PointKind(f"C{side}"), ray)
+    return _on_side(side, ray, math.inf)
 
 
 def vertex_point(side: int, v: VertexAddress) -> BoundaryPoint:
-    return BoundaryPoint(PointKind(f"T{side}"), v)
+    return _on_side(side, v, height(v))
 
 
 def level_point(k: int) -> BoundaryPoint:
-    return BoundaryPoint(PointKind("Z"), k)
+    return BoundaryPoint(GAMMA, GAMMA, k)
 
 
 def parse_point(text: str) -> BoundaryPoint:
@@ -92,18 +88,16 @@ def parse_point(text: str) -> BoundaryPoint:
     tag, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"unparsable boundary point {text!r}")
-    try:
-        kind = PointKind(tag)
-    except ValueError:
-        raise ValueError(f"unknown boundary tag {tag!r}") from None
-    if kind.is_ray:
+    if tag in ("C1", "C2"):
         ray = parse_ray(rest)
         if str(ray) != rest:
             raise ValueError(f"boundary point {text!r} is not in shortest"
-                             f" form, which is {kind.value}:{ray}")
-        return BoundaryPoint(kind, ray)
-    if kind.side is not None:
-        return BoundaryPoint(kind, VertexAddress.parse(rest))
+                             f" form, which is {tag}:{ray}")
+        return ray_point(int(tag[1]), ray)
+    if tag in ("T1", "T2"):
+        return vertex_point(int(tag[1]), VertexAddress.parse(rest))
+    if tag != "Z":
+        raise ValueError(f"unknown boundary tag {tag!r}")
     try:
         return level_point(parse_decimal(rest))
     except ValueError:
@@ -111,13 +105,13 @@ def parse_point(text: str) -> BoundaryPoint:
 
 
 def require_valid_point(product: HoroProduct, p: BoundaryPoint) -> None:
-    if p.kind.side is None:
-        return
-    spec = product.tree(p.kind.side)
-    if p.kind.is_ray:
-        require_valid_ray(spec, p.payload)
-    else:
-        spec.require_valid(p.payload)
+    """Raise AddressError unless each tree coordinate exists in its tree."""
+    for side, xi in ((1, p.xi1), (2, p.xi2)):
+        spec = product.tree(side)
+        if isinstance(xi, VertexAddress):
+            spec.require_valid(xi)
+        else:
+            require_valid_ray(spec, xi)
 
 
 def hm_coordinates(p: BoundaryPoint | ProductVertex):
@@ -125,11 +119,7 @@ def hm_coordinates(p: BoundaryPoint | ProductVertex):
     a product vertex (x1, x2) is (x1, x2, height(x1))."""
     if isinstance(p, ProductVertex):
         return (p.x1, p.x2, height(p.x1))
-    side = p.kind.side
-    if side is None:
-        return (GAMMA, GAMMA, p.payload)
-    eta = math.inf if p.kind.is_ray else height(p.payload)
-    return (p.payload, GAMMA, eta) if side == 1 else (GAMMA, p.payload, -eta)
+    return (p.xi1, p.xi2, p.eta)
 
 
 def evaluate(anchor: BoundaryPoint | ProductVertex, y: ProductVertex) -> int:
@@ -168,10 +158,10 @@ def standard_catalog(product: HoroProduct,
                      levels: Iterable[int] = (-2, -1, 0, 1, 2),
                      vertex_radius: int = 2,
                      ) -> list[BoundaryPoint]:
-    """A deterministic descriptor catalog covering all five variants.
+    """A deterministic descriptor catalog covering all five tags.
 
-    Every payload is chosen to be visible to a radius-3 ball: levels
-    stay small, rays split within depth 3, and vertex payloads skip the
+    Every coordinate is chosen to be visible to a radius-3 ball: levels
+    stay small, rays split within depth 3, and vertex points skip the
     ray vertices of depth >= 2 (those mimic the height functions inside
     small balls; they first disagree at distance 4).  The verification
     suite asserts pairwise pointwise separation on the radius-3 ball.

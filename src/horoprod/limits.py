@@ -248,7 +248,7 @@ class RadialRay(SequenceFamily):
     pairing: Ray | None = None
 
     def __post_init__(self):
-        if self.tree not in (1, 2):
+        if type(self.tree) is not int or self.tree not in (1, 2):
             raise ValueError("tree must be 1 or 2")
 
     @property
@@ -289,13 +289,14 @@ class Horocyclic(SequenceFamily):
     parsers = {"level": strict_int}
     level: int
 
+    def __post_init__(self):
+        if type(self.level) is not int:
+            raise ValueError(f"level must be an integer, got {self.level!r}")
+
     def stream(self, product, start=0):
         k = self.level
-        pairs = itertools.zip_longest(level_sequence(product.tree1, k, start),
-                                      level_sequence(product.tree2, -k, start))
-        for v1, v2 in pairs:
-            if v1 is None or v2 is None:
-                break
+        for v1, v2 in zip(level_sequence(product.tree1, k, start),
+                          level_sequence(product.tree2, -k, start)):
             yield ProductVertex(v1, v2)
         # one level set ended, or both did before start
         raise self._exhausted()
@@ -375,6 +376,8 @@ class Alternating(SequenceFamily):
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("levels must be nonempty")
+        if any(type(k) is not int for k in self.levels):
+            raise ValueError(f"levels must be integers, got {self.levels!r}")
 
     def stream(self, product, start=0):
         # term n is term n // m of stream n % m; stream i opens at the
@@ -691,26 +694,22 @@ def isomorphism_check(product: HoroProduct,
 def realizability(product: HoroProduct, p: BoundaryPoint) -> tuple[bool, str | None]:
     """Whether some interior sequence converges to the descriptor.
 
-    Level points need both level sets infinite; pinned-vertex points
-    need the opposite tree's level set infinite; non-distinguished ends
-    are always reachable; a distinguished end needs its own tree's
-    level sets infinite (heights must climb while hugging the ray).
+    At a finite height, each tree whose coordinate is gamma needs its
+    level sets infinite (that coordinate diverges at a fixed height).
+    At height +infinity (-infinity) only the first (second) tree's
+    coordinate matters: other ends are always reachable, and gamma
+    needs that tree's level sets infinite (heights must climb while
+    hugging the distinguished ray).
     """
-    own = p.kind.side
-    if own is None:
-        needed = (1, 2)
-    elif not p.kind.is_ray:
-        needed = (3 - own,)
-    elif p.payload == GAMMA:
-        needed = (own,)
-    else:
-        return True, None
+    needed = [side for side, xi in ((1, p.xi1), (2, p.xi2)) if xi == GAMMA]
+    if math.isinf(p.eta):
+        needed = [side for side in needed if (side == 1) == (p.eta > 0)]
     finite = [side for side in needed
               if f_set(product.tree(side)) != FSet.ALL]
     if not finite:
         return True, None
     name = "first" if finite[0] == 1 else "second"
-    if p.kind.is_ray:
+    if math.isinf(p.eta):
         return False, (f"heights cannot climb along the {name} tree's "
                        "distinguished ray: its levels are finite")
     return False, f"the {name} tree has finite horocycle levels"

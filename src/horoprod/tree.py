@@ -233,18 +233,15 @@ class DegreeRule(FieldCodec):
     decide that it exists).  A rule that is not ``decidable`` answers
     the first and the last by probing: out to
     ``CustomRule.PROBE_RADIUS`` and over ``CustomRule.PROBE_LETTERS``
-    letters.  ``uniform_below(branch, depth)`` says whether, below any
-    one position of that branch and suffix length, the label count of
-    a position is fixed by its depth, so the words there count and rank
-    as mixed-radix numbers.  In JSON a family is its ``kind`` plus its
-    fields.
+    letters.  A decidable family also answers ``uniform_below(branch,
+    depth)``: whether, below any one position of that branch and suffix
+    length, the label count of a position is fixed by its depth, so the
+    words there count and rank as mixed-radix numbers.  In JSON a
+    family is its ``kind`` plus its fields.
     """
 
     kind: ClassVar[str | None] = None
     decidable: ClassVar[bool] = True
-
-    def uniform_below(self, branch: int, depth: int) -> bool:
-        return False
 
     def constant_counts(self) -> int | None:
         """The number of upward neighbors every vertex has, or None when

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from horoprod import verify
 from horoprod.boundary import (
-    PointKind,
     boundary_limit_check,
     evaluate,
     hm_coordinates,
@@ -20,7 +19,7 @@ from horoprod.boundary import (
 )
 from horoprod.product import (BASE, HoroProduct, ProductVertex, busemann_rows,
                               product_busemann)
-from horoprod.rays import BranchingRay, GAMMA, level_sequence
+from horoprod.rays import BranchingRay, GAMMA, level_sequence, parse_ray
 from horoprod.tree import TreeSpec, VertexAddress, height
 from test_cli_golden import MIXED
 
@@ -48,8 +47,8 @@ def test_point_text_round_trip():
     ]
     for p in points:
         assert parse_point(str(p)) == p
-    assert [(p.kind.side, p.kind.is_ray) for p in points] == [
-        (1, True), (2, True), (1, False), (2, False), (None, False)]
+    assert [str(p).partition(":")[0] for p in points] == [
+        "C1", "C2", "T1", "T2", "Z"]
     assert str(level_point(-2)) == "Z:-2"
     assert str(ray_point(1, GAMMA)) == "C1:gamma"
     with pytest.raises(ValueError, match="unknown boundary tag"):
@@ -213,9 +212,46 @@ def test_pinned_vertex_formulas_match_direct_limits():
 def test_catalog_shape():
     catalog = standard_catalog(DL33)
     assert len(catalog) >= 40
-    kinds = {p.kind for p in catalog}
-    assert kinds == set(PointKind)
+    tags = {str(p).partition(":")[0] for p in catalog}
+    assert tags == {"C1", "C2", "T1", "T2", "Z"}
     assert len(set(map(str, catalog))) == len(catalog)
+
+
+# The coordinates (xi1, xi2, eta) each tag stands for, read off its text.
+TAG_TRIPLES = {
+    "C1": lambda t: (parse_ray(t), GAMMA, math.inf),
+    "C2": lambda t: (GAMMA, parse_ray(t), -math.inf),
+    "T1": lambda t: (va(t), GAMMA, height(va(t))),
+    "T2": lambda t: (GAMMA, va(t), -height(va(t))),
+    "Z": lambda t: (GAMMA, GAMMA, int(t)),
+}
+
+
+@pytest.mark.parametrize("product", [
+    DL33,
+    HoroProduct(TreeSpec.from_json(MIXED["tree1"]),
+                TreeSpec.from_json(MIXED["tree2"])),
+    HoroProduct(R3, LINE), HoroProduct(LINE, LINE)],
+    ids=["DL33", "MIXED", "R3xline", "linexline"])
+def test_catalog_points_are_their_coordinates(product):
+    catalog = standard_catalog(product)
+    tags = set()
+    for p in catalog:
+        assert parse_point(str(p)) == p
+        tag, _, rest = str(p).partition(":")
+        tags.add(tag)
+        assert (p.xi1, p.xi2, p.eta) == TAG_TRIPLES[tag](rest)
+        assert hm_coordinates(p) == (p.xi1, p.xi2, p.eta)
+    assert tags == set(TAG_TRIPLES)
+
+
+@pytest.mark.parametrize("make", [lambda: ray_point(3, GAMMA),
+                                  lambda: vertex_point(0, va("0;"))],
+                         ids=["ray-side-3", "vertex-side-0"])
+def test_points_live_in_tree_1_or_2(make):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value).startswith("side must be 1 or 2, got ")
 
 
 def test_levels_drain_into_heights():

@@ -58,6 +58,21 @@ def test_dist(capsys, dl33_file):
     assert code == 0 and json.loads(out)["dist"] == 2
 
 
+def test_dist_oracle_failures_exit_1(capsys, monkeypatch, dl33_file):
+    # past the search radius the oracle has no answer, which is no agreement
+    code, out = run(capsys, "dist", "--spec", dl33_file,
+                    "0;|0;", "2;|0;0.0", "--oracle", "--radius", "1")
+    assert code == 1
+    assert json.loads(out) == {"v": "0;|0;", "w": "2;|0;0.0", "dist": 2,
+                               "bfs": "out_of_range", "oracle_agrees": False}
+    monkeypatch.setattr(cli.HoroProduct, "dist_bfs", lambda *args: 3)
+    code, out = run(capsys, "dist", "--spec", dl33_file,
+                    "0;|0;", "2;|0;0.0", "--oracle")
+    assert code == 1
+    assert json.loads(out)["bfs"] == 3
+    assert not json.loads(out)["oracle_agrees"]
+
+
 def test_dist_bad_vertex_syntax(capsys, dl33_file):
     code, _ = run(capsys, "dist", "--spec", dl33_file, "junk", "0;|0;")
     assert code == 2
@@ -409,6 +424,44 @@ DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
      {"spec": DL33, "p_up": "1/2", "steps": 10, "seed": 1, "trajectories": 1,
       "record_stride": 0},
      "config has record_stride 0, nothing to trace"),
+    (["classify", "--family"], {"spec": DL33, "family": {"kind": "spiral"}},
+     "unknown family kind 'spiral'"),
+    (["classify", "--family"],
+     {"spec": DL33, "family": {"kind": "radial_ray", "tree": 3,
+                               "ray": "gamma"}},
+     "tree must be 1 or 2"),
+    (["classify", "--family"],
+     {"spec": DL33, "family": {"kind": "alternating", "levels": []}},
+     "levels must be nonempty"),
+    (["classify", "--window", "5:2", "--family"],
+     {"spec": DL33, "family": {"kind": "horocyclic", "level": 0}},
+     "window must satisfy 0 <= n0 < n1"),
+    (["validate", "--spec"],
+     {"tree1": {"family": "star"}, "tree2": DL33["tree2"]},
+     "unknown tree family 'star'"),
+    (["validate", "--spec"],
+     {"tree1": {"family": "ray_periodic", "ray_degrees": [3, 0],
+                "off_ray_degrees": [3]}, "tree2": DL33["tree2"]},
+     "degrees must be positive"),
+    (["validate", "--spec"],
+     {"tree1": {"family": "explicit_core", "core": {"0;": 3}, "radius": -1,
+                "tail_degree": 3}, "tree2": DL33["tree2"]},
+     "core radius must be >= 0"),
+    (["validate", "--spec"],
+     {"tree1": {"family": "explicit_core", "core": {"0;": 0}, "radius": 0,
+                "tail_degree": 3}, "tree2": DL33["tree2"]},
+     "listed degree must be positive at '0;'"),
+    (["busemann", "T1:0;-1", "0;|0;", "--spec"], DL33,
+     "negative child label in (-1,)"),
+    (["busemann", "C2:0;(-1)", "0;|0;", "--spec"], DL33,
+     "negative child label"),
+    (["walk", "--config"],
+     {"spec": DL33, "p_up": "1/2", "steps": -1, "seed": 1, "trajectories": 1},
+     "steps must be >= 0"),
+    (["walk", "--config"],
+     {"spec": DL33, "p_up": "1/2", "steps": 10, "seed": 1, "trajectories": 1,
+      "record_stride": -1},
+     "record_stride must be >= 0"),
 ], ids=["validate-bad-core", "classify-ray-not-text",
         "classify-family-not-object", "classify-spec-not-object",
         "ball-invalid-spec", "dist-invalid-spec", "walk-negative-cap",
@@ -428,7 +481,13 @@ DEGREE_ONE = {"tree1": {"family": "ray_periodic", "ray_degrees": [3],
         "walk-space-p-up", "walk-zero-denominator-p-up",
         "walk-missing-probe-ray", "busemann-missing-ray",
         "busemann-negative-branch", "validate-neither-tree-nor-product",
-        "classify-missing-spec", "walk-csv-zero-stride"])
+        "classify-missing-spec", "walk-csv-zero-stride",
+        "classify-unknown-kind", "classify-radial-tree-3",
+        "classify-no-levels", "classify-reversed-window",
+        "validate-unknown-family", "validate-zero-ray-degree",
+        "validate-negative-core-radius", "validate-zero-core-degree",
+        "busemann-negative-label", "busemann-negative-ray-label",
+        "walk-negative-steps", "walk-negative-stride"])
 def test_malformed_input_usage_error(capsys, tmp_path, argv, data, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
@@ -550,13 +609,15 @@ def test_trace_files_of_an_earlier_run_removed(capsys, tmp_path):
      "the following arguments are required: --radius"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
     ([], "the following arguments are required: command"),
+    (["verify", "fset", "--radius", "7"],
+     "the level-counting oracle needs max_radius >= 8"),
 ], ids=["verify-unused-seed", "verify-unused-trajectories",
         "verify-unused-radius", "ball-underscore-radius",
         "verify-arabic-indic-radius", "verify-leading-zero-seed",
         "verify-space-steps", "verify-plus-trajectories",
         "walk-underscore-cap", "classify-underscore-window",
         "classify-arabic-indic-window", "ball-missing-radius",
-        "unknown-command", "no-command"])
+        "unknown-command", "no-command", "verify-fset-radius-7"])
 def test_malformed_option_usage_error(capsys, argv, message):
     # each is refused before any file is read or any suite runs
     code = main(argv)

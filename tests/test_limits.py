@@ -464,3 +464,42 @@ def test_family_json_round_trip(family):
 def test_custom_not_serializable():
     with pytest.raises(ValueError):
         Custom(lambda n: BASE).to_json()
+
+
+@pytest.mark.parametrize("family,text", [
+    (EventuallyConstant(ProductVertex.parse("0;0|1;")), "const[0;0|1;]"),
+    (RadialRay(2, BranchingRay(1, (), (0,)), GAMMA), "radial[t2;1;(0);gamma]"),
+    (Horocyclic(-3), "horocyclic[-3]"),
+    (FixedFirst(VertexAddress.parse("1;0")), "fixed1[1;0]"),
+    (FixedSecond(VertexAddress.parse("2;")), "fixed2[2;]"),
+    (Alternating((2, -1, 2)), "alternating[2,-1,2]"),
+])
+def test_family_describe(family, text):
+    assert family.describe() == text
+
+
+# -- input checks ------------------------------------------------------------------------
+
+# test_cli.py's malformed-input cases reach the other family checks
+@pytest.mark.parametrize("call,message", [
+    (lambda: terms(DL33, Horocyclic(0), 3, -1), "start must be >= 0"),
+    (lambda: empirical_pointwise_check(DL33, Horocyclic(0), (-1, 3), 1),
+     "window must satisfy 0 <= n0 < n1"),
+], ids=["terms-negative-start", "window-negative"])
+def test_family_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: RadialRay(True, parse_ray("0;(1)")), "tree must be 1 or 2"),
+    (lambda: Horocyclic(2.0), "level must be an integer, got 2.0"),
+    (lambda: Alternating((1, True)), "levels must be integers, got (1, True)"),
+], ids=["radial-bool-tree", "horocyclic-float-level",
+        "alternating-bool-level"])
+def test_families_refuse_non_integer_fields(make, message):
+    # as family_from_json refuses these, and WalkConfig a bool probe tree
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

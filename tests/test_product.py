@@ -91,6 +91,16 @@ def test_dist_bfs_examples():
     assert DL33.dist_bfs(BASE, far, 2) == 2
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: DL33.ball(-1), "radius must be >= 0"),
+    (lambda: DL33.dist_bfs(BASE, BASE, -1), "radius_cap must be >= 0"),
+], ids=["ball", "dist-bfs"])
+def test_negative_radius_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_busemann_examples():
     z = pv("0;0|1;")
     y = pv("0;1|1;")

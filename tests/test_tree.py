@@ -228,6 +228,18 @@ def test_malformed_families():
         TreeSpec(Regular(3), 4)
 
 
+def test_ball_refuses_negative_radius():
+    with pytest.raises(ValueError) as info:
+        R3.ball(-1)
+    assert str(info.value) == "radius must be >= 0"
+
+
+def test_core_tail_degree_violation():
+    violation = TreeSpec.explicit_core_of(R3, 2, 2, min_degree=3).validate()
+    assert violation.message == "tail degree 2 < 3"
+    assert violation.witness == v("3;")
+
+
 def test_ray_periodic_degrees():
     spec = TreeSpec.ray_periodic([3, 2], [2, 3])
     assert spec.degree(ORIGIN) == 3

@@ -1,5 +1,6 @@
 """Walk simulator: determinism, exact degenerate cases, drift checks."""
 
+import dataclasses
 import operator
 import statistics
 import time
@@ -161,6 +162,18 @@ def test_estimate_speed():
         estimate_speed(simulate(make(1, steps=1)))
 
 
+def test_estimate_speed_refuses_empty_and_all_zero_results():
+    result = simulate(make(1, steps=10))
+    with pytest.raises(ValueError) as info:
+        estimate_speed(dataclasses.replace(result, trajectories=()))
+    assert str(info.value) == "no trajectories"
+    still = tuple(dataclasses.replace(t, final_dist=0, dist_slope=Fraction(0))
+                  for t in result.trajectories)
+    with pytest.raises(ValueError) as info:
+        estimate_speed(dataclasses.replace(result, trajectories=still))
+    assert str(info.value) == "degenerate all-zero trajectories"
+
+
 def test_drift_report_biased():
     result = simulate(make("9/10", steps=4000, trajectories=6, record_stride=0))
     report = drift_report(result, tolerance=0.08)
@@ -205,6 +218,15 @@ def test_trace_csv(tmp_path):
     assert lines[0] == "n,dist,height,probe_0,probe_1,probe_2,probe_3"
     assert len(lines) == 12  # header + 11 records at stride 2
     assert lines[1].startswith("0,0,0")
+
+
+def test_trace_csv_needs_records(tmp_path):
+    result = simulate(make("1/2", steps=20, trajectories=1, record_stride=0))
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError) as info:
+        write_trace_csv(path, result.trajectories[0], len(PROBES))
+    assert str(info.value) == "trajectory was run without records"
+    assert not path.exists()
 
 
 def test_config_json_round_trip():
