@@ -271,8 +271,6 @@ class HoroProduct:
                     if n not in near:
                         near[n] = depth
                         nxt.append(n)
-            if not nxt:
-                return None
             near_layer = nxt
         return None
 

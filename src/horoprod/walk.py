@@ -31,9 +31,10 @@ Two draw sources feed it, chosen from the families' ``constant_counts``:
   (``_constant_draws``).  When every step takes the same number of
   MT19937 words (three on two trees of degree 3: two for ``random()``,
   one for ``getrandbits(1)``; two on two lines) a block's draws are
-  sliced from one ``getrandbits`` call (``_decode_words``); otherwise
-  they are drawn call by call.  A walk that records nothing (stride 0)
-  runs in flat memory.
+  sliced from one ``MT19937.random_raw`` call of numpy's bit generator,
+  which continues the trajectory's ``Random`` word for word from its
+  state (``_decode_words``); otherwise they are drawn call by call.  A
+  walk that records nothing (stride 0) runs in flat memory.
 - Any other family keeps each suffix as a list and asks the tree spec
   how many children a position has (``TreeSpec.label_count`` on the
   family's degree: the degree cycles for RayPeriodic, the core table
@@ -297,36 +298,49 @@ def _suffix_draws(rng: Random, p: float, spec1: TreeSpec, spec2: TreeSpec):
 def _constant_draws(rng: Random, p: float, count1: int, count2: int):
     """``_suffix_draws`` on two trees whose every vertex has ``count1``
     (``count2``) upward neighbors, where no suffix is needed: sliced
-    from one run of words when each step takes the same number of them
-    (``_decode_words``), else drawn call by call."""
+    from one run of words of numpy's ``MT19937``, continued from the
+    state of ``rng``, when each step takes the same number of them
+    (``_decode_words``), else drawn call by call from ``rng``."""
     # MT19937 words per step when that number is fixed: two for random()
     # and, on two trees of degree 3, one for the climb's getrandbits(1)
     words = 3 if count1 == count2 == 2 else 2 if count1 == count2 == 1 else 0
+    n = yield
+    if words:
+        # imported here: numpy.random costs every other walk and command
+        # its import time and memory
+        from numpy.random import MT19937
+        bits = MT19937()
+        bits.state = _mt19937_state(rng)
+        while True:
+            n = yield _decode_words(bits, n, words, p)
     rand = rng.random
     draw1, arg1 = _draw(rng, count1)
     draw2, arg2 = _draw(rng, count2)
-    n = yield
     while True:
-        if words:
-            n = yield _decode_words(rng, n, words, p)
-        else:
-            n = yield _unpack([draw1(arg1) << 1 | 1 if rand() < p
-                               else draw2(arg2) << 1 for _ in range(n)])
+        n = yield _unpack([draw1(arg1) << 1 | 1 if rand() < p
+                           else draw2(arg2) << 1 for _ in range(n)])
 
 
-def _decode_words(rng: Random, n: int, words: int,
+def _mt19937_state(rng: Random) -> dict:
+    """The state of ``rng`` as numpy's ``MT19937.state``: the 624-word
+    key and the position of the next word in it."""
+    *key, pos = rng.getstate()[1]
+    return {"bit_generator": "MT19937",
+            "state": {"key": np.array(key, dtype=np.uint32), "pos": pos}}
+
+
+def _decode_words(bits, n: int, words: int,
                   p: float) -> tuple[np.ndarray, np.ndarray]:
     """``(up, c)`` of the next n steps at ``words`` words per step, sliced
-    from one ``getrandbits(32 * words * n)``, which returns the words
-    least significant first.  ``random()`` is (w0 >> 5) * 2**26 +
-    (w1 >> 6) over 2**53, so it falls below p exactly when that integer
-    falls below ceil(p * 2**53); ``getrandbits(1)`` is the top bit of its
-    word."""
-    raw = rng.getrandbits(32 * words * n).to_bytes(4 * words * n, "little")
-    w = np.frombuffer(raw, dtype="<u4").reshape(n, words)
-    r = (w[:, 0] >> 5).astype(np.int64) << 26 | w[:, 1] >> 6
+    from ``bits.random_raw(words * n)``, the next words of the Mersenne
+    Twister in the order ``Random`` draws them.  ``random()`` is
+    (w0 >> 5) * 2**26 + (w1 >> 6) over 2**53, so it falls below p
+    exactly when that integer falls below ceil(p * 2**53);
+    ``getrandbits(1)`` is the top bit of its word."""
+    w = bits.random_raw(words * n).reshape(n, words)
+    r = (w[:, 0] >> 5) << 26 | w[:, 1] >> 6
     up = r < math.ceil(p * 2 ** 53)
-    c = w[:, 2] >> 31 if words == 3 else np.zeros(n, dtype=np.uint32)
+    c = w[:, 2] >> 31 if words == 3 else np.zeros(n, dtype=np.uint64)
     return up, c.astype(np.int64)
 
 

@@ -2,14 +2,20 @@
 
 import dataclasses
 import operator
+import os
 import statistics
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
+from numpy.random import MT19937
 
 from horoprod.product import BASE, HoroProduct, product_dist, product_height
 from horoprod.rays import BranchingRay, GAMMA
@@ -21,6 +27,7 @@ from horoprod.walk import (
     _chunk_sums,
     _decode_words,
     _half_slope,
+    _mt19937_state,
     _trajectory_seed,
     drift_report,
     estimate_speed,
@@ -28,6 +35,10 @@ from horoprod.walk import (
     step,
     write_trace_csv,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 R3 = TreeSpec.regular(3)
 DL33 = HoroProduct(R3, R3)
@@ -381,7 +392,8 @@ def constant_rule(degree):
     return TreeSpec(CustomRule(lambda branch, suffix: degree), 2)
 
 
-@pytest.mark.parametrize("degrees", [(3, 3), (4, 4), (3, 4), (2, 4), (3, 2)],
+@pytest.mark.parametrize("degrees", [(3, 3), (4, 4), (3, 4), (2, 4), (3, 2),
+                                     (2, 2)],
                          ids=lambda d: f"deg{d[0]}x{d[1]}")
 def test_constant_custom_rule_walks_like_regular(degrees):
     # a constant-degree custom rule keeps suffix lists and asks its rule,
@@ -491,20 +503,53 @@ def test_constant_count_walk_memory_is_flat():
 @pytest.mark.parametrize("p_up", [0.0, 1 / 3, 0.5, 0.8, 1.0])
 def test_block_decoder_matches_draws_call_by_call(p_up):
     # On DL(3,3) every step takes three words of the Mersenne Twister:
-    # random() takes two, the climb's getrandbits(1) is the top bit of
-    # the third, and getrandbits(32 * N) returns N words least
-    # significant first.  The blocks must read the stream as the calls do.
-    bulk, calls = Random(41), Random(41)
-    for n in (1, 2500, 8192):
-        up, c = _decode_words(bulk, n, 3, p_up)
-        expected = [(calls.random() < p_up, calls.getrandbits(1))
-                    for _ in range(n)]
-        assert list(zip(up.tolist(), c.tolist())) == expected
-    # on two lines a step takes the two words of random() alone
-    up, c = _decode_words(bulk, 1000, 2, p_up)
-    assert up.tolist() == [calls.random() < p_up for _ in range(1000)]
-    assert not c.any()
-    assert bulk.getstate() == calls.getstate()
+    # random() takes two and the climb's getrandbits(1) is the top bit
+    # of the third.  numpy's MT19937, set from a Random's state, must
+    # continue that Random's stream word for word, also when the state
+    # sits in the middle of its 624-word table (after a few random()).
+    for warmup in (0, 5):
+        calls = Random(41)
+        for _ in range(warmup):
+            calls.random()
+        bits = MT19937()
+        bits.state = _mt19937_state(calls)
+        assert (bits.state["state"]["pos"] == 624) == (warmup == 0)
+        for n in (1, 2500, 8192):
+            up, c = _decode_words(bits, n, 3, p_up)
+            expected = [(calls.random() < p_up, calls.getrandbits(1))
+                        for _ in range(n)]
+            assert list(zip(up.tolist(), c.tolist())) == expected
+        # on two lines a step takes the two words of random() alone
+        up, c = _decode_words(bits, 1000, 2, p_up)
+        assert up.tolist() == [calls.random() < p_up for _ in range(1000)]
+        assert not c.any()
+        state, expected = bits.state["state"], _mt19937_state(calls)["state"]
+        assert state["pos"] == expected["pos"]
+        assert np.array_equal(state["key"], expected["key"])
+
+
+def test_numpy_random_loads_only_for_fixed_word_walks():
+    # numpy.random costs import time and memory, so neither the package
+    # nor a walk on the suffix path loads it; a DL(3,3) walk, which
+    # draws its words from numpy's MT19937, does
+    code = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from horoprod import HoroProduct, TreeSpec, WalkConfig, simulate
+        loaded = ["numpy.random" in sys.modules]
+        general = HoroProduct(
+            TreeSpec.ray_periodic((3, 4), (3,)),
+            TreeSpec.explicit_core_of(TreeSpec.regular(3), 3, 3))
+        R3 = TreeSpec.regular(3)
+        for product in (general, HoroProduct(R3, R3)):
+            simulate(WalkConfig(product, Fraction(4, 5), 100, 1, 2))
+            loaded.append("numpy.random" in sys.modules)
+        print(loaded)
+    """)
+    run = subprocess.run([sys.executable, "-c", code], env=ENV,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[False, False, True]"
 
 
 def test_degree_lookups_cost_under_twice_constant_degree():
