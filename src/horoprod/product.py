@@ -13,19 +13,25 @@ a level term (``busemann_at``).  Both facts are verified against a
 breadth-first oracle by the test-suite; the library itself always uses
 the closed forms.
 
-Enumeration never materializes the trees.  It runs on keys, the plain
-tuples (branch1, suffix1, branch2, suffix2) of ``product_key``, through
-one key-level edge relation built from the two degree rules;
-``neighbors``, ``ball``, ``ball_graph`` and ``dist_bfs`` all read it.
-Output order is deterministic: breadth-first layers, each sorted by the
-textual form.  ``neighbors`` and ``ball`` hand out ProductVertex
-objects; ``ball_graph`` hands out the keys of the ball in that order,
-with the induced graph as integer adjacency lists, which the metric
-oracle sweeps.  An inner vertex lists its neighbours in edge-relation
-order; the rim, the vertices at exactly the radius, is never expanded,
-and a rim vertex's list is read back from the inner lists, in
-ascending index.  So a ProductVertex is built only for a vertex that a
-caller asks for.
+Enumeration reads one edge relation, the two trees' moves
+(``TreeSpec.up_moves`` and ``down_move``), and never a closed form.
+``neighbors`` and ``dist_bfs`` apply it to keys, the plain tuples
+(branch1, suffix1, branch2, suffix2) of ``product_key``.  ``ball`` and
+``ball_graph`` apply it once per tree coordinate: each tree's radius
+ball becomes a table (``TreeSpec.ranked_ball``) that numbers its
+coordinates in the order of their texts and holds each inner
+coordinate's moves as those numbers.  A product vertex is then the one
+int r1 * n2 + r2 of its coordinates' ranks (n2 is the size of the
+second table), and ints order as the pairs of texts do.  Output order
+is deterministic: breadth-first layers, each sorted by the textual
+form.  ``neighbors`` and ``ball`` hand out ProductVertex objects;
+``ball_graph`` hands out the keys of the ball in that order, with the
+induced graph as integer adjacency lists, which the metric oracle
+sweeps.  An inner vertex lists its neighbours in edge-relation order;
+the rim, the vertices at exactly the radius, is never expanded, and a
+rim vertex's list is read back from the inner lists, in ascending
+index.  So a ProductVertex is built only for a vertex that a caller
+asks for.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .tree import (SpecError, TreeSpec, VertexAddress, address_text, busemann,
-                   height, origin_dist, tree_dist)
+from .tree import (RankedBall, SpecError, TreeSpec, VertexAddress, busemann,
+                   down_move, height, origin_dist, tree_dist)
 from .rays import level_busemann
 
 
@@ -69,7 +75,6 @@ class ProductVertex:
 BASE = ProductVertex(VertexAddress(0, ()), VertexAddress(0, ()))
 
 Key = tuple     # (branch1, suffix1, branch2, suffix2)
-BASE_KEY = (0, (), 0, ())
 
 
 def product_key(v: ProductVertex) -> Key:
@@ -89,12 +94,6 @@ def _vertices(keys: Iterable[Key]) -> list[ProductVertex]:
 
     return [ProductVertex(address(b1, s1), address(b2, s2))
             for b1, s1, b2, s2 in keys]
-
-
-def _sort_key(key: Key) -> tuple[str, str]:
-    """(str(x1), str(x2)) of the vertex with this key."""
-    b1, s1, b2, s2 = key
-    return address_text(b1, s1), address_text(b2, s2)
 
 
 def product_height(v: ProductVertex) -> int:
@@ -204,42 +203,72 @@ class HoroProduct:
         """The edge relation on keys: up moves (the first coordinate
         climbs while the second steps toward its end), then down moves."""
         b1, s1, b2, s2 = key
-        down1 = (b1, s1[:-1]) if s1 else (b1 + 1, ())
-        down2 = (b2, s2[:-1]) if s2 else (b2 + 1, ())
-        out = [(b1 - 1, (), *down2)] if b1 and not s1 else []
-        out.extend((b1, s1 + (j,), *down2)
-                   for j in range(self.tree1.label_count(b1, s1)))
-        if b2 and not s2:
-            out.append((*down1, b2 - 1, ()))
-        out.extend((*down1, b2, s2 + (j,))
-                   for j in range(self.tree2.label_count(b2, s2)))
-        return out
+        down1, down2 = down_move(b1, s1), down_move(b2, s2)
+        return ([(*up, *down2) for up in self.tree1.up_moves(b1, s1)]
+                + [(*down1, *up) for up in self.tree2.up_moves(b2, s2)])
 
     def neighbors(self, v: ProductVertex) -> list[ProductVertex]:
         """Up moves (first coordinate climbs) then down moves."""
         return _vertices(self._key_neighbors(product_key(v)))
 
-    def _ball_index(self, radius: int) -> tuple[dict[Key, int], int]:
-        """The radius ball as a map from key to output position, in
-        output order, and the position where its rim (the vertices at
-        exactly the radius) starts."""
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
-        index = {BASE_KEY: 0}
-        frontier = [BASE_KEY]
+    def _ball(self, radius: int,
+              graph: bool) -> tuple[list[int], RankedBall, RankedBall, list]:
+        """The radius ball as vertex codes in output order, the two
+        trees' ``ranked_ball`` tables that the codes index, and, when
+        ``graph`` is set, the neighbour positions of the inner vertices,
+        those below the radius, in edge-relation order.
+
+        The code of a vertex is r1 * n2 + r2, where r1 and r2 are its
+        coordinates' ranks in the tables and n2 is the size of the
+        second one, so codes order as (str(x1), str(x2)) do.  Every
+        edge moves both coordinates by one tree edge, so each coordinate
+        of the ball lies in its tree's radius ball, and an inner
+        vertex's coordinates lie below the radius, where the tables hold
+        their moves.  Each inner vertex is expanded once; all its
+        neighbours lie in the ball.
+        """
+        first = self.tree1.ranked_ball(radius)
+        second = (first if self.tree2 == self.tree1
+                  else self.tree2.ranked_ball(radius))
+        n2 = len(second.branches)
+        ups1 = [None if u is None else [r * n2 for r in u] for u in first.ups]
+        down1 = [None if d is None else d * n2 for d in first.downs]
+        ups2, down2 = second.ups, second.downs
+        # "0;" is the least text, so the base is code 0
+        index = {0: 0}
+        layer = [0]
+        adj = []
         for _ in range(radius):
-            # text is unique per vertex, so the sort fixes the order
-            frontier = sorted({n for k in frontier for n in self._key_neighbors(k)
-                               if n not in index}, key=_sort_key)
-            index.update(zip(frontier, range(len(index), len(index) + len(frontier))))
-        return index, len(index) - len(frontier)
+            ranks = [divmod(c, n2) for c in layer]
+            # each vertex's up moves (the first coordinate climbs), then
+            # its down moves, each kind flat over the layer
+            ups = [u + down2[r2] for r1, r2 in ranks for u in ups1[r1]]
+            downs = [down1[r1] + u for r1, r2 in ranks for u in ups2[r2]]
+            # the next layer: this layer's neighbours not yet in the ball
+            layer = sorted(set(ups).union(downs).difference(index))
+            index.update(zip(layer, range(len(index), len(index) + len(layer))))
+            if graph:
+                ups = list(map(index.__getitem__, ups))
+                downs = list(map(index.__getitem__, downs))
+                i = j = 0
+                for r1, r2 in ranks:
+                    a, b = i + len(ups1[r1]), j + len(ups2[r2])
+                    adj.append(ups[i:a] + downs[j:b])
+                    i, j = a, b
+        return list(index), first, second, adj
 
     def ball(self, radius: int) -> list[ProductVertex]:
         """All vertices within the radius of the base point.
 
         Breadth-first layers; each layer sorted by textual form.
         """
-        return _vertices(self._ball_index(radius)[0])
+        codes, first, second, _ = self._ball(radius, False)
+        # every place of a leafless tree's ball is some vertex's coordinate
+        firsts = list(map(VertexAddress, first.branches, first.suffixes))
+        seconds = (firsts if second is first
+                   else list(map(VertexAddress, second.branches, second.suffixes)))
+        n2 = len(seconds)
+        return [ProductVertex(firsts[c // n2], seconds[c % n2]) for c in codes]
 
     def dist_bfs(self, v: ProductVertex, w: ProductVertex,
                  radius_cap: int) -> int | None:
@@ -289,10 +318,14 @@ class HoroProduct:
         so breadth-first sweeps over it stay independent of the
         closed-form distance.
         """
-        index, rim = self._ball_index(radius)
-        keys = list(index)
-        adj = [[j for j in map(index.get, self._key_neighbors(k)) if j is not None]
-               for k in keys[:rim]]
+        codes, first, second, adj = self._ball(radius, True)
+        b1, s1 = first.branches, first.suffixes
+        b2, s2 = second.branches, second.suffixes
+        n2 = len(b2)
+        keys = [(b1[r1], s1[r1], b2[r2], s2[r2])
+                for r1, r2 in (divmod(c, n2) for c in codes)]
+        del codes, first, second
+        rim = len(adj)
         rim_adj = [[] for _ in range(len(keys) - rim)]
         for i, ns in enumerate(adj):
             for j in ns:

@@ -28,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 
 class AddressError(ValueError):
@@ -115,11 +115,14 @@ def height(v: VertexAddress) -> int:
     return len(v.suffix) - v.branch
 
 
+def down_move(branch: int, suffix: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The (branch, suffix) one step closer to the distinguished end."""
+    return (branch, suffix[:-1]) if suffix else (branch + 1, ())
+
+
 def gamma_ward(v: VertexAddress) -> VertexAddress:
     """The unique neighbor one step closer to the distinguished end."""
-    if v.suffix:
-        return VertexAddress(v.branch, v.suffix[:-1])
-    return VertexAddress(v.branch + 1, ())
+    return VertexAddress(*down_move(v.branch, v.suffix))
 
 
 # the plain function, so the distance kernel pays no attribute lookup
@@ -452,6 +455,18 @@ class CustomRule(DegreeRule):
 TREE_FAMILIES = {cls.kind: cls for cls in (Regular, Line, RayPeriodic, ExplicitCore)}
 
 
+class RankedBall(NamedTuple):
+    """A tree's radius ball numbered in the order of the address texts
+    (``TreeSpec.ranked_ball``): the branch and the suffix of each rank,
+    and per rank its ``up_moves`` and its ``down_move`` as ranks.  Both
+    are None at exactly the radius, where moves may leave the ball."""
+
+    branches: list[int]
+    suffixes: list[tuple[int, ...]]
+    ups: list[list[int] | None]
+    downs: list[int | None]
+
+
 @dataclass(frozen=True)
 class TreeSpec:
     """A pointed tree given by a degree rule plus the minimum-degree flag."""
@@ -520,14 +535,18 @@ class TreeSpec:
         return [gamma_ward(v)] + self.up_neighbors(v)
 
     def up_neighbors(self, v: VertexAddress) -> list[VertexAddress]:
-        """The neighbors of height(v) + 1, in deterministic order."""
-        ups = []
-        if not v.suffix and v.branch > 0:
-            ups.append(VertexAddress(v.branch - 1, ()))
-        ups.extend(
-            VertexAddress(v.branch, v.suffix + (j,))
-            for j in range(self.label_count(v.branch, v.suffix))
-        )
+        """The neighbors of height(v) + 1, in ``up_moves`` order."""
+        return [VertexAddress(b, s) for b, s in self.up_moves(v.branch, v.suffix)]
+
+    def up_moves(self, branch: int,
+                 suffix: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """The (branch, suffix) of each neighbor of height + 1: the ray
+        vertex before a ray vertex past the origin, then the children in
+        label order.  With ``down_move`` this is the edge relation that
+        every enumeration reads."""
+        ups = [(branch - 1, ())] if branch and not suffix else []
+        ups.extend((branch, suffix + (j,))
+                   for j in range(self.label_count(branch, suffix)))
         return ups
 
     def ball(self, radius: int) -> list[VertexAddress]:
@@ -551,6 +570,47 @@ class TreeSpec:
                         nxt.append(w)
             yield nxt
             layer = nxt
+
+    def ranked_ball(self, radius: int) -> RankedBall:
+        """The ball as the table that product balls are built from.
+
+        Every (branch, suffix) within the radius gets a rank, its index
+        in the order of the address texts.  The texts and the ranks by
+        breadth-first index are freed once the table exists.
+        """
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        # In breadth-first order: every move leads one step nearer the
+        # origin, to the parent, or one step farther, to a new child,
+        # whose text is built from its parent's.
+        branches, suffixes, texts, parents = [0], [()], ["0;"], [0]
+        moves = []
+        for depth in range(radius):
+            for i in range(len(moves), len(branches)):
+                branch, suffix = branches[i], suffixes[i]
+                stem = texts[i] + "." if suffix else texts[i]
+                row = []
+                for b, s in (down_move(branch, suffix), *self.up_moves(branch, suffix)):
+                    if b + len(s) > depth:
+                        row.append(len(branches))
+                        branches.append(b)
+                        suffixes.append(s)
+                        texts.append(stem + str(s[-1]) if s else f"{b};")
+                        parents.append(i)
+                    else:
+                        row.append(parents[i])
+                moves.append(row)
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        del texts, parents
+        rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+        ups, downs = [None] * len(order), [None] * len(order)
+        for i, (down, *up) in enumerate(moves):
+            ups[rank[i]] = [rank[j] for j in up]
+            downs[rank[i]] = rank[down]
+        return RankedBall([branches[i] for i in order],
+                          [suffixes[i] for i in order], ups, downs)
 
     # -- validation ----------------------------------------------------------
 

@@ -96,6 +96,20 @@ def _dl34() -> HoroProduct:
     return HoroProduct(TreeSpec.regular(3), TreeSpec.regular(4))
 
 
+def _neighbour_table(adj: list[list[int]]) -> np.ndarray:
+    """``adj`` as an int32 matrix, row v holding v's list padded with
+    n = len(adj), filled by one scatter: entry k of the flattened
+    lists lands in row v at column k minus the offset of v's list."""
+    n = len(adj)
+    lengths = np.fromiter(map(len, adj), np.intp, n)
+    table = np.full((n, lengths.max(initial=0)), n, dtype=np.int32)
+    flat = np.fromiter(itertools.chain.from_iterable(adj), np.int32)
+    offsets = np.cumsum(lengths) - lengths
+    table[np.repeat(np.arange(n), lengths),
+          np.arange(len(flat)) - np.repeat(offsets, lengths)] = flat
+    return table
+
+
 def _bitset_distances(adj: list[list[int]], sources: int) -> tuple[np.ndarray, int]:
     """Graph distances among the first ``sources`` vertices of ``adj``, by
     one level-synchronous breadth-first sweep from all of them at once.
@@ -110,9 +124,7 @@ def _bitset_distances(adj: list[list[int]], sources: int) -> tuple[np.ndarray, i
     indexed [source, target], and the number of levels swept.
     """
     n = len(adj)
-    table = np.full((n, max(map(len, adj), default=0)), n, dtype=np.int32)
-    for v, ns in enumerate(adj):
-        table[v, :len(ns)] = ns
+    table = _neighbour_table(adj)
     words = (sources + 63) // 64
     frontier = np.zeros((n + 1, words), dtype=np.uint64)
     ids = np.arange(sources)

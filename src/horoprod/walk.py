@@ -65,12 +65,13 @@ values it records.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -295,21 +296,20 @@ def _suffix_draws(rng: Random, p: float, spec1: TreeSpec, spec2: TreeSpec):
         n = yield out
 
 
-def _constant_draws(rng: Random, p: float, count1: int, count2: int):
+def _constant_draws(rng: Random, p: float, count1: int, count2: int,
+                    bit_generator: Callable):
     """``_suffix_draws`` on two trees whose every vertex has ``count1``
     (``count2``) upward neighbors, where no suffix is needed: sliced
     from one run of words of numpy's ``MT19937``, continued from the
     state of ``rng``, when each step takes the same number of them
-    (``_decode_words``), else drawn call by call from ``rng``."""
+    (``_decode_words``), else drawn call by call from ``rng``.  The
+    ``MT19937`` is ``bit_generator()``, whose state is then set."""
     # MT19937 words per step when that number is fixed: two for random()
     # and, on two trees of degree 3, one for the climb's getrandbits(1)
     words = 3 if count1 == count2 == 2 else 2 if count1 == count2 == 1 else 0
     n = yield
     if words:
-        # imported here: numpy.random costs every other walk and command
-        # its import time and memory
-        from numpy.random import MT19937
-        bits = MT19937()
+        bits = bit_generator()
         bits.state = _mt19937_state(rng)
         while True:
             n = yield _decode_words(bits, n, words, p)
@@ -319,6 +319,13 @@ def _constant_draws(rng: Random, p: float, count1: int, count2: int):
     while True:
         n = yield _unpack([draw1(arg1) << 1 | 1 if rand() < p
                            else draw2(arg2) << 1 for _ in range(n)])
+
+
+def _mt19937():
+    """A numpy ``MT19937``, imported here: numpy.random costs every other
+    walk and command its import time and memory."""
+    from numpy.random import MT19937
+    return MT19937()
 
 
 def _mt19937_state(rng: Random) -> dict:
@@ -457,8 +464,8 @@ def _block_steps(draws, rays):
 _CHUNK = 8192
 
 
-def _run_trajectory(config: WalkConfig, index: int,
-                    budget: int | None) -> TrajectoryStats:
+def _run_trajectory(config: WalkConfig, index: int, budget: int | None,
+                    bit_generator: Callable) -> TrajectoryStats:
     rng = Random(_trajectory_seed(config.seed, index))
     steps = config.steps if budget is None else min(config.steps, budget)
     stride = config.record_stride
@@ -481,7 +488,7 @@ def _run_trajectory(config: WalkConfig, index: int,
     count2 = spec2.family.constant_counts()
     p = float(config.p_up)
     if count1 is not None and count2 is not None:
-        draws = _constant_draws(rng, p, count1, count2)
+        draws = _constant_draws(rng, p, count1, count2, bit_generator)
     else:
         draws = _suffix_draws(rng, p, spec1, spec2)
     walk = _block_steps(draws, rays)
@@ -564,11 +571,15 @@ def simulate(config: WalkConfig) -> WalkResult:
     out = []
     budget = config.max_total_steps
     partial = False
+    # one MT19937 at most, as its constructor seeds it at a cost that
+    # would recur per trajectory; trajectories run one after another,
+    # and each sets the state it continues
+    bit_generator = functools.cache(_mt19937)
     for i in range(config.trajectories):
         if budget is not None and budget <= 0:
             partial = True
             break
-        stats = _run_trajectory(config, i, budget)
+        stats = _run_trajectory(config, i, budget, bit_generator)
         if stats.steps < config.steps:
             partial = True
         if budget is not None:

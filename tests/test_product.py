@@ -1,5 +1,8 @@
 """Product vertices, adjacency, the closed-form metric and its oracle."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,6 +276,61 @@ def test_ball_order_is_layers_sorted_by_text():
             assert w in inside or MIXED.dist_bfs(BASE, w, 4) is None
 
 
+def _reference_ball(product, radius):
+    """Breadth-first layers over ``neighbors``, each layer sorted by
+    (str(x1), str(x2))."""
+    layers, seen = [[BASE]], {BASE}
+    for _ in range(radius):
+        nxt = {w for v in layers[-1] for w in product.neighbors(v)} - seen
+        seen |= nxt
+        layers.append(sorted(nxt, key=lambda v: (str(v.x1), str(v.x2))))
+    return layers
+
+
+LINE_LINE = HoroProduct(LINE, LINE)
+R12_R3 = HoroProduct(TreeSpec.regular(12), R3)
+
+
+@pytest.mark.parametrize("product,radius,widest,reorders", [
+    (LINE_LINE, 11, 11, False), (LINE_LINE, 14, 14, False),
+    (R12_R3, 3, 10, True), (CUSTOM, 4, 4, False),
+], ids=["line-line-11", "line-line-14", "regular12-regular3", "custom-rule"])
+def test_ball_order_past_one_digit(product, radius, widest, reorders):
+    # widest: the largest branch or label in the ball; reorders: whether
+    # sorting as text (label 10 before 2) differs from sorting as
+    # numbers.  On two lines a layer holds two vertices whose first
+    # coordinates differ in their first character, so only the texts of
+    # branches 10 and up are pinned there, not a reordering.
+    layers = _reference_ball(product, radius)
+    expected = [v for layer in layers for v in layer]
+    assert max(n for v in expected for u in (v.x1, v.x2)
+               for n in (u.branch, *u.suffix)) == widest
+    numeric = [v for layer in layers for v in sorted(layer, key=product_key)]
+    assert (numeric != expected) == reorders
+    assert product.ball(radius) == expected
+    keys, adj = product.ball_graph(radius)
+    assert keys == list(map(product_key, expected))
+    index = {v: i for i, v in enumerate(expected)}
+    rim = len(expected) - len(layers[-1])
+    for v, i in index.items():
+        inside = [index[w] for w in product.neighbors(v) if w in index]
+        assert adj[i] == (inside if i < rim else sorted(inside))
+
+
+def test_geometry_modules_import_no_numpy():
+    # the library loads numpy only where it computes with it (ROADMAP
+    # item 11), so the tree and product geometry must not import it
+    src = Path(verify.__file__).parent
+    for name in ("tree.py", "product.py"):
+        modules = set()
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules.add(node.module)
+        assert not {m for m in modules if m.split(".")[0] == "numpy"}, name
+
+
 def test_dist_bfs_respects_cap():
     ball = MIXED.ball(3)
     for v in ball[::5]:
@@ -292,6 +350,12 @@ def test_bitset_sweep_matches_dist_bfs():
     assert keys == list(map(product_key, verts))
     sources = len(MIXED.ball(radius))
     assert sources > 64 and len(set(map(len, adj))) > 2
+    # the scattered neighbour table is the one padded row by row
+    table = np.full((len(adj), max(map(len, adj))), len(adj), dtype=np.int32)
+    for v, ns in enumerate(adj):
+        table[v, :len(ns)] = ns
+    built = verify._neighbour_table(adj)
+    assert built.dtype == table.dtype and np.array_equal(built, table)
     dist, levels = verify._bitset_distances(adj, sources)
     assert (dist == dist.T).all() and (np.diag(dist) == 0).all()
     assert levels == dist.max() == 2 * radius

@@ -77,6 +77,22 @@ def test_traced_benchmark_workload_reports_every_layer():
     assert missing == []
 
 
+def test_traced_oracle_workload_reports_the_graph_layer():
+    # the graph metrics come from the span on HoroProduct.ball_graph,
+    # so a build that bypasses that entry point fails here
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "workload.py"),
+         "--workload", "oracle", "--seed", "1", "--trace", "1"],
+        env=ENV, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["failed"] == 0, result["failures"]
+    layers = result["layers"]
+    assert layers["verify.pairs_checked"] == 90_788
+    assert layers["product.ball_graph_s"] > 0
+    assert layers["product.ball_graph_vertices_per_s"] > 0
+
+
 def test_readme_quickstart_runs():
     # the quickstart names public entry points, so a removed or renamed
     # one fails here and not only in the docs
