@@ -7,6 +7,8 @@ compactification, exact limit classification of structured vertex
 sequences, and a reproducible biased-random-walk drift simulator.
 """
 
+import importlib
+
 from .tree import (
     AddressError,
     CustomRule,
@@ -81,16 +83,28 @@ from .limits import (
     stabilization_bound,
     terms,
 )
-from .walk import (
-    SpeedEstimate,
-    TrajectoryStats,
-    WalkConfig,
-    WalkResult,
-    drift_report,
-    estimate_speed,
-    simulate,
-    step,
-    write_trace_csv,
-)
+# The walk and the verification suites compute in numpy, whose import
+# costs about half the start-up of a command that uses neither, so their
+# names load on first use (PEP 562).
+_WALK_NAMES = frozenset({
+    "SpeedEstimate",
+    "TrajectoryStats",
+    "WalkConfig",
+    "WalkResult",
+    "drift_report",
+    "estimate_speed",
+    "simulate",
+    "step",
+    "write_trace_csv",
+})
+
+
+def __getattr__(name: str):
+    if name in ("walk", "verify"):
+        return importlib.import_module(f".{name}", __name__)
+    if name in _WALK_NAMES:
+        return getattr(importlib.import_module(".walk", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

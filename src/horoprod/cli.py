@@ -22,8 +22,6 @@ from .tree import TreeSpec, UndecidableFamilyError, parse_decimal
 from .product import HoroProduct, product_dist
 from .boundary import evaluate, parse_point, require_valid_point
 from .limits import agreement, classify, family_from_json
-from .walk import WalkConfig, drift_report, simulate, write_trace_csv
-from . import verify
 
 
 class UsageError(Exception):
@@ -145,6 +143,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     suite_fn = verify.SUITES.get(args.suite)
     if suite_fn is None:
         raise UsageError(f"unknown suite {args.suite!r}; choose from "
@@ -180,6 +179,7 @@ def _writing(path: str, write) -> None:
 
 
 def cmd_walk(args) -> int:
+    from .walk import WalkConfig, drift_report, simulate, write_trace_csv
     data = _load_json(args.config)
     try:
         config = WalkConfig.from_json(data)

@@ -60,7 +60,13 @@ of each trajectory (the first half is discarded as burn-in), averaged
 across trajectories with the spread reported as a standard error.  The
 sums behind them are Python ints, folded in block by block as the walk
 runs, so slopes are exact at every length and a walk keeps only the
-values it records.
+values it records.  Blocks are cut at the half.  A walk that records
+nothing (stride 0) reads no value of the first half, so there it
+carries only the state that every later value depends on: the height,
+the two floors and each probe's L.  It solves each of those floors at
+the last step of a block only, as the lowest level whose excursion is
+still open (``_last_floor``), and a tree's floor per step only where a
+branching-ray probe reads its stack depth.
 """
 
 from __future__ import annotations
@@ -393,6 +399,20 @@ def _floor(x: np.ndarray, keys: np.ndarray, after: np.ndarray,
     return xs[np.maximum.accumulate(np.where(inside, 0, index))][1:]
 
 
+def _last_floor(x: np.ndarray, opens: np.ndarray, f0: int) -> int:
+    """The floor that ``_floor`` solves, at the block's last step only:
+    the lowest level whose excursion is still open.  That is f0 if x
+    never returns to it, else the lowest x_j over the steps j in
+    ``opens`` whose level x never returns to after j, else x[-1].  x
+    stays above such a level, so the first of them is the lowest."""
+    low = np.minimum.accumulate(x[::-1])[::-1]      # low[j] = min(x[j:])
+    if low[0] > f0:
+        return f0
+    lasting = opens & (low[1:] > x[:-1])
+    j = lasting.argmax()
+    return int(x[j] if lasting[j] else x[-1])
+
+
 def _letters(ray, depth: np.ndarray) -> np.ndarray:
     """``ray.letter`` at each depth."""
     pre, cyc = len(ray.prefix), len(ray.cycle)
@@ -402,9 +422,11 @@ def _letters(ray, depth: np.ndarray) -> np.ndarray:
 
 def _block_steps(draws, rays):
     """The walk solved a block at a time in numpy, as a generator:
-    ``send(n)`` takes the next n ``(up, c)`` from ``draws`` and returns
-    the per-step dist, height and branching-ray probe values (``rays``,
-    in order) as int64 arrays.
+    ``send((n, full))`` takes the next n ``(up, c)`` from ``draws``.  A
+    full block returns the per-step dist, height and branching-ray probe
+    values (``rays``, in order) as int64 arrays; any other block returns
+    None and only carries the walk's state (h, the floors and each
+    probe's L) to its last step.
 
     The height is the running sum of the steps.  Each tree's ray index
     is minus the floor of its height walk (h on tree 1, -h on tree 2),
@@ -413,30 +435,39 @@ def _block_steps(draws, rays):
     A branching-ray probe's matched length L is the floor of the stack
     depth, whose excursions open at the pushes of a letter other than
     the ray's at that depth; the letter pushed at a ray vertex is
-    ``c - 1``.
+    ``c - 1``.  A floor is solved at every step (``_floor``) where a
+    value reads it, or a probe reads its tree's stack depth; elsewhere
+    only at the last step (``_last_floor``).
     """
     next(draws)
     h = 0
     floors = [0, 0]             # -m1 and -m2
     matched = [0] * len(rays)   # each probe's L
-    n = yield
+    probed = {tree for tree, _ in rays}
+    n, full = yield
     while True:
         up, c = draws.send(n)
         hs = np.empty(n + 1, dtype=np.int64)
         hs[0] = h
         np.cumsum(2 * up - 1, out=hs[1:])
         hs[1:] += h
-        keys = hs[:-1] - ~up        # lower end of each step's edge
-        after = _crossings(keys)
-        walks = []              # (stack depth, ray index) of each tree
-        for i, (x, climbs, edge) in enumerate(((hs, up, keys),
-                                               (-hs, ~up, -1 - keys))):
+        per_step = {1, 2} if full else probed
+        if per_step:
+            keys = hs[:-1] - ~up    # lower end of each step's edge
+            after = _crossings(keys)
+            edges = (keys, -1 - keys)
+        walks = [None, None]    # (stack depth, ray index) of each tree
+        for i, (x, climbs) in enumerate(((hs, up), (-hs, ~up))):
             opens = climbs & ((x[:-1] >= 0) | (c != 0))
-            f = _floor(x, edge, after, opens, floors[i])
-            floors[i] = int(f[-1])
-            walks.append((x - f, -f))
-        (_, m1), (_, m2) = walks
-        out = [2 * (m1 + m2)[1:] - np.abs(hs[1:]), hs[1:]]
+            if i + 1 in per_step:
+                f = _floor(x, edges[i], after, opens, floors[i])
+                floors[i] = int(f[-1])
+                walks[i] = (x - f, -f)
+            else:
+                floors[i] = _last_floor(x, opens, floors[i])
+        if full:
+            (_, m1), (_, m2) = walks
+            out = [2 * (m1 + m2)[1:] - np.abs(hs[1:]), hs[1:]]
         depths = {}
         for j, (tree, ray) in enumerate(rays):
             e, m = walks[tree - 1]
@@ -445,9 +476,12 @@ def _block_steps(draws, rays):
                 depth_keys = np.where(rise != 0, e[:-1] - (rise < 0), -1)
                 letter = c - ((e[:-1] == 0) & (m[:-1] > 0))
                 depths[tree] = (rise > 0, letter, depth_keys,
-                                _crossings(depth_keys))
+                                _crossings(depth_keys) if full else None)
             pushes, letter, depth_keys, depth_after = depths[tree]
             opens = pushes & (letter != _letters(ray, e[:-1]))
+            if not full:
+                matched[j] = _last_floor(e, opens, matched[j])
+                continue
             L = _floor(e, depth_keys, depth_after, opens, matched[j])
             matched[j] = int(L[-1])
             b = ray.branch
@@ -455,7 +489,7 @@ def _block_steps(draws, rays):
                              e - m - 2 * L)
             out.append(value[1:])
         h = int(hs[-1])
-        n = yield out
+        n, full = yield out if full else None
 
 
 # Steps in a block: the unit of the block kernel and of the folds of the
@@ -496,20 +530,30 @@ def _run_trajectory(config: WalkConfig, index: int, budget: int | None,
 
     # A fold keeps every stride-th value and adds the values of the
     # fitted half (steps half..steps) to exact sums for the slopes.
+    # Blocks are cut at the half, so that an unrecorded walk, of which
+    # nothing reads a value before the half, carries only its state
+    # through the blocks before it: the values from the half on depend
+    # on nothing else.
     zero = np.zeros(1, dtype=np.int64)
     records = [[zero] for _ in range(2 + len(rays))]
     sums = [[0, 0] for _ in records]
     half = steps // 2
+    # each block's first step, and the step past the last block; step 0
+    # is no block's, so the half's block starts at step 1 or later
+    start = max(half, 1)
+    cuts = [*range(1, start, _CHUNK), *range(start, steps + 1, _CHUNK),
+            steps + 1]
     dist = h = 0
-    # first: the step index of each block's first value
-    for first in range(1, steps + 1, _CHUNK):
-        series = walk.send(min(_CHUNK, steps + 1 - first))
-        skip = max(0, half - first)
+    for first, end in zip(cuts, cuts[1:]):
+        fitted = first >= half
+        series = walk.send((end - first, fitted or stride))
+        if series is None:
+            continue
         for values, record, total in zip(series, records, sums):
             if stride:
                 record.append(values[-first % stride::stride].copy())
-            if skip < len(values):
-                sum_y, sum_ny = _chunk_sums(values[skip:], first + skip)
+            if fitted:
+                sum_y, sum_ny = _chunk_sums(values, first)
                 total[0] += sum_y
                 total[1] += sum_ny
         dist, h = int(series[0][-1]), int(series[1][-1])
@@ -684,15 +728,21 @@ def drift_report(result: WalkResult, tolerance: float = 0.05) -> dict:
     return report
 
 
+# Rows of a trace formatted at a time: few enough that their Python ints
+# stay a small part of the process's memory.
+_TRACE_ROWS = 256
+
+
 def write_trace_csv(path, stats: TrajectoryStats, probe_count: int) -> None:
     """One trace as CSV: n,dist,height,probe_0,...  (recorded stride)."""
     if stats.record_stride == 0:
         raise ValueError("trajectory was run without records")
     header = "n,dist,height" + "".join(f",probe_{j}" for j in range(probe_count))
+    columns = (np.arange(len(stats.dist)) * stats.record_stride, stats.dist,
+               stats.height, *stats.probe_values)
+    line = ",".join(["%d"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for k in range(len(stats.dist)):
-            n = k * stats.record_stride
-            row = [str(n), str(int(stats.dist[k])), str(int(stats.height[k]))]
-            row.extend(str(int(p[k])) for p in stats.probe_values)
-            fh.write(",".join(row) + "\n")
+        for lo in range(0, len(stats.dist), _TRACE_ROWS):
+            rows = zip(*(c[lo:lo + _TRACE_ROWS].tolist() for c in columns))
+            fh.writelines(line % values for values in rows)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from horoprod import cli
+from horoprod import cli, walk
 from horoprod.cli import main
 from test_scripts import ENV
 
@@ -275,6 +275,25 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["tree1"]["ok"] is True
 
 
+def test_geometry_commands_load_no_numpy(tmp_path):
+    # only walk and verify compute in numpy, so the CLI and a dist
+    # command leave it unloaded and skip its import time
+    path = tmp_path / "dl33.json"
+    path.write_text(json.dumps(DL33))
+    code = (
+        "import sys\n"
+        "from horoprod.cli import main\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        f"code = main(['dist', '--spec', {str(path)!r}, '0;0|1;', '0;1|1;',"
+        " '--oracle'])\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(code, loaded, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stdout)["dist"] == 2
+    assert proc.stderr == "0 [False, False]\n"
+
+
 def _walk_error(capsys, tmp_path, config):
     path = tmp_path / "walk.json"
     path.write_text(json.dumps(config))
@@ -527,7 +546,7 @@ def test_trace_request_checked_before_the_walk(capsys, monkeypatch, tmp_path,
     def no_walk(config):
         raise AssertionError("the walk ran")
 
-    monkeypatch.setattr(cli, "simulate", no_walk)
+    monkeypatch.setattr(walk, "simulate", no_walk)
     config = {"spec": DL33, "p_up": "1", "steps": 10, "seed": 5,
               "trajectories": 2, "probes": [],
               "record_stride": 0 if where == "zero-stride" else 1}

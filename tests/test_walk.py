@@ -22,11 +22,15 @@ from horoprod.rays import BranchingRay, GAMMA
 from horoprod.tree import (CustomRule, TreeSpec, VertexAddress, busemann,
                            height, origin_dist)
 from horoprod.walk import (
+    _CHUNK,
     TrajectoryStats,
     WalkConfig,
     _chunk_sums,
+    _crossings,
     _decode_words,
+    _floor,
     _half_slope,
+    _last_floor,
     _mt19937_state,
     _trajectory_seed,
     drift_report,
@@ -453,6 +457,18 @@ def test_probe_values_match_busemann_along_replay(product, rays):
                 assert series[n] == busemann(ray, x), (n, tree, str(ray))
 
 
+def following_probes(product):
+    """Probes on the ends that follow the walker's suffixes at the end of
+    the first block of trajectory 0 at seed 9 and up-bias 1/2, so that
+    its walk carries their matched lengths at full length."""
+    rng = Random(_trajectory_seed(9, 0))
+    v = product.base
+    for _ in range(_CHUNK):
+        v = step(product, v, rng, 0.5)
+    return tuple((tree, BranchingRay(x.branch, x.suffix, (0,)))
+                 for tree, x in ((1, v.x1), (2, v.x2)))
+
+
 @pytest.mark.parametrize("product", [DL33, BUMPY, CORE_PRODUCT],
                          ids=["regular", "ray-periodic", "explicit-core"])
 def test_values_match_replay_across_blocks(product):
@@ -461,13 +477,7 @@ def test_values_match_replay_across_blocks(product):
     # relation checks every value of a walk over more than two blocks.
     # Two more probes follow the walker's suffixes at the end of the
     # first block, so their matched lengths are carried at full length.
-    rng = Random(_trajectory_seed(9, 0))
-    v = product.base
-    for _ in range(8192):
-        v = step(product, v, rng, 0.5)
-    probes = PROBES + REGULAR_RAYS + tuple(
-        (tree, BranchingRay(x.branch, x.suffix, (0,)))
-        for tree, x in ((1, v.x1), (2, v.x2)))
+    probes = PROBES + REGULAR_RAYS + following_probes(product)
     steps = 17_000
     config = WalkConfig(product, Fraction(1, 2), steps, 9, 1, probes)
     t = simulate(config).trajectories[0]
@@ -480,6 +490,83 @@ def test_values_match_replay_across_blocks(product):
         for (tree, ray), series in zip(probes, t.probe_values):
             x = v.x1 if tree == 1 else v.x2
             assert series[n] == busemann(ray, x), (n, tree, str(ray))
+
+
+def test_last_floor_is_the_per_step_floor_at_the_end():
+    # the burn-in's floor at a block's last step against the per-step
+    # floor, on short walks of steps -1, 0 and +1 (a step of 0 crosses
+    # no edge: its key lies below every level), with excursions opened
+    # at random up steps, and one from f0 open at the start or not
+    rng = np.random.default_rng(26)
+    for _ in range(3000):
+        n = int(rng.integers(1, 40))
+        x = np.concatenate(([0], np.cumsum(rng.integers(-1, 2, n))))
+        x += int(rng.integers(0, 4))
+        f0 = int(x[0] - rng.integers(0, 3))
+        rise = np.diff(x)
+        keys = np.where(rise != 0, x[:-1] - (rise < 0), min(x.min(), f0) - 1)
+        opens = (rise > 0) & (rng.random(n) < 0.5)
+        per_step = _floor(x, keys, _crossings(keys), opens, f0)
+        assert _last_floor(x, opens, f0) == per_step[-1], (x, opens, f0)
+
+
+LINES = HoroProduct(TreeSpec.line(), TreeSpec.line())
+
+
+@pytest.mark.parametrize("steps", [3_000, 2 * (_CHUNK + 1), 20_000,
+                                   4 * _CHUNK + 1_000],
+                         ids=["one-block", "half-on-edge", "half-mid-block",
+                              "five-blocks"])
+@pytest.mark.parametrize("product, probes, follow", [
+    (DL33, PROBES + REGULAR_RAYS, True),
+    (DL33, PROBES[:3], False),
+    (LINES, PROBES[:2] + ((1, BranchingRay(0, (), (0,))),
+                          (2, BranchingRay(0, (), (0,)))), False),
+    (HoroProduct(R3, TreeSpec.regular(4)), PROBES + REGULAR_RAYS, True),
+    (BUMPY, PROBES + BUMPY_RAYS, True),
+    (CORE_PRODUCT, PROBES + REGULAR_RAYS, True)],
+    ids=["regular", "one-tree-probed", "lines", "call-by-call",
+         "ray-periodic", "explicit-core"])
+def test_unrecorded_burn_in_matches_recorded_walk(product, probes, follow,
+                                                  steps):
+    # a walk that records nothing carries only its state through the
+    # first half, where a recorded walk solves every value: slopes and
+    # final values must agree, also for probes whose matched lengths
+    # are long when they are carried
+    if follow:
+        probes += following_probes(product)
+    for p_up in (Fraction(1, 2), Fraction(1, 5)):
+        recorded, unrecorded = (
+            simulate(WalkConfig(product, p_up, steps, 9, 2, probes,
+                                record_stride=stride)).trajectories
+            for stride in (1, 0))
+        for a, b in zip(recorded, unrecorded, strict=True):
+            assert (a.dist_slope, a.height_slope, a.probe_slopes) == \
+                (b.dist_slope, b.height_slope, b.probe_slopes)
+            assert (a.final_dist, a.final_height) == \
+                (b.final_dist, b.final_height)
+
+
+def test_unrecorded_burn_in_solves_no_floor(monkeypatch):
+    # an unprobed walk that records nothing solves its floors per step
+    # (and sorts the crossings behind them) only over steps half..steps
+    steps = 4 * _CHUNK
+    crossed, floored = [], []       # steps of each call's block
+
+    def counting_crossings(keys):
+        crossed.append(len(keys))
+        return _crossings(keys)
+
+    def counting_floor(x, keys, *args):
+        floored.append(len(keys))
+        return _floor(x, keys, *args)
+
+    monkeypatch.setattr("horoprod.walk._crossings", counting_crossings)
+    monkeypatch.setattr("horoprod.walk._floor", counting_floor)
+    config = WalkConfig(DL33, Fraction(4, 5), steps, 3, 1, record_stride=0)
+    assert simulate(config).trajectories[0].steps == steps
+    assert sum(crossed) == steps - steps // 2 + 1
+    assert floored == [n for n in crossed for _ in range(2)]
 
 
 def test_constant_count_walk_memory_is_flat():
