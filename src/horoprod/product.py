@@ -37,7 +37,7 @@ asks for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .tree import (RankedBall, SpecError, TreeSpec, VertexAddress, busemann,
                    down_move, height, origin_dist, tree_dist)
@@ -79,21 +79,6 @@ Key = tuple     # (branch1, suffix1, branch2, suffix2)
 
 def product_key(v: ProductVertex) -> Key:
     return (v.x1.branch, v.x1.suffix, v.x2.branch, v.x2.suffix)
-
-
-def _vertices(keys: Iterable[Key]) -> list[ProductVertex]:
-    """The vertices with these keys.  Vertices with an equal coordinate
-    share its VertexAddress, so a large ball holds fewer objects."""
-    addresses: dict[tuple, VertexAddress] = {}
-
-    def address(branch, suffix):
-        a = addresses.get((branch, suffix))
-        if a is None:
-            a = addresses[branch, suffix] = VertexAddress(branch, suffix)
-        return a
-
-    return [ProductVertex(address(b1, s1), address(b2, s2))
-            for b1, s1, b2, s2 in keys]
 
 
 def product_height(v: ProductVertex) -> int:
@@ -209,7 +194,8 @@ class HoroProduct:
 
     def neighbors(self, v: ProductVertex) -> list[ProductVertex]:
         """Up moves (first coordinate climbs) then down moves."""
-        return _vertices(self._key_neighbors(product_key(v)))
+        return [ProductVertex(VertexAddress(b1, s1), VertexAddress(b2, s2))
+                for b1, s1, b2, s2 in self._key_neighbors(product_key(v))]
 
     def _ball(self, radius: int,
               graph: bool) -> tuple[list[int], RankedBall, RankedBall, list]:

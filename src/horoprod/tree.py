@@ -558,18 +558,16 @@ class TreeSpec:
     def layers(self, radius: int) -> Iterator[list[VertexAddress]]:
         """``ball(radius)`` one distance at a time; a layer is expanded
         only when the next one is asked for."""
-        seen = {ORIGIN}
         layer = [ORIGIN]
         yield layer
-        for _ in range(radius):
-            nxt = []
-            for v in layer:
-                for w in [gamma_ward(v)] + self.up_neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            yield nxt
-            layer = nxt
+        for depth in range(radius):
+            # a neighbor is new exactly when it lies farther out, and
+            # each vertex past the origin has one neighbor nearer it
+            layer = [VertexAddress(b, s) for v in layer
+                     for b, s in (down_move(v.branch, v.suffix),
+                                  *self.up_moves(v.branch, v.suffix))
+                     if b + len(s) > depth]
+            yield layer
 
     def ranked_ball(self, radius: int) -> RankedBall:
         """The ball as the table that product balls are built from.

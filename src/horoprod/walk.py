@@ -20,9 +20,12 @@ opens an excursion, and the floor stays at its level until the height
 returns to it.  Only the outermost excursions count (``_floor``).  A
 branching-ray probe tracks L, the length of the prefix of the suffix
 that follows the ray, as the floor of the stack depth, whose excursions
-open at the pushes of a letter other than the ray's.  A gamma probe is
-the height on tree 1 and minus the height on tree 2, so its series and
-slope are the height's.
+open at the pushes of a letter other than the ray's.  Inside an
+excursion the floor stands still, so the stack depth returns to a level
+exactly when the height walk does: one sort of the height walk's
+crossings serves every floor of a block.  A gamma probe is the height
+on tree 1 and minus the height on tree 2, so its series and slope are
+the height's.
 
 Two draw sources feed it, chosen from the families' ``constant_counts``:
 
@@ -65,8 +68,7 @@ nothing (stride 0) reads no value of the first half, so there it
 carries only the state that every later value depends on: the height,
 the two floors and each probe's L.  It solves each of those floors at
 the last step of a block only, as the lowest level whose excursion is
-still open (``_last_floor``), and a tree's floor per step only where a
-branching-ray probe reads its stack depth.
+still open (``_last_floor``).
 """
 
 from __future__ import annotations
@@ -424,26 +426,27 @@ def _block_steps(draws, rays):
     """The walk solved a block at a time in numpy, as a generator:
     ``send((n, full))`` takes the next n ``(up, c)`` from ``draws``.  A
     full block returns the per-step dist, height and branching-ray probe
-    values (``rays``, in order) as int64 arrays; any other block returns
-    None and only carries the walk's state (h, the floors and each
-    probe's L) to its last step.
+    values (``rays``, in order) as int64 arrays; a carry block (``full``
+    false) returns None and only carries the walk's state (h, the floors
+    and each probe's L) to its last step.
 
     The height is the running sum of the steps.  Each tree's ray index
     is minus the floor of its height walk (h on tree 1, -h on tree 2),
     whose excursions open at the climbs that push a letter: all of them
     but a climb from a ray vertex to the one above (``c == 0`` there).
     A branching-ray probe's matched length L is the floor of the stack
-    depth, whose excursions open at the pushes of a letter other than
-    the ray's at that depth; the letter pushed at a ray vertex is
-    ``c - 1``.  A floor is solved at every step (``_floor``) where a
-    value reads it, or a probe reads its tree's stack depth; elsewhere
-    only at the last step (``_last_floor``).
+    depth e = x - floor, whose excursions open at the pushes of a letter
+    other than the ray's at that depth; the letter pushed at a ray
+    vertex is ``c - 1``.  A full block solves every floor at every step
+    (``_floor``) on one sort of the height walk's crossings (``after``):
+    inside an excursion the floor stands still, so e returns to a level
+    exactly when the height walk does.  A carry block solves each floor
+    at its last step only (``_last_floor``).
     """
     next(draws)
     h = 0
     floors = [0, 0]             # -m1 and -m2
     matched = [0] * len(rays)   # each probe's L
-    probed = {tree for tree, _ in rays}
     n, full = yield
     while True:
         up, c = draws.send(n)
@@ -451,40 +454,42 @@ def _block_steps(draws, rays):
         hs[0] = h
         np.cumsum(2 * up - 1, out=hs[1:])
         hs[1:] += h
-        per_step = {1, 2} if full else probed
-        if per_step:
+        if full:
             keys = hs[:-1] - ~up    # lower end of each step's edge
             after = _crossings(keys)
             edges = (keys, -1 - keys)
-        walks = [None, None]    # (stack depth, ray index) of each tree
+        walks = []      # each tree's (x, floor, floor at step 0)
         for i, (x, climbs) in enumerate(((hs, up), (-hs, ~up))):
             opens = climbs & ((x[:-1] >= 0) | (c != 0))
-            if i + 1 in per_step:
-                f = _floor(x, edges[i], after, opens, floors[i])
+            f0 = floors[i]
+            if full:
+                f = _floor(x, edges[i], after, opens, f0)
                 floors[i] = int(f[-1])
-                walks[i] = (x - f, -f)
             else:
-                floors[i] = _last_floor(x, opens, floors[i])
+                f = floors[i] = _last_floor(x, opens, f0)
+            walks.append((x, f, f0))
         if full:
-            (_, m1), (_, m2) = walks
+            m1, m2 = -walks[0][1], -walks[1][1]
             out = [2 * (m1 + m2)[1:] - np.abs(hs[1:]), hs[1:]]
-        depths = {}
         for j, (tree, ray) in enumerate(rays):
-            e, m = walks[tree - 1]
-            if tree not in depths:
-                rise = np.diff(e)
-                depth_keys = np.where(rise != 0, e[:-1] - (rise < 0), -1)
-                letter = c - ((e[:-1] == 0) & (m[:-1] > 0))
-                depths[tree] = (rise > 0, letter, depth_keys,
-                                _crossings(depth_keys) if full else None)
-            pushes, letter, depth_keys, depth_after = depths[tree]
-            opens = pushes & (letter != _letters(ray, e[:-1]))
+            x, f, f0 = walks[tree - 1]
+            # In a carry block f is the last step's floor, so x - f is
+            # the stack depth from the floor's last move on, which leaves
+            # it at 0.  Before that move it can lie below 0, as before a
+            # climb up the ray; clipped, it opens no excursion there, and
+            # none opened at 0 or above before the move lasts past it.
+            e = np.maximum(x - f, 0)
+            letter = c - ((e[:-1] == 0) & (x[:-1] < 0))
+            opens = (e[1:] > e[:-1]) & (letter != _letters(ray, e[:-1]))
             if not full:
                 matched[j] = _last_floor(e, opens, matched[j])
                 continue
-            L = _floor(e, depth_keys, depth_after, opens, matched[j])
+            # x's crossings serve e, which returns to a level when x
+            # does; until e first returns to L, f is f0, so e's keys
+            # are x's less f0
+            L = _floor(e, edges[tree - 1] - f0, after, opens, matched[j])
             matched[j] = int(L[-1])
-            b = ray.branch
+            m, b = -f, ray.branch
             value = np.where(m != b, m + e - 2 * np.minimum(m, b),
                              e - m - 2 * L)
             out.append(value[1:])

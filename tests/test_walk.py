@@ -25,6 +25,7 @@ from horoprod.walk import (
     _CHUNK,
     TrajectoryStats,
     WalkConfig,
+    _block_steps,
     _chunk_sums,
     _crossings,
     _decode_words,
@@ -535,7 +536,7 @@ def test_unrecorded_burn_in_matches_recorded_walk(product, probes, follow,
     # are long when they are carried
     if follow:
         probes += following_probes(product)
-    for p_up in (Fraction(1, 2), Fraction(1, 5)):
+    for p_up in (Fraction(1, 2), Fraction(1, 5), Fraction(4, 5)):
         recorded, unrecorded = (
             simulate(WalkConfig(product, p_up, steps, 9, 2, probes,
                                 record_stride=stride)).trajectories
@@ -548,8 +549,9 @@ def test_unrecorded_burn_in_matches_recorded_walk(product, probes, follow,
 
 
 def test_unrecorded_burn_in_solves_no_floor(monkeypatch):
-    # an unprobed walk that records nothing solves its floors per step
-    # (and sorts the crossings behind them) only over steps half..steps
+    # a walk that records nothing solves its floors per step only over
+    # steps half..steps, on one sort of the crossings per block whatever
+    # its probes: both trees' floors, then each branching probe's L
     steps = 4 * _CHUNK
     crossed, floored = [], []       # steps of each call's block
 
@@ -563,10 +565,58 @@ def test_unrecorded_burn_in_solves_no_floor(monkeypatch):
 
     monkeypatch.setattr("horoprod.walk._crossings", counting_crossings)
     monkeypatch.setattr("horoprod.walk._floor", counting_floor)
-    config = WalkConfig(DL33, Fraction(4, 5), steps, 3, 1, record_stride=0)
-    assert simulate(config).trajectories[0].steps == steps
-    assert sum(crossed) == steps - steps // 2 + 1
-    assert floored == [n for n in crossed for _ in range(2)]
+    for probes in ((), PROBES + REGULAR_RAYS):
+        crossed.clear()
+        floored.clear()
+        config = WalkConfig(DL33, Fraction(4, 5), steps, 3, 1, probes,
+                            record_stride=0)
+        assert simulate(config).trajectories[0].steps == steps
+        assert sum(crossed) == steps - steps // 2 + 1
+        floors = 2 + sum(ray != GAMMA for _, ray in probes)
+        assert floored == [n for n in crossed for _ in range(floors)]
+
+
+def regular_draws(rng, p, d1, d2):
+    """Random ``(up, c)`` for the block solver on two regular trees of
+    degrees d1 and d2, where every vertex has d - 1 upward neighbors."""
+    n = yield
+    while True:
+        up = rng.random(n) < p
+        n = yield up, rng.integers(0, np.where(up, d1 - 1, d2 - 1))
+
+
+def test_carried_blocks_solve_as_full_blocks():
+    # A block that returns no value carries h, the floors and each
+    # probe's L to its last step, so the full blocks after it must
+    # return what they return after full blocks.  Short blocks at low
+    # and high bias often end in a climb up the ray from below the
+    # floor the block ends on: the stack depth there is below 0.
+    rng = np.random.default_rng(27)
+    for d1, d2 in ((3, 3), (3, 4), (4, 3)):
+        for p in (0.2, 0.5, 0.8):
+            rays = tuple(
+                (tree, BranchingRay(
+                    int(rng.integers(0, 3)),
+                    tuple(rng.integers(0, d - 1, rng.integers(0, 4)).tolist()),
+                    tuple(rng.integers(0, d - 1, rng.integers(1, 3)).tolist())))
+                for tree, d in ((1, d1), (2, d2), (1, d1), (2, d2)))
+            sizes = rng.integers(1, 61, 200).tolist()
+            full = (rng.random(200) < 0.5).tolist()
+            seed = int(rng.integers(2 ** 32))
+            solved = []
+            for modes in (full, [True] * len(full)):
+                walk = _block_steps(
+                    regular_draws(np.random.default_rng(seed), p, d1, d2),
+                    rays)
+                next(walk)
+                solved.append([walk.send((n, f))
+                               for n, f in zip(sizes, modes)])
+            for k, (a, b) in enumerate(zip(*solved)):
+                if full[k]:
+                    assert len(a) == len(b) == 2 + len(rays)
+                    for x, y in zip(a, b):
+                        np.testing.assert_array_equal(x, y, err_msg=str(
+                            (d1, d2, p, k, [str(r) for _, r in rays])))
 
 
 def test_constant_count_walk_memory_is_flat():
