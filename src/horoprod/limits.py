@@ -413,17 +413,10 @@ class Alternating(SequenceFamily):
 
 @dataclass(frozen=True)
 class Custom(SequenceFamily):
-    """An arbitrary indexed generator.
-
-    A wrapper that knows which structured family it imitates can say so
-    through ``stabilizes_like`` (plus an index ``offset``); windows are
-    then sized from the inner family instead of the blind default.
-    """
+    """An arbitrary indexed generator."""
 
     generator: Callable[[int], ProductVertex]
     label: str = "custom"
-    stabilizes_like: SequenceFamily | None = None
-    offset: int = 0
 
     def stream(self, product, start=0):
         return (self.generator(n) for n in itertools.count(start))
@@ -453,11 +446,7 @@ class Custom(SequenceFamily):
                            notes=("heights neither stabilize nor diverge in window",))
 
     def stabilization_bound(self, product, radius):
-        """A fixed default, reported as heuristic, unless the generator
-        says which structured family it imitates."""
-        if self.stabilizes_like is not None:
-            return stabilization_bound(product, self.stabilizes_like,
-                                       radius) + self.offset
+        """A fixed default, reported as heuristic."""
         return 40
 
     def describe(self):
@@ -768,18 +757,24 @@ def random_families(product: HoroProduct, count: int, seed: int,
 
 @dataclass(frozen=True)
 class _Shifted(Custom):
-    """A custom wrapper whose terms are those of its ``stabilizes_like``
-    family from index ``offset`` on, streamed from there."""
+    """A custom wrapper whose terms are those of ``inner`` from index
+    ``offset`` on, streamed from there; its windows are sized from
+    ``inner`` instead of the blind default."""
 
     generator: None = None
+    inner: SequenceFamily | None = None
+    offset: int = 0
 
     def stream(self, product, start=0):
-        return self.stabilizes_like.stream(product, start + self.offset)
+        return self.inner.stream(product, start + self.offset)
+
+    def stabilization_bound(self, product, radius):
+        return stabilization_bound(product, self.inner, radius) + self.offset
 
 
 def _shifted_custom(inner: SequenceFamily, offset: int) -> Custom:
     return _Shifted(label=f"shifted+{offset}:{inner.describe()}",
-                    stabilizes_like=inner, offset=offset)
+                    inner=inner, offset=offset)
 
 
 def _diagonal_custom(product, toward_first: bool) -> Custom:

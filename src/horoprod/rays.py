@@ -109,26 +109,19 @@ class BranchingRay:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
 
-    def letter(self, i: int) -> int:
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
+    def word(self, length: int) -> tuple[int, ...]:
+        """The first ``length`` letters: the prefix, then the cycle
+        repeated."""
+        repeats = length // len(self.cycle) + 1
+        return (self.prefix + self.cycle * repeats)[:length]
 
     def vertex(self, step: int) -> VertexAddress:
         if step <= self.branch:
             return GAMMA.vertex(step)
-        word = tuple(self.letter(i) for i in range(step - self.branch))
-        return VertexAddress(self.branch, word)
+        return VertexAddress(self.branch, self.word(step - self.branch))
 
     def meet_depth(self, v: VertexAddress) -> int:
-        if v.branch != self.branch:
-            return min(v.branch, self.branch)
-        n = 0
-        for i, letter in enumerate(v.suffix):
-            if letter != self.letter(i):
-                break
-            n += 1
-        return v.branch + n
+        return v.meet_depth(VertexAddress(self.branch, self.word(len(v.suffix))))
 
     def split_depth(self, other: Ray) -> int | None:
         # distinct ends part somewhere, so doubling the compared

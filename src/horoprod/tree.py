@@ -49,7 +49,7 @@ class VertexAddress:
     def __post_init__(self):
         if self.branch < 0:
             raise AddressError(f"negative branch index: {self.branch}")
-        if any(c < 0 for c in self.suffix):
+        if self.suffix and min(self.suffix) < 0:
             raise AddressError(f"negative child label in {self.suffix!r}")
 
     def __str__(self):
@@ -457,9 +457,10 @@ TREE_FAMILIES = {cls.kind: cls for cls in (Regular, Line, RayPeriodic, ExplicitC
 
 class RankedBall(NamedTuple):
     """A tree's radius ball numbered in the order of the address texts
-    (``TreeSpec.ranked_ball``): the branch and the suffix of each rank,
-    and per rank its ``up_moves`` and its ``down_move`` as ranks.  Both
-    are None at exactly the radius, where moves may leave the ball."""
+    by one depth-first walk (``TreeSpec.ranked_ball``): the branch and
+    the suffix of each rank, and per rank its ``up_moves`` and its
+    ``down_move`` as ranks.  Both are None at exactly the radius, where
+    moves may leave the ball."""
 
     branches: list[int]
     suffixes: list[tuple[int, ...]]
@@ -573,42 +574,48 @@ class TreeSpec:
         """The ball as the table that product balls are built from.
 
         Every (branch, suffix) within the radius gets a rank, its index
-        in the order of the address texts.  The texts and the ranks by
-        breadth-first index are freed once the table exists.
+        in the order of the address texts.  That order is a preorder:
+        branches in the order of their "b;" texts ("10;" before "1;"),
+        and within a branch a word before its extensions, with labels in
+        the order of their texts ("10" before "2").  One depth-first
+        walk over ``up_moves`` numbers it, with an explicit stack, so no
+        text is built and no radius is too deep.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        # In breadth-first order: every move leads one step nearer the
-        # origin, to the parent, or one step farther, to a new child,
-        # whose text is built from its parent's.
-        branches, suffixes, texts, parents = [0], [()], ["0;"], [0]
-        moves = []
-        for depth in range(radius):
-            for i in range(len(moves), len(branches)):
-                branch, suffix = branches[i], suffixes[i]
-                stem = texts[i] + "." if suffix else texts[i]
-                row = []
-                for b, s in (down_move(branch, suffix), *self.up_moves(branch, suffix)):
-                    if b + len(s) > depth:
-                        row.append(len(branches))
-                        branches.append(b)
-                        suffixes.append(s)
-                        texts.append(stem + str(s[-1]) if s else f"{b};")
-                        parents.append(i)
-                    else:
-                        row.append(parents[i])
-                moves.append(row)
-        order = sorted(range(len(texts)), key=texts.__getitem__)
-        del texts, parents
-        rank = [0] * len(order)
-        for r, i in enumerate(order):
-            rank[i] = r
-        ups, downs = [None] * len(order), [None] * len(order)
-        for i, (down, *up) in enumerate(moves):
-            ups[rank[i]] = [rank[j] for j in up]
-            downs[rank[i]] = rank[down]
-        return RankedBall([branches[i] for i in order],
-                          [suffixes[i] for i in order], ups, downs)
+        branches, suffixes, ups, downs = [], [], [], []
+        ray = [0] * (radius + 1)            # the rank of each ray vertex
+        text_orders = {}                    # label count -> labels, reversed
+        for b in sorted(range(radius + 1), key=lambda b: f"{b};"):
+            ray[b] = len(branches)
+            stack = [(None, 0, ())]     # (parent rank, index in its ups, suffix)
+            while stack:
+                parent, k, s = stack.pop()
+                rank = len(branches)
+                if parent is not None:
+                    ups[parent][k] = rank
+                branches.append(b)
+                suffixes.append(s)
+                if b + len(s) == radius:
+                    ups.append(None)
+                    downs.append(None)
+                    continue
+                downs.append(parent)
+                moves = self.up_moves(b, s)
+                ups.append([None] * len(moves))
+                first = 1 if b and not s else 0   # the ray move comes first
+                n = len(moves) - first
+                if n not in text_orders:
+                    text_orders[n] = sorted(range(n), key=str, reverse=True)
+                stack.extend((rank, first + j, moves[first + j][1])
+                             for j in text_orders[n])
+        # a ray vertex below the radius moves along the ray: down to the
+        # next ray vertex, and up to the one before it past the origin
+        for b in range(radius):
+            downs[ray[b]] = ray[b + 1]
+            if b:
+                ups[ray[b]][0] = ray[b - 1]
+        return RankedBall(branches, suffixes, ups, downs)
 
     # -- validation ----------------------------------------------------------
 

@@ -416,7 +416,7 @@ def _last_floor(x: np.ndarray, opens: np.ndarray, f0: int) -> int:
 
 
 def _letters(ray, depth: np.ndarray) -> np.ndarray:
-    """``ray.letter`` at each depth."""
+    """The letter of ``ray.word`` at each depth."""
     pre, cyc = len(ray.prefix), len(ray.cycle)
     table = np.array(ray.prefix + ray.cycle, dtype=np.int64)
     return table[np.where(depth < pre, depth, pre + (depth - pre) % cyc)]

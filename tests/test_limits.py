@@ -196,7 +196,7 @@ def test_interpretation_split_on_pinned_families():
 
 def test_classify_custom_window_heuristics():
     wrapped = Custom(lambda n: terms(DL33, Horocyclic(1), n + 3, n + 2)[0],
-                     label="wrapped", stabilizes_like=Horocyclic(1), offset=2)
+                     label="wrapped")
     rep = classify(DL33, wrapped)
     assert rep.heuristic
     assert rep.anchor == level_point(1)

@@ -168,12 +168,20 @@ def test_ray_split_depth():
         BranchingRay(1, (), (0,))) == 0
 
 
+def _letter(end, i):
+    """The i-th letter of a branching end by the modular rule: the
+    reference that ``BranchingRay.word`` is checked against."""
+    if i < len(end.prefix):
+        return end.prefix[i]
+    return end.cycle[(i - len(end.prefix)) % len(end.cycle)]
+
+
 def _steps(end, n):
     """The first n steps of the end's path from the origin: "up" along
     the distinguished ray, then child labels."""
     if end == GAMMA:
         return ["up"] * n
-    return ["up"] * min(n, end.branch) + [end.letter(i)
+    return ["up"] * min(n, end.branch) + [_letter(end, i)
                                           for i in range(n - end.branch)]
 
 
@@ -189,6 +197,37 @@ def test_split_depth_matches_first_differing_step():
                                                           _steps(b, 80)))
                          if x != y), None)
             assert a.split_depth(b) == want == b.split_depth(a), (a, b)
+
+
+WORD_SPECS = {"regular3": R3, "regular4": R4,
+              "ray_periodic": TreeSpec.ray_periodic((2, 3), (3, 2)),
+              "core": TreeSpec.explicit_core_of(R4, 2, 3)}
+
+
+@pytest.mark.parametrize("label", WORD_SPECS)
+def test_branching_word_matches_letter_rule(label):
+    # vertex(step) at every length from 0 (the ray vertices) through the
+    # prefix and across three cycles, and meet_depth against the common
+    # stretch of the two origin paths, over the ball and past it along
+    # the end, where a changed last letter leaves the end one step early
+    spec = WORD_SPECS[label]
+    rng = Random(2801)
+    ball = spec.ball(6)
+    for end in [random_ray(spec, rng, 3, 6) for _ in range(12)]:
+        far = end.branch + len(end.prefix) + 3 * len(end.cycle)
+        for step in range(far + 1):
+            word = tuple(_letter(end, i) for i in range(step - end.branch))
+            assert end.vertex(step) == VertexAddress(min(step, end.branch),
+                                                     word), (end, step)
+        along = [end.vertex(n) for n in range(end.branch + 1, far + 1)]
+        off = [VertexAddress(a.branch, a.suffix[:-1] + (a.suffix[-1] + 1,))
+               for a in along]
+        for a in ball + along + off:
+            path = ["up"] * a.branch + list(a.suffix)
+            steps = _steps(end, len(path))
+            want = next((i for i, (x, y) in enumerate(zip(path, steps))
+                         if x != y), len(path))
+            assert end.meet_depth(a) == want, (end, a)
 
 
 def test_stabilization_along_ray():

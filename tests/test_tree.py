@@ -1,6 +1,7 @@
 """Tree addresses, metric, heights, degree rules, serialization."""
 
 import json
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -12,12 +13,14 @@ from horoprod.tree import (
     ExplicitCore,
     Line,
     ORIGIN,
+    RankedBall,
     RayPeriodic,
     Regular,
     SpecError,
     TreeSpec,
     VertexAddress,
     busemann,
+    down_move,
     gamma_ward,
     height,
     meet_depth,
@@ -337,3 +340,51 @@ def test_custom_rule_not_serializable():
 
     with pytest.raises(SpecError):
         TreeSpec(CustomRule(lambda branch, suffix: 3), 2).to_json()
+
+
+def _text_ranked_ball(spec, radius):
+    """The reference table: ``ball`` sorted by address text, with each
+    coordinate's ``up_moves`` and ``down_move`` read through that order,
+    and None exactly at the radius."""
+    order = sorted(spec.ball(radius), key=str)
+    rank = {(a.branch, a.suffix): r for r, a in enumerate(order)}
+    inner = [origin_dist(a) < radius for a in order]
+    return RankedBall(
+        [a.branch for a in order], [a.suffix for a in order],
+        [[rank[m] for m in spec.up_moves(a.branch, a.suffix)] if i else None
+         for a, i in zip(order, inner)],
+        [rank[down_move(a.branch, a.suffix)] if i else None
+         for a, i in zip(order, inner)])
+
+
+RANKED = {
+    "regular3": (R3, 6),
+    "regular12": (TreeSpec.regular(12), 3),         # labels past one digit
+    "line14": (LINE, 14),                           # branches past one digit
+    "line3000": (LINE, 3000),                       # deeper than recursion goes
+    "ray_periodic": (TreeSpec.ray_periodic((2, 3), (3, 2)), 8),
+    "core_regular3": (TreeSpec.explicit_core_of(R3, 3, 3), 6),
+    "core_line": (TreeSpec.explicit_core_of(LINE, 4, 2), 12),
+    "custom": (TreeSpec(CustomRule(lambda b, s: 3 + (b + len(s)) % 3)), 5),
+    "radius0": (R3, 0),
+    "radius1": (R3, 1),
+}
+
+
+@pytest.mark.parametrize("label", RANKED)
+def test_ranked_ball_matches_text_sorted_reference(label):
+    spec, radius = RANKED[label]
+    assert spec.ranked_ball(radius) == _text_ranked_ball(spec, radius)
+
+
+def test_ranked_ball_peak_is_its_table():
+    # the ranks come from one walk, so nothing larger than the table
+    # itself (no texts, no second numbering) is alive while it is built
+    tracemalloc.start()
+    try:
+        table = R4.ranked_ball(9)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.branches) == 39_365
+    assert peak <= 1.2 * kept, (peak, kept)
