@@ -134,7 +134,6 @@ def cmd_classify(args) -> int:
         family = family_from_json(data["family"])
     except ValueError as exc:
         raise UsageError(f"bad family file: {exc}") from exc
-    family.require_valid(product)
     report = classify(product, family)
     emp, agreed = agreement(product, family, report, args.radius, args.window)
     _emit({"symbolic": report.payload(), "empirical": emp.payload(),

@@ -18,7 +18,10 @@ decidable, so classification is exact:
 
 Each family is one class that answers every question about itself;
 ``classify``, ``stabilization_bound`` and ``family_from_json`` (one
-table of kinds) are the module-level entry points.  A Custom verdict is
+table of kinds) are the module-level entry points.  Those that take a
+product and a family (also ``terms``, ``agreement`` and
+``empirical_pointwise_check``) refuse, once per call, a family naming a
+vertex or end the product lacks (``require_valid``).  A Custom verdict is
 read over the indices ``CUSTOM_WINDOW``; ``agreement`` checks a verdict
 empirically over ``EXTRA_WINDOW`` indices past the stabilization bound.
 
@@ -403,7 +406,7 @@ class Alternating(SequenceFamily):
                            notes=("height oscillates between distinct levels",))
 
     def stabilization_bound(self, product, radius):
-        inner = max(stabilization_bound(product, Horocyclic(k), radius)
+        inner = max(Horocyclic(k).stabilization_bound(product, radius)
                     for k in self.levels)
         return inner * len(self.levels)
 
@@ -428,7 +431,8 @@ class Custom(SequenceFamily):
         heuristic and carries the window it was read from.
         """
         try:
-            seq = terms(product, self, CUSTOM_WINDOW[1], CUSTOM_WINDOW[0])
+            n0, n1 = CUSTOM_WINDOW
+            seq = list(itertools.islice(self.stream(product, n0), n1 - n0))
         except FamilyExhausted as exc:
             return LimitReport(NOT_CONVERGENT, window=CUSTOM_WINDOW,
                                notes=(str(exc),))
@@ -466,6 +470,7 @@ def terms(product: HoroProduct, family: SequenceFamily,
     """The family's terms with indices start..stop-1."""
     if start < 0:
         raise ValueError("start must be >= 0")
+    family.require_valid(product)
     return list(itertools.islice(family.stream(product, start),
                                  max(stop - start, 0)))
 
@@ -482,6 +487,7 @@ def classify(product: HoroProduct, family: SequenceFamily) -> LimitReport:
     point is the limit function, so the two compactification views are
     one object.
     """
+    family.require_valid(product)
     return family.classify(product)
 
 
@@ -538,6 +544,7 @@ def stabilization_bound(product: HoroProduct, family: SequenceFamily,
 
     Custom generators get a fixed default, reported as heuristic.
     """
+    family.require_valid(product)
     return family.stabilization_bound(product, radius)
 
 
@@ -559,6 +566,7 @@ def empirical_pointwise_check(product: HoroProduct, family: SequenceFamily,
     target's, so terms that agree on the ball share one row, and only
     rows that differ from the first are scanned vertex by vertex.
     """
+    family.require_valid(product)
     return _pointwise_check(product, family, window, radius, target,
                             product.ball(radius))
 
@@ -570,7 +578,7 @@ def _pointwise_check(product, family, window, radius, target, ball):
     if not (0 <= n0 < n1):
         raise ValueError("window must satisfy 0 <= n0 < n1")
     try:
-        seq = terms(product, family, n1, n0)
+        seq = list(itertools.islice(family.stream(product, n0), n1 - n0))
     except FamilyExhausted as exc:
         return EmpiricalReport(False, window, radius, 0, None,
                                ({"reason": str(exc)},))
@@ -638,6 +646,7 @@ def agreement(product: HoroProduct, family: SequenceFamily, rep: LimitReport,
     converge and the empirical values equal the classified limit
     function pointwise, or both routes report non-convergence.
     """
+    family.require_valid(product)
     return _agreement(product, family, rep, radius, window,
                       product.ball(radius))
 
@@ -645,7 +654,7 @@ def agreement(product: HoroProduct, family: SequenceFamily, rep: LimitReport,
 def _agreement(product, family, rep, radius, window, ball):
     """``agreement`` on the radius ball, built by the caller."""
     if window is None:
-        n0 = stabilization_bound(product, family, radius)
+        n0 = family.stabilization_bound(product, radius)
         window = (n0, n0 + EXTRA_WINDOW)
     emp = _pointwise_check(product, family, window, radius, rep.anchor, ball)
     if rep.status in (INTERIOR, BOUNDARY):
@@ -728,9 +737,17 @@ def random_families(product: HoroProduct, count: int, seed: int,
     """A reproducible mix of all structured kinds plus custom wrappers."""
     rng = random.Random(seed)
     out: list[SequenceFamily] = []
+    # a diagonal climbs one tree off its distinguished ray, which needs
+    # that tree's levels infinite; its bit is drawn even where only one
+    # side has them, so the draws after it do not move
+    sides = [side for side in (1, 2) if f_set(product.tree(side)) == FSet.ALL]
 
     def ray(side):
         return random_ray(product.tree(side), rng, 3, 4)
+
+    def diagonal():
+        side = sides[0] if rng.random() < 0.5 else sides[-1]
+        return _diagonal_custom(product, toward_first=side == 1)
 
     makers = [
         lambda: EventuallyConstant(_random_product_vertex(product, rng)),
@@ -746,7 +763,7 @@ def random_families(product: HoroProduct, count: int, seed: int,
                                 rng.randrange(1, 9)),
         lambda: _shifted_custom(FixedSecond(_random_vertex(product.tree2, rng)),
                                 rng.randrange(1, 9)),
-        lambda: _diagonal_custom(product, toward_first=rng.random() < 0.5),
+        *([diagonal] if sides else []),
     ]
     i = 0
     while len(out) < count:
@@ -769,7 +786,7 @@ class _Shifted(Custom):
         return self.inner.stream(product, start + self.offset)
 
     def stabilization_bound(self, product, radius):
-        return stabilization_bound(product, self.inner, radius) + self.offset
+        return self.inner.stabilization_bound(product, radius) + self.offset
 
 
 def _shifted_custom(inner: SequenceFamily, offset: int) -> Custom:

@@ -26,17 +26,17 @@ second table), and ints order as the pairs of texts do.  Output order
 is deterministic: breadth-first layers, each sorted by the textual
 form.  ``neighbors`` and ``ball`` hand out ProductVertex objects;
 ``ball_graph`` hands out the keys of the ball in that order, with the
-induced graph as integer adjacency lists, which the metric oracle
-sweeps.  An inner vertex lists its neighbours in edge-relation order;
-the rim, the vertices at exactly the radius, is never expanded, and a
-rim vertex's list is read back from the inner lists, in ascending
-index.  So a ProductVertex is built only for a vertex that a caller
-asks for.
+induced graph as one flat list of edges, which the metric oracle
+sweeps.  Every edge joins consecutive layers, so each is listed once,
+from its end nearer the base, and the rim, the vertices at exactly the
+radius, is never expanded.  So a ProductVertex is built only for a
+vertex that a caller asks for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .tree import (RankedBall, SpecError, TreeSpec, VertexAddress, busemann,
@@ -198,11 +198,11 @@ class HoroProduct:
                 for b1, s1, b2, s2 in self._key_neighbors(product_key(v))]
 
     def _ball(self, radius: int,
-              graph: bool) -> tuple[list[int], RankedBall, RankedBall, list]:
+              graph: bool) -> tuple[list[int], RankedBall, RankedBall, list[int]]:
         """The radius ball as vertex codes in output order, the two
         trees' ``ranked_ball`` tables that the codes index, and, when
-        ``graph`` is set, the neighbour positions of the inner vertices,
-        those below the radius, in edge-relation order.
+        ``graph`` is set, its edges as one flat list of positions
+        a0, b0, a1, b1, ...
 
         The code of a vertex is r1 * n2 + r2, where r1 and r2 are its
         coordinates' ranks in the tables and n2 is the size of the
@@ -210,8 +210,10 @@ class HoroProduct:
         edge moves both coordinates by one tree edge, so each coordinate
         of the ball lies in its tree's radius ball, and an inner
         vertex's coordinates lie below the radius, where the tables hold
-        their moves.  Each inner vertex is expanded once; all its
-        neighbours lie in the ball.
+        their moves.  Every edge changes the height by one, and a
+        vertex's distance from the base has the parity of its height, so
+        every edge joins consecutive layers: each layer below the radius
+        is expanded once and keeps its edges into the next.
         """
         first = self.tree1.ranked_ball(radius)
         second = (first if self.tree2 == self.tree1
@@ -223,7 +225,7 @@ class HoroProduct:
         # "0;" is the least text, so the base is code 0
         index = {0: 0}
         layer = [0]
-        adj = []
+        edges = []
         for _ in range(radius):
             ranks = [divmod(c, n2) for c in layer]
             # each vertex's up moves (the first coordinate climbs), then
@@ -231,17 +233,19 @@ class HoroProduct:
             ups = [u + down2[r2] for r1, r2 in ranks for u in ups1[r1]]
             downs = [down1[r1] + u for r1, r2 in ranks for u in ups2[r2]]
             # the next layer: this layer's neighbours not yet in the ball
+            outer = len(index)
             layer = sorted(set(ups).union(downs).difference(index))
-            index.update(zip(layer, range(len(index), len(index) + len(layer))))
+            index.update(zip(layer, range(outer, outer + len(layer))))
             if graph:
-                ups = list(map(index.__getitem__, ups))
-                downs = list(map(index.__getitem__, downs))
-                i = j = 0
-                for r1, r2 in ranks:
-                    a, b = i + len(ups1[r1]), j + len(ups2[r2])
-                    adj.append(ups[i:a] + downs[j:b])
-                    i, j = a, b
-        return list(index), first, second, adj
+                # the edges into the next layer, each from its inner end
+                here = range(outer - len(ranks), outer)
+                tails = chain(
+                    (a for a, (r1, r2) in zip(here, ranks) for _ in ups1[r1]),
+                    (a for a, (r1, r2) in zip(here, ranks) for _ in ups2[r2]))
+                for a, b in zip(tails, map(index.__getitem__, chain(ups, downs))):
+                    if b >= outer:
+                        edges += a, b
+        return list(index), first, second, edges
 
     def ball(self, radius: int) -> list[ProductVertex]:
         """All vertices within the radius of the base point.
@@ -289,33 +293,19 @@ class HoroProduct:
             near_layer = nxt
         return None
 
-    def ball_graph(self, radius: int) -> tuple[list[Key], list[list[int]]]:
+    def ball_graph(self, radius: int) -> tuple[list[Key], list[int]]:
         """The induced graph on the radius ball: the keys of its vertices
-        and their integer adjacency lists.
+        and its edges, one flat list of positions a0, b0, a1, b1, ...
 
-        Key i is that of ``ball(radius)[i]``.  An inner vertex lists its
-        in-ball neighbours in edge-relation order.  A rim vertex, at
-        exactly the radius, is not expanded: every edge changes the
-        height by one, and a vertex's distance from the base has the
-        parity of its height, so every edge joins consecutive
-        breadth-first layers.  A rim vertex's in-ball neighbours thus
-        all lie one layer in, and its list is read back from the inner
-        lists, in ascending index.  Built from the edge relation alone,
-        so breadth-first sweeps over it stay independent of the
-        closed-form distance.
+        Key i is that of ``ball(radius)[i]``.  Each edge is listed once,
+        from its end a nearer the base, so a < b.  Built from the edge
+        relation alone, so breadth-first sweeps over it stay independent
+        of the closed-form distance.
         """
-        codes, first, second, adj = self._ball(radius, True)
+        codes, first, second, edges = self._ball(radius, True)
         b1, s1 = first.branches, first.suffixes
         b2, s2 = second.branches, second.suffixes
         n2 = len(b2)
         keys = [(b1[r1], s1[r1], b2[r2], s2[r2])
                 for r1, r2 in (divmod(c, n2) for c in codes)]
-        del codes, first, second
-        rim = len(adj)
-        rim_adj = [[] for _ in range(len(keys) - rim)]
-        for i, ns in enumerate(adj):
-            for j in ns:
-                if j >= rim:
-                    rim_adj[j - rim].append(i)
-        adj.extend(rim_adj)
-        return keys, adj
+        return keys, edges

@@ -521,10 +521,14 @@ class TreeSpec:
 
     def is_valid(self, v: VertexAddress) -> bool:
         """Whether each letter of v's suffix is a child label of the
-        prefix before it."""
-        count = self.label_count
-        return all(letter < count(v.branch, v.suffix[:i])
-                   for i, letter in enumerate(v.suffix))
+        prefix before it.  The prefix is one word grown a letter at a
+        time, which families read and do not keep."""
+        count, word = self.label_count, []
+        for letter in v.suffix:
+            if letter >= count(v.branch, word):
+                return False
+            word.append(letter)
+        return True
 
     def require_valid(self, v: VertexAddress) -> None:
         if not self.is_valid(v):

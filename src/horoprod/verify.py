@@ -96,23 +96,28 @@ def _dl34() -> HoroProduct:
     return HoroProduct(TreeSpec.regular(3), TreeSpec.regular(4))
 
 
-def _neighbour_table(adj: list[list[int]]) -> np.ndarray:
-    """``adj`` as an int32 matrix, row v holding v's list padded with
-    n = len(adj), filled by one scatter: entry k of the flattened
-    lists lands in row v at column k minus the offset of v's list."""
-    n = len(adj)
-    lengths = np.fromiter(map(len, adj), np.intp, n)
+def _neighbour_table(n: int, edges: list[int]) -> np.ndarray:
+    """The graph on n vertices whose edges are the flat list of positions
+    a0, b0, a1, b1, ... as an int32 matrix, row v holding v's neighbours
+    padded with n.  Both directions of every edge are sorted stably by
+    tail, and one scatter fills the table: entry k of that order lands
+    in its tail's row at column k minus the offset of the row."""
+    tails, heads = np.array(edges, dtype=np.int32).reshape(-1, 2).T
+    tails, heads = np.concatenate((tails, heads)), np.concatenate((heads, tails))
+    order = np.argsort(tails, kind="stable")
+    tails, heads = tails[order], heads[order]
+    lengths = np.bincount(tails, minlength=n)
     table = np.full((n, lengths.max(initial=0)), n, dtype=np.int32)
-    flat = np.fromiter(itertools.chain.from_iterable(adj), np.int32)
     offsets = np.cumsum(lengths) - lengths
-    table[np.repeat(np.arange(n), lengths),
-          np.arange(len(flat)) - np.repeat(offsets, lengths)] = flat
+    table[tails, np.arange(len(tails)) - offsets[tails]] = heads
     return table
 
 
-def _bitset_distances(adj: list[list[int]], sources: int) -> tuple[np.ndarray, int]:
-    """Graph distances among the first ``sources`` vertices of ``adj``, by
-    one level-synchronous breadth-first sweep from all of them at once.
+def _bitset_distances(n: int, edges: list[int],
+                      sources: int) -> tuple[np.ndarray, int]:
+    """Graph distances among the first ``sources`` of n vertices joined by
+    ``edges`` (flat, as ``ball_graph`` lists them), by one
+    level-synchronous breadth-first sweep from all sources at once.
 
     Row v of the bit matrices holds one bit per source, packed into
     uint64 words.  Each level gathers the frontier rows of v's
@@ -123,8 +128,7 @@ def _bitset_distances(adj: list[list[int]], sources: int) -> tuple[np.ndarray, i
     is empty; pairs never reached read -1.  Returns the distance matrix,
     indexed [source, target], and the number of levels swept.
     """
-    n = len(adj)
-    table = _neighbour_table(adj)
+    table = _neighbour_table(n, edges)
     words = (sources + 63) // 64
     frontier = np.zeros((n + 1, words), dtype=np.uint64)
     ids = np.arange(sources)
@@ -182,7 +186,7 @@ def _all_pairs_bfs_check(product: HoroProduct, radius: int) -> dict:
     Any geodesic between two radius-R vertices stays inside the 2R
     ball (its points are within R of one endpoint), so a sweep over the
     induced 2R subgraph is exact.  The subgraph comes from the edge
-    relation alone, as keys and integer adjacency lists; its key list
+    relation alone, as keys and a flat list of edges; its key list
     begins with the R ball, in the same order, so the sources are its
     first |ball(R)| vertices, and only they become ProductVertex
     objects.  All sources are swept at once, bit-parallel
@@ -190,13 +194,14 @@ def _all_pairs_bfs_check(product: HoroProduct, radius: int) -> dict:
     with the closed form's (``_dist_matrix``), and the first
     disagreement in source-major order is the witness.
     """
-    keys, adj = product.ball_graph(2 * radius)
+    keys, edges = product.ball_graph(2 * radius)
     targets = product.ball(radius)
     assert keys[:len(targets)] == list(map(product_key, targets)), (
         "the 2R ball must list the R ball first")
     counters = {"graph_vertices": len(keys)}
-    dist, counters["bfs_levels"] = _bitset_distances(adj, len(targets))
-    del keys, adj
+    dist, counters["bfs_levels"] = _bitset_distances(len(keys), edges,
+                                                     len(targets))
+    del keys, edges
     formula = _dist_matrix(targets)
     wrong = np.flatnonzero(formula != dist)
     if wrong.size:

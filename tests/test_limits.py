@@ -1,6 +1,7 @@
 """Sequence families: term generation, classification, empirical limits."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -23,6 +24,7 @@ from horoprod.limits import (
     FixedSecond,
     Horocyclic,
     RadialRay,
+    agreement,
     classify,
     empirical_pointwise_check,
     family_from_json,
@@ -35,8 +37,8 @@ from horoprod.limits import (
 from horoprod.product import (BASE, HoroProduct, ProductVertex, product_busemann,
                               product_height)
 from horoprod.rays import BranchingRay, GAMMA, parse_ray
-from horoprod.tree import (CustomRule, TreeSpec, UndecidableFamilyError,
-                           VertexAddress, height)
+from horoprod.tree import (AddressError, CustomRule, TreeSpec,
+                           UndecidableFamilyError, VertexAddress, height)
 
 R3 = TreeSpec.regular(3)
 R4 = TreeSpec.regular(4)
@@ -126,26 +128,54 @@ def test_classify_radial():
 
 
 RADIAL_ENDS = (GAMMA,) + tuple(map(parse_ray, ("0;(1)", "2;1(0)", "3;(0.1)")))
+# R3's ray vertex at branch 2 has one child off the ray, label 0
+MISSING_IN_R3 = parse_ray("2;1(0)")
 
 
-def test_radial_ray_grid_is_pinned():
-    # every marching end against every pairing, gamma and none included,
-    # on both sides of two products; 2;1(0) does not exist in R3, and the
-    # family methods answer for it all the same
-    rows = []
+def _radial_grid():
+    """Every marching end against every pairing, gamma and none
+    included, on both sides of two products, and whether the family
+    names 2;1(0) on an R3 side."""
     for product in (DL33, DL34):
         for tree in (1, 2):
             for ray in RADIAL_ENDS:
                 for pairing in (None,) + RADIAL_ENDS:
                     family = RadialRay(tree, ray, pairing)
-                    rows.append([family.describe(),
-                                 [str(x) for x in terms(product, family, 16)],
-                                 stabilization_bound(product, family, 4),
-                                 classify(product, family).payload()])
-    assert len(rows) == 80
+                    missing = any(end == MISSING_IN_R3 and product.tree(side) == R3
+                                  for side, end in ((tree, ray),
+                                                    (3 - tree, pairing)))
+                    yield product, family, missing
+
+
+def test_radial_ray_grid_is_pinned():
+    rows = []
+    for product, family, missing in _radial_grid():
+        if not missing:
+            rows.append([family.describe(),
+                         [str(x) for x in terms(product, family, 16)],
+                         stabilization_bound(product, family, 4),
+                         classify(product, family).payload()])
+    assert len(rows) == 55
     text = json.dumps(rows, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "873b9aa02095d9cba07aa0038c2daedb6d37f8f6e43ebcd817f7460aa04b8726"
+        "aafe6c6430698d9ed2d34a55b94b8fda148ea027735684abef7c211e1ee1846a"
+
+
+def test_radial_ray_grid_refuses_missing_ends():
+    report = classify(DL33, Horocyclic(0))
+    calls = (lambda p, f: terms(p, f, 16),
+             lambda p, f: stabilization_bound(p, f, 4),
+             classify,
+             lambda p, f: empirical_pointwise_check(p, f, (0, 4), 2),
+             lambda p, f: agreement(p, f, report, 2))
+    refused = 0
+    for product, family, missing in _radial_grid():
+        if missing:
+            refused += 1
+            for call in calls:
+                with pytest.raises(AddressError, match="2;1"):
+                    call(product, family)
+    assert refused == 25
 
 
 def test_classify_pinned():
@@ -263,6 +293,23 @@ def test_diagonal_customs_reach_the_distinguished_ends():
     n0 = stabilization_bound(DL33, fam, 3)
     emp = empirical_pointwise_check(DL33, fam, (n0, n0 + 20), 3, rep.anchor)
     assert emp.convergent and emp.matched_target
+
+
+@pytest.mark.parametrize("product,r3_side", [
+    (DL3LINE, "first"), (HoroProduct(LINE, R3), "second"),
+], ids=["r3_line", "line_r3"])
+def test_drawn_families_name_only_their_trees_addresses(product, r3_side):
+    # the line's levels are finite, so its diagonal cannot climb it
+    families = random_families(product, 120, 20260811)
+    diagonals = {f.describe() for f in families if "diagonal" in f.describe()}
+    assert diagonals == {f"custom[diagonal-to-gamma[{r3_side}]]"}
+    for family in families:
+        try:
+            for v in itertools.islice(family.stream(product), 20):
+                assert (product.tree1.is_valid(v.x1)
+                        and product.tree2.is_valid(v.x2)), family.describe()
+        except FamilyExhausted:
+            pass
 
 
 # -- empirical checks ---------------------------------------------------------------

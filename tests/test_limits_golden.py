@@ -56,14 +56,18 @@ GOLDEN = {
         "realizability": "fb2c6b1d37e1ec403065a537889466b0c2f5d3d46e06f80e479b7fcf0726c44f",
         "hm_coordinates": "6b051a7df3cf05fa44fa68a478d30e1a574f1bd2f3f21a4b32776278fd9b0e1d",
     },
+    # on the two line products the diagonal families climb the tree
+    # whose levels are infinite (R3): the 6 (r3_line) and 8 (line_r3)
+    # diagonals that climbed the line, through addresses it does not
+    # have, now read C1:gamma and C2:gamma respectively
     "r3_line": {
-        "classify": "72ac6a32c9debad372c7ccea7b39b20192aa0f5aa8395ad1be5cd9f45dee08e0",
+        "classify": "dc9cd603ba243fbd5f15ab8f42f91d9b3cf2d2f9bcf7e11dc4d740ed29d503ef",
         "evaluate": "6482fff7f15ececcf023d1e96000d847073bd2bc59ac115f75c0147dc3ffb54b",
         "realizability": "a0be11d1e379c8bba0f86d8c0294c07b277f9db43fc362ab3da5b2eeac438642",
         "hm_coordinates": "65d101144e706359fab4e8bdf7e395e19c0af34f03f24882bb19434159ecb447",
     },
     "line_r3": {
-        "classify": "170019439fda35a73cd4f39db60971cefd5d6d1a238842dcde1fbb9b12337b66",
+        "classify": "0dc83435871892d83afb0fd28413391a4722b7020e9fdc2105062abf64dc92e2",
         "evaluate": "1027966f6431adfe130148425e178312e0c654d9e5f2055d03f045820ecd2606",
         "realizability": "06685e6aee9855b37334a8c88094889a03e781cc7da94bb29ba91b84737d2f99",
         "hm_coordinates": "feb2948894eeddae7b970a3c923f739ca51fdc5986a1ade085eab9f3a80a8f74",

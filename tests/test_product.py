@@ -1,6 +1,7 @@
 """Product vertices, adjacency, the closed-form metric and its oracle."""
 
 import ast
+from bisect import bisect
 from pathlib import Path
 
 import numpy as np
@@ -220,14 +221,38 @@ def test_busemann_rows_share_past_reach_and_cap(case, up, data):
     assert second == [product_busemann(w, y) for y in ys]
 
 
-def test_ball_graph_is_the_edge_relation():
-    keys, adj = DL33.ball_graph(3)
-    verts = DL33.ball(3)
+def _ball_graph_rows(product, radius):
+    """The neighbour rows of ``ball_graph(radius)``, read from its flat
+    edge list after checking it: the keys are the ball's, each edge is
+    listed once as positions a < b whose ends lie in consecutive
+    breadth-first layers, and row i holds, in some order, the
+    neighbours of vertex i that lie in the ball."""
+    keys, edges = product.ball_graph(radius)
+    verts = product.ball(radius)
     assert keys == list(map(product_key, verts))
+    pairs = list(zip(edges[::2], edges[1::2]))
+    assert 2 * len(pairs) == len(edges) and len(set(pairs)) == len(pairs)
+    # position i lies in layer bisect(ends, i)
+    ends = [len(product.ball(r)) for r in range(radius)]
+    rows = [[] for _ in keys]
+    for a, b in pairs:
+        assert a < b and bisect(ends, b) == bisect(ends, a) + 1
+        rows[a].append(b)
+        rows[b].append(a)
     index = {v: i for i, v in enumerate(verts)}
     for v, i in index.items():
-        expected = sorted(index[w] for w in DL33.neighbors(v) if w in index)
-        assert sorted(adj[i]) == expected
+        inside = [index[w] for w in product.neighbors(v) if w in index]
+        assert sorted(rows[i]) == sorted(inside)
+    return rows
+
+
+def test_ball_graph_is_the_edge_relation():
+    rows = _ball_graph_rows(DL33, 3)
+    # DL(3,3) is 4-regular, and an inner vertex's neighbours all lie in
+    # the ball
+    inner = len(DL33.ball(2))
+    assert {len(row) for row in rows[:inner]} == {4}
+    assert all(len(row) < 4 for row in rows[inner:])
 
 
 def _tree_level_neighbors(product, v):
@@ -244,22 +269,9 @@ def _tree_level_neighbors(product, v):
 ], ids=["explicit-core", "ray-periodic", "custom-rule",
         *(f"mixed-{radius}" for radius in range(4, 9))])
 def test_key_relation_matches_tree_relation(product, radius):
-    keys, adj = product.ball_graph(radius)
-    verts = product.ball(radius)
-    assert keys == list(map(product_key, verts))
-    rim = len(product.ball(radius - 1))
-    index = {v: i for i, v in enumerate(verts)}
-    for v, i in index.items():
-        neighbors = product.neighbors(v)
-        assert neighbors == _tree_level_neighbors(product, v)
-        inside = [index[w] for w in neighbors if w in index]
-        if i < rim:
-            assert adj[i] == inside
-        else:
-            # a rim list is read back from the inner lists: index order,
-            # and no neighbour on the rim itself
-            assert adj[i] == sorted(inside)
-            assert all(j < rim for j in adj[i])
+    for v in product.ball(radius):
+        assert product.neighbors(v) == _tree_level_neighbors(product, v)
+    _ball_graph_rows(product, radius)
 
 
 def test_ball_order_is_layers_sorted_by_text():
@@ -308,13 +320,7 @@ def test_ball_order_past_one_digit(product, radius, widest, reorders):
     numeric = [v for layer in layers for v in sorted(layer, key=product_key)]
     assert (numeric != expected) == reorders
     assert product.ball(radius) == expected
-    keys, adj = product.ball_graph(radius)
-    assert keys == list(map(product_key, expected))
-    index = {v: i for i, v in enumerate(expected)}
-    rim = len(expected) - len(layers[-1])
-    for v, i in index.items():
-        inside = [index[w] for w in product.neighbors(v) if w in index]
-        assert adj[i] == (inside if i < rim else sorted(inside))
+    _ball_graph_rows(product, radius)
 
 
 def test_geometry_modules_import_no_numpy():
@@ -345,18 +351,21 @@ def test_bitset_sweep_matches_dist_bfs():
     # 104 sources: two uint64 words, and degrees 4 and 5 plus the cut at
     # the ball's rim give a ragged neighbour table
     radius = 4
-    keys, adj = MIXED.ball_graph(2 * radius)
+    keys, edges = MIXED.ball_graph(2 * radius)
+    rows = _ball_graph_rows(MIXED, 2 * radius)
     verts = MIXED.ball(2 * radius)
-    assert keys == list(map(product_key, verts))
     sources = len(MIXED.ball(radius))
-    assert sources > 64 and len(set(map(len, adj))) > 2
-    # the scattered neighbour table is the one padded row by row
-    table = np.full((len(adj), max(map(len, adj))), len(adj), dtype=np.int32)
-    for v, ns in enumerate(adj):
-        table[v, :len(ns)] = ns
-    built = verify._neighbour_table(adj)
-    assert built.dtype == table.dtype and np.array_equal(built, table)
-    dist, levels = verify._bitset_distances(adj, sources)
+    assert sources > 64 and len(set(map(len, rows))) > 2
+    # the scattered neighbour table is the one padded row by row, up to
+    # the order within each row
+    n = len(keys)
+    table = np.full((n, max(map(len, rows))), n, dtype=np.int32)
+    for v, row in enumerate(rows):
+        table[v, :len(row)] = sorted(row)
+    built = verify._neighbour_table(n, edges)
+    assert built.dtype == table.dtype
+    assert np.array_equal(np.sort(built, axis=1), table)
+    dist, levels = verify._bitset_distances(n, edges, sources)
     assert (dist == dist.T).all() and (np.diag(dist) == 0).all()
     assert levels == dist.max() == 2 * radius
     for i in range(sources):

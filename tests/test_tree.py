@@ -1,6 +1,7 @@
 """Tree addresses, metric, heights, degree rules, serialization."""
 
 import json
+import time
 import tracemalloc
 from collections import deque
 
@@ -204,6 +205,16 @@ def test_validate_examples():
     violation = leafy.validate()
     assert violation is not None
     assert violation.witness == v("1;0")
+
+
+def test_is_valid_is_linear_in_the_address_length():
+    # each letter is checked against a prefix grown in place, not a
+    # slice, so 200,000 letters take well under a second
+    word = (0,) * 200_000
+    start = time.perf_counter()
+    assert LINE.is_valid(VertexAddress(0, word))
+    assert not LINE.is_valid(VertexAddress(0, word + (1,)))
+    assert time.perf_counter() - start < 5
 
 
 def test_validate_core_consistency():
