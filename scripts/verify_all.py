@@ -22,7 +22,7 @@ def main():
     overrides = {}
     if args.quick:
         overrides = {
-            "metric-oracle": {"radius33": 4, "radius34": 3},
+            "metric-oracle": {"radius": 4},
             "isomorphism": {"count_per_product": 30},
             "walk-drift": {"steps": 5_000, "trajectories": 10,
                            "tolerance": 0.08},

@@ -147,21 +147,15 @@ def cmd_verify(args) -> int:
     if suite_fn is None:
         raise UsageError(f"unknown suite {args.suite!r}; choose from "
                          + ", ".join(sorted(verify.SUITES)))
-    radius_name = {"metric-oracle": "radius33", "fset": "max_radius"}
-    options = {"--radius": (radius_name.get(args.suite, "radius"), args.radius),
-               "--seed": ("seed", args.seed),
-               "--steps": ("steps", args.steps),
-               "--trajectories": ("trajectories", args.trajectories)}
     accepted = inspect.signature(suite_fn).parameters
     kwargs = {}
-    for option, (name, value) in options.items():
+    for name in ("radius", "seed", "steps", "trajectories"):
+        value = getattr(args, name)
         if value is None:
             continue
         if name not in accepted:
-            raise UsageError(f"suite {args.suite} takes no {option} option")
+            raise UsageError(f"suite {args.suite} takes no --{name} option")
         kwargs[name] = value
-    if args.suite == "metric-oracle" and args.radius is not None:
-        kwargs["radius34"] = max(args.radius - 1, 1)
     result = suite_fn(**kwargs)
     print(f"{'PASS' if result.ok else 'FAIL'} {result.name} "
           f"({result.seconds:.1f}s)", file=sys.stderr)

@@ -63,6 +63,7 @@ from .rays import (
     f_set,
     level_prefix_count,
     level_sequence,
+    level_size,
     parse_ray,
     random_ray,
     require_valid_ray,
@@ -192,14 +193,6 @@ def _reached(report: LimitReport, note: str) -> LimitReport:
 
 # -- sequence families ----------------------------------------------------------
 
-def _level_size(spec, k) -> int | float:
-    """|H_k|, counted, or math.inf when the level set is infinite."""
-    bound = spec.family.branching_bound()
-    if bound is None:
-        return math.inf
-    return level_prefix_count(spec, k, max(bound, -k))
-
-
 class SequenceFamily(FieldCodec):
     """Base of the sequence families.
 
@@ -310,8 +303,8 @@ class Horocyclic(SequenceFamily):
 
     def length(self, product) -> int | float:
         """How many terms there are: the smaller level set's size."""
-        return min(_level_size(product.tree1, self.level),
-                   _level_size(product.tree2, -self.level))
+        return min(level_size(product.tree1, self.level),
+                   level_size(product.tree2, -self.level))
 
     def classify(self, product):
         return _reached(_limit(product, level_point(self.level)),
@@ -341,7 +334,7 @@ class _Pinned(SequenceFamily):
         tree = product.tree(free)
         for t in level_sequence(tree, k, start):
             yield _pair(self.side, self.vertex, t)
-        found = "empty" if next(level_sequence(tree, k), None) is None else "finite"
+        found = "empty" if level_size(tree, k) == 0 else "finite"
         raise FamilyExhausted(f"level set at height {k} of tree {free} is {found}")
 
     def require_valid(self, product):
@@ -796,10 +789,15 @@ def _shifted_custom(inner: SequenceFamily, offset: int) -> Custom:
 
 def _diagonal_custom(product, toward_first: bool) -> Custom:
     """Heights diverge while the climbing coordinate hugs its own
-    distinguished ray, so the limit is that ray's height function."""
+    distinguished ray, so the limit is that ray's height function.  The
+    n-th term climbs to height n below the first ray vertex at or past
+    z_n with a labeled child, which exists where the levels are
+    infinite."""
+    count = product.tree(1 if toward_first else 2).label_count
 
     def gen(n: int) -> ProductVertex:
-        deep = VertexAddress(n, (0,) * (2 * n))
+        b = next(b for b in itertools.count(n) if count(b, ()))
+        deep = VertexAddress(b, (0,) * (n + b))
         ray_side = VertexAddress(n, ())
         if toward_first:
             return ProductVertex(deep, ray_side)

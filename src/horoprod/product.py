@@ -176,9 +176,7 @@ class HoroProduct:
 
     def parse_vertex(self, text: str) -> ProductVertex:
         v = ProductVertex.parse(text)
-        self.tree1.require_valid(v.x1)
-        self.tree2.require_valid(v.x2)
-        return v
+        return self.vertex(v.x1, v.x2)
 
     def degree(self, v: ProductVertex) -> int:
         return (self.tree1.family.degree_at(v.x1.branch, v.x1.suffix)

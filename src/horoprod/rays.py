@@ -297,6 +297,14 @@ def level_prefix_count(spec: TreeSpec, k: int, max_branch: int) -> int:
     return total
 
 
+def level_size(spec: TreeSpec, k: int) -> int | float:
+    """|H_k|: the sizes of the level's blocks added up, or math.inf when
+    the level set is infinite."""
+    if f_set(spec) == FSet.ALL:
+        return math.inf
+    return sum(math.prod(radices) for _, _, radices in _level_blocks(spec, k))
+
+
 def level_count(spec: TreeSpec, k: int, radius: int) -> int:
     """|H_k within the radius ball|, by brute-force ball filtering.
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 
@@ -347,6 +346,7 @@ class ExplicitCore(DegreeRule):
 
     ``entries`` lists (address text, degree) for every vertex with
     origin distance <= radius; all deeper vertices get ``tail_degree``.
+    ``degree_map`` holds the same degrees keyed by ``VertexAddress``.
     """
 
     kind = "explicit_core"
@@ -360,38 +360,37 @@ class ExplicitCore(DegreeRule):
             raise SpecError(f"tail degree must be >= 2, got {self.tail_degree}")
         if self.radius < 0:
             raise SpecError("core radius must be >= 0")
+        degree_map = {}
         for text, deg in self.entries:
-            VertexAddress.parse(text)
+            v = VertexAddress.parse(text)
             if deg < 1:
                 raise SpecError(f"listed degree must be positive at {text!r}")
-
-    @cached_property
-    def degree_map(self) -> dict[str, int]:
-        return dict(self.entries)
+            degree_map[v] = deg
+        object.__setattr__(self, "degree_map", degree_map)
 
     def degree_at(self, branch, suffix):
         if branch + len(suffix) > self.radius:
             return self.tail_degree
-        text = address_text(branch, suffix)
         try:
-            return self.degree_map[text]
+            return self.degree_map[VertexAddress(branch, tuple(suffix))]
         except KeyError:
-            raise SpecError(f"core does not list in-radius address {text}") from None
+            raise SpecError("core does not list in-radius address "
+                            + address_text(branch, suffix)) from None
 
     def violation(self, spec):
         flag = spec.min_degree
         derived = []
         for layer in spec.layers(self.radius):  # checked before it is expanded
-            missing = [v for v in layer if str(v) not in self.degree_map]
+            missing = [v for v in layer if v not in self.degree_map]
             if missing:
                 return Violation("core is missing a reachable address", missing[0])
             derived += layer
-        extra = sorted(set(self.degree_map) - {str(v) for v in derived})
+        extra = set(self.degree_map).difference(derived)
         if extra:
             return Violation("core lists an unreachable address",
-                             VertexAddress.parse(extra[0]))
+                             min(extra, key=str))
         for v in derived:
-            d = self.degree_map[str(v)]
+            d = self.degree_map[v]
             if d < flag:
                 return Violation(f"degree {d} < {flag}", v)
         if self.tail_degree < flag:

@@ -216,11 +216,15 @@ def _all_pairs_bfs_check(product: HoroProduct, radius: int) -> dict:
 
 
 @_suite("metric-oracle")
-def metric_oracle_suite(radius33: int = 6, radius34: int = 5):
-    """Distance formula == breadth-first oracle, exhaustively."""
-    details = {label: _all_pairs_bfs_check(product, radius)
-               for label, product, radius in (("dl33", _dl33(), radius33),
-                                              ("dl34", _dl34(), radius34))}
+def metric_oracle_suite(radius: int = 6, radius34: int | None = None):
+    """Distance formula == breadth-first oracle, exhaustively: DL(3,3)
+    to ``radius``, DL(3,4) to ``radius34``, by default one less (at
+    least 1)."""
+    if radius34 is None:
+        radius34 = max(radius - 1, 1)
+    details = {label: _all_pairs_bfs_check(product, r)
+               for label, product, r in (("dl33", _dl33(), radius),
+                                         ("dl34", _dl34(), radius34))}
     return all(res["ok"] for res in details.values()), details
 
 
@@ -426,17 +430,17 @@ def _level_witnesses(dl33: HoroProduct, levels: int, radius: int):
 
 
 @_suite("fset")
-def fset_suite(max_radius: int = 12, witness_levels: int = 5,
+def fset_suite(radius: int = 12, witness_levels: int = 5,
                witness_radius: int = 3):
     """Level-set dichotomy against the counting oracle, plus level-point
     realizability with empirically converging witness families."""
-    if max_radius < 8:
-        raise ValueError("the level-counting oracle needs max_radius >= 8")
+    if radius < 8:
+        raise ValueError("the level-counting oracle needs radius >= 8")
     r3 = TreeSpec.regular(3)
     line = TreeSpec.line()
     # the finite family's levels saturate at distance 2*core_radius + |k|,
     # which must fall at or below the lower comparison radius
-    core_radius = min(4, (max_radius - 4) // 2)
+    core_radius = min(4, (radius - 4) // 2)
     core_finite = TreeSpec.explicit_core_of(r3, core_radius, 2)
     core_infinite = TreeSpec.explicit_core_of(line, 2, 3)
     details = {}
@@ -444,7 +448,7 @@ def fset_suite(max_radius: int = 12, witness_levels: int = 5,
              "core_tail2": core_finite, "core_tail3": core_infinite}
     for label, spec in specs.items():
         verdict = f_set(spec)
-        witness = next(_count_witnesses(spec, verdict, max_radius), None)
+        witness = next(_count_witnesses(spec, verdict, radius), None)
         details[label] = {"verdict": verdict, "oracle_agrees": witness is None}
         if witness:
             details[label]["witness"] = witness

@@ -224,20 +224,6 @@ def _climber(rng: Random, spec: TreeSpec):
     return climb
 
 
-def _no_draw(_count: int) -> int:
-    return 0
-
-
-def _draw(rng: Random, count: int):
-    """``(fn, arg)`` such that ``fn(arg)`` draws from ``range(count)``
-    as ``_climber`` draws among ``count`` upward neighbors."""
-    if count == 1:
-        return _no_draw, count
-    if count == 2:
-        return rng.getrandbits, 1
-    return rng.randrange, count
-
-
 def step(product: HoroProduct, v: ProductVertex, rng: Random,
          p_up: float) -> ProductVertex:
     """One walk step; deterministic in the rng state and history.
@@ -322,8 +308,10 @@ def _constant_draws(rng: Random, p: float, count1: int, count2: int,
         while True:
             n = yield _decode_words(bits, n, words, p)
     rand = rng.random
-    draw1, arg1 = _draw(rng, count1)
-    draw2, arg2 = _draw(rng, count2)
+    # fn(arg) draws among c upward neighbors as _climber does
+    (draw1, arg1), (draw2, arg2) = (
+        (int, 0) if c == 1 else (rng.getrandbits, 1) if c == 2
+        else (rng.randrange, c) for c in (count1, count2))
     while True:
         n = yield _unpack([draw1(arg1) << 1 | 1 if rand() < p
                            else draw2(arg2) << 1 for _ in range(n)])

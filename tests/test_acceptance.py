@@ -19,7 +19,7 @@ def _report(number, name, result, budget=None):
 
 def test_criterion_1_metric_oracle():
     # DL(3,3) all pairs to radius 6, DL(3,4) to radius 5, exact, < 60 s
-    result = verify.metric_oracle_suite(radius33=6, radius34=5)
+    result = verify.metric_oracle_suite(radius=6, radius34=5)
     _report(1, "metric-oracle", result, budget=60)
     assert result.details["dl33"]["pairs_checked"] == 452 ** 2
     assert result.details["dl34"]["pairs_checked"] == 648 ** 2
@@ -65,7 +65,7 @@ def test_criterion_6_level_sets():
     # dichotomy vs counting oracle to radius 12 on four trees; level
     # points unrealizable over the path, realizable with converging
     # witnesses for |k| <= 5 over the 3-regular pair
-    result = verify.fset_suite(max_radius=12, witness_levels=5)
+    result = verify.fset_suite(radius=12, witness_levels=5)
     _report(6, "fset", result)
     assert result.details["dl3line_levels_not_realizable"]
     assert result.details["dl33_level_witnesses"]

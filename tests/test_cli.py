@@ -215,6 +215,18 @@ def test_verify_metric_oracle_radius(capsys):
     assert payload["dl34"]["pairs_checked"] == 36
 
 
+def test_verify_radius_is_the_suites_radius(capsys):
+    # DL(3,4) stays at radius 1 when --radius is 1, and fset reads
+    # --radius as its own radius
+    code, out = run(capsys, "verify", "metric-oracle", "--radius", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dl33"]["pairs_checked"] == 25
+    assert payload["dl34"]["pairs_checked"] == 36
+    code, out = run(capsys, "verify", "fset", "--radius", "8")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_verify_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "no-such-suite")
     assert code == 2
@@ -629,7 +641,7 @@ def test_trace_files_of_an_earlier_run_removed(capsys, tmp_path):
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
     ([], "the following arguments are required: command"),
     (["verify", "fset", "--radius", "7"],
-     "the level-counting oracle needs max_radius >= 8"),
+     "the level-counting oracle needs radius >= 8"),
 ], ids=["verify-unused-seed", "verify-unused-trajectories",
         "verify-unused-radius", "ball-underscore-radius",
         "verify-arabic-indic-radius", "verify-leading-zero-seed",

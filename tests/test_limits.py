@@ -295,14 +295,17 @@ def test_diagonal_customs_reach_the_distinguished_ends():
     assert emp.convergent and emp.matched_target
 
 
-@pytest.mark.parametrize("product,r3_side", [
+@pytest.mark.parametrize("product,climbed_side", [
     (DL3LINE, "first"), (HoroProduct(LINE, R3), "second"),
-], ids=["r3_line", "line_r3"])
-def test_drawn_families_name_only_their_trees_addresses(product, r3_side):
-    # the line's levels are finite, so its diagonal cannot climb it
+    (HoroProduct(TreeSpec.ray_periodic((2, 3), (3,)), LINE), "first"),
+], ids=["r3_line", "line_r3", "periodic_line"])
+def test_drawn_families_name_only_their_trees_addresses(product, climbed_side):
+    # the line's levels are finite, so its diagonal cannot climb it; the
+    # periodic tree's even ray vertices have no labeled child, so its
+    # diagonal climbs below the next odd one
     families = random_families(product, 120, 20260811)
     diagonals = {f.describe() for f in families if "diagonal" in f.describe()}
-    assert diagonals == {f"custom[diagonal-to-gamma[{r3_side}]]"}
+    assert diagonals == {f"custom[diagonal-to-gamma[{climbed_side}]]"}
     for family in families:
         try:
             for v in itertools.islice(family.stream(product), 20):

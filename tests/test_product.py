@@ -398,7 +398,7 @@ def test_oracle_reports_first_corrupted_pair(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(verify, "_dist_matrix", off_by_one)
-            result = verify.metric_oracle_suite(radius33=2, radius34=1)
+            result = verify.metric_oracle_suite(radius=2, radius34=1)
         assert not result.ok
         details = result.details["dl33"]
         assert details["pairs_checked"] == i * len(targets) + j + 1
@@ -419,7 +419,7 @@ def test_oracle_builds_vertices_only_for_the_sources(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(ProductVertex, "__post_init__", counting)
-    result = verify.metric_oracle_suite(radius33=2, radius34=1)
+    result = verify.metric_oracle_suite(radius=2, radius34=1)
     monkeypatch.undo()
     assert result.ok
     # the 2R graphs hold 92 and 22 vertices; only the R balls (15 and 6)
@@ -430,7 +430,7 @@ def test_oracle_builds_vertices_only_for_the_sources(monkeypatch):
 
 
 def test_oracle_counters():
-    result = verify.metric_oracle_suite(radius33=2, radius34=2)
+    result = verify.metric_oracle_suite(radius=2, radius34=2)
     assert result.ok
     for label, product in (("dl33", DL33), ("dl34", DL34)):
         details = result.details[label]

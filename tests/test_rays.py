@@ -22,6 +22,7 @@ from horoprod.rays import (
     level_count,
     level_prefix_count,
     level_sequence,
+    level_size,
     parse_ray,
     random_ray,
 )
@@ -431,6 +432,20 @@ def test_alternating_past_a_huge_finite_level_counts_its_end():
     # even for a stream opened far past it
     with pytest.raises(FamilyExhausted, match="height 2 or -2 is finite"):
         terms(product, Alternating((-1000, 2)), size + 5, size)
+
+
+def test_level_size_is_zero_a_count_or_infinite():
+    # an origin of degree 1 is a leaf, which validation refuses, and
+    # every positive level of such a tree is empty
+    leaf = TreeSpec(ExplicitCore((("0;", 1),), 0, 2), 2)
+    assert leaf.validate() is not None
+    assert [level_size(leaf, k) for k in (-2, 0, 1, 2)] == [1, 1, 0, 0]
+    for label in ("line", "finite_core", "finite_ray_periodic"):
+        spec = COUNTED[label]
+        for k in range(-3, 4):
+            assert level_size(spec, k) == level_count(spec, k, 12), (label, k)
+    for label in ("regular3", "ray_periodic", "core", "irregular_core"):
+        assert level_size(COUNTED[label], -2) == math.inf
 
 
 def test_f_set():

@@ -329,6 +329,22 @@ def test_core_rule_reports_unlisted_address():
     assert core.label_count(0, [0, 1]) == 2  # past the radius
 
 
+def test_core_reads_any_suffix_sequence_by_address():
+    # the walk asks with its suffix list, other callers with tuples; the
+    # text of an address shows only in the errors and witnesses
+    core = TreeSpec.explicit_core_of(_BUMPY, 3, 3).family
+    for a in _BUMPY.ball(3):
+        assert core.degree_at(a.branch, list(a.suffix)) \
+            == core.degree_at(a.branch, a.suffix) == _BUMPY.degree(a)
+    with pytest.raises(SpecError, match="in-radius address 0;0.1$"):
+        ExplicitCore((("0;", 3),), 2, 3).degree_at(0, [0, 1])
+    # of two unreachable entries, the witness is the least text
+    extra = core.entries + (("9;", 3), ("10;", 3))
+    violation = TreeSpec(ExplicitCore(extra, 3, 3), 2).validate()
+    assert violation.message == "core lists an unreachable address"
+    assert violation.witness == v("10;")
+
+
 # -- serialization -------------------------------------------------------------
 
 @pytest.mark.parametrize("spec", [

@@ -110,20 +110,20 @@ FAILURES = {
         "busemann_rows", _rows_through(lambda v: 0)),
     "fset-counting-oracle": (
         verify.fset_suite,
-        {"max_radius": 8, "witness_levels": 1, "witness_radius": 1},
+        {"radius": 8, "witness_levels": 1, "witness_radius": 1},
         "level_count", lambda spec, k, radius: 0),
     "fset-dl33-not-realizable": (
         verify.fset_suite,
-        {"max_radius": 8, "witness_levels": 1, "witness_radius": 1},
+        {"radius": 8, "witness_levels": 1, "witness_radius": 1},
         "realizability", lambda product, point: (False, None)),
     "fset-dl3line-witness-first": (
         verify.fset_suite,
-        {"max_radius": 8, "witness_levels": 1, "witness_radius": 1},
+        {"radius": 8, "witness_levels": 1, "witness_radius": 1},
         "realizability",
         lambda product, point: (product.tree1 is not product.tree2, None)),
     "fset-dl33-level-limit": (
         verify.fset_suite,
-        {"max_radius": 8, "witness_levels": 1, "witness_radius": 1},
+        {"radius": 8, "witness_levels": 1, "witness_radius": 1},
         "empirical_pointwise_check", _wrong_level_target),
     "walk-drift": (
         verify.walk_drift_suite, {"steps": 2000, "trajectories": 2},
