@@ -18,25 +18,31 @@ Enumeration reads one edge relation, the two trees' moves
 ``neighbors`` and ``dist_bfs`` apply it to keys, the plain tuples
 (branch1, suffix1, branch2, suffix2) of ``product_key``.  ``ball`` and
 ``ball_graph`` apply it once per tree coordinate: each tree's radius
-ball becomes a table (``TreeSpec.ranked_ball``) that numbers its
-coordinates in the order of their texts and holds each inner
-coordinate's moves as those numbers.  A product vertex is then the one
-int r1 * n2 + r2 of its coordinates' ranks (n2 is the size of the
-second table), and ints order as the pairs of texts do.  Output order
-is deterministic: breadth-first layers, each sorted by the textual
-form.  ``neighbors`` and ``ball`` hand out ProductVertex objects;
-``ball_graph`` hands out the keys of the ball in that order, with the
-induced graph as one flat list of edges, which the metric oracle
-sweeps.  Every edge joins consecutive layers, so each is listed once,
-from its end nearer the base, and the rim, the vertices at exactly the
-radius, is never expanded.  So a ProductVertex is built only for a
-vertex that a caller asks for.
+ball becomes a table of ints (``TreeSpec.ranked_ball``) that numbers
+its coordinates in the order of their texts and holds each one's
+moves as offsets between those numbers, and no address.  A product
+vertex is then the one int r1 * n2 + r2 of its coordinates' ranks (n2
+is the size of the second table), ints order as the pairs of texts
+do, and moving the coordinates by offsets d1 and d2 moves it by
+d1 * n2 + d2.  The ball grows a breadth-first layer at a time: every
+edge joins consecutive layers, so a layer's neighbours outside the
+layer before it make the next one, which is sorted as ints and is the
+only layer whose positions are looked up.  Output order is
+deterministic: breadth-first layers, each sorted by the textual form.
+``neighbors`` and ``ball`` hand out ProductVertex objects;
+``ball_graph`` hands out the ball's keys in that order, each built when
+it is read (``BallKeys``), with the induced graph as one flat
+``array('q')`` of edges, which the metric oracle reads without a copy.
+Each edge is listed once, from its end nearer the base, and the rim,
+the vertices at exactly the radius, is never expanded.  So a key or a
+ProductVertex is built only for a vertex that a caller asks for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, count, repeat, starmap
+from operator import add, mul
 from typing import Sequence
 
 from .tree import (RankedBall, SpecError, TreeSpec, VertexAddress, busemann,
@@ -195,12 +201,12 @@ class HoroProduct:
         return [ProductVertex(VertexAddress(b1, s1), VertexAddress(b2, s2))
                 for b1, s1, b2, s2 in self._key_neighbors(product_key(v))]
 
-    def _ball(self, radius: int,
-              graph: bool) -> tuple[list[int], RankedBall, RankedBall, list[int]]:
+    def _ball(self, radius: int, graph: bool) -> tuple[
+            Sequence[int], RankedBall, RankedBall, Sequence[int]]:
         """The radius ball as vertex codes in output order, the two
         trees' ``ranked_ball`` tables that the codes index, and, when
-        ``graph`` is set, its edges as one flat list of positions
-        a0, b0, a1, b1, ...
+        ``graph`` is set, its edges as positions a0, b0, a1, b1, ...
+        (then both are ``array('q')``).
 
         The code of a vertex is r1 * n2 + r2, where r1 and r2 are its
         coordinates' ranks in the tables and n2 is the size of the
@@ -210,40 +216,55 @@ class HoroProduct:
         vertex's coordinates lie below the radius, where the tables hold
         their moves.  Every edge changes the height by one, and a
         vertex's distance from the base has the parity of its height, so
-        every edge joins consecutive layers: each layer below the radius
-        is expanded once and keeps its edges into the next.
+        every edge joins consecutive layers: a layer's neighbours not in
+        the layer before it make the next layer, and each layer below
+        the radius keeps its edges into the next.
         """
         first = self.tree1.ranked_ball(radius)
         second = (first if self.tree2 == self.tree1
                   else self.tree2.ranked_ball(radius))
-        n2 = len(second.branches)
-        ups1 = [None if u is None else [r * n2 for r in u] for u in first.ups]
-        down1 = [None if d is None else d * n2 for d in first.downs]
-        ups2, down2 = second.ups, second.downs
-        # "0;" is the least text, so the base is code 0
-        index = {0: 0}
-        layer = [0]
-        edges = []
+        n2 = len(second.labels)
+        ups1, downs1 = first.ups, first.downs
+        ups2, downs2 = second.ups, second.downs
+        # "0;" is the least text, so the base is code 0.  ``ball_graph``
+        # keeps the codes, so it holds them and the edges flat; ``ball``
+        # makes an object of every code anyway.
+        if graph:
+            from array import array     # loaded here: few commands need it
+            codes, edges = array("q", [0]), array("q")
+        else:
+            codes, edges = [0], []
+        before, layer = [], [0]
         for _ in range(radius):
-            ranks = [divmod(c, n2) for c in layer]
-            # each vertex's up moves (the first coordinate climbs), then
-            # its down moves, each kind flat over the layer
-            ups = [u + down2[r2] for r1, r2 in ranks for u in ups1[r1]]
-            downs = [down1[r1] + u for r1, r2 in ranks for u in ups2[r2]]
-            # the next layer: this layer's neighbours not yet in the ball
-            outer = len(index)
-            layer = sorted(set(ups).union(downs).difference(index))
-            index.update(zip(layer, range(outer, outer + len(layer))))
+            r1s = [c // n2 for c in layer]
+            r2s = [c % n2 for c in layer]
+            climbs = list(map(ups1.__getitem__, r1s))
+            rises = list(map(ups2.__getitem__, r2s))
+            # each vertex's up moves (the first coordinate climbs, the
+            # second steps down), then its down moves, each kind flat
+            # over the layer; tree offsets d1, d2 move a code by d1 * n2 + d2
+            steps = map(add, layer, map(downs2.__getitem__, r2s))
+            near = [c + u * n2 for c, us in zip(steps, climbs) for u in us]
+            steps = map(add, layer,
+                        map(mul, map(downs1.__getitem__, r1s), repeat(n2)))
+            near += [c + u for c, us in zip(steps, rises) for u in us]
+            del r1s, r2s, steps     # before the sets and dicts below
+            new = set(near)
+            new.difference_update(before)
+            before, layer = layer, sorted(new)
+            del new     # before the positions below are built
+            outer = len(codes)
+            codes.extend(layer)
             if graph:
-                # the edges into the next layer, each from its inner end
-                here = range(outer - len(ranks), outer)
-                tails = chain(
-                    (a for a, (r1, r2) in zip(here, ranks) for _ in ups1[r1]),
-                    (a for a, (r1, r2) in zip(here, ranks) for _ in ups2[r2]))
-                for a, b in zip(tails, map(index.__getitem__, chain(ups, downs))):
-                    if b >= outer:
-                        edges += a, b
-        return list(index), first, second, edges
+                # the edges into the new layer, each from its inner end; a
+                # move back finds no position, and no new position is 0
+                heads = list(map(dict(zip(layer, count(outer))).get, near))
+                here = range(outer - len(before), outer)
+                tails = chain.from_iterable(
+                    map(repeat, chain(here, here), map(len, chain(climbs, rises))))
+                edges.extend(
+                    chain.from_iterable(compress(zip(tails, heads), heads)))
+        return codes, first, second, edges
 
     def ball(self, radius: int) -> list[ProductVertex]:
         """All vertices within the radius of the base point.
@@ -252,9 +273,9 @@ class HoroProduct:
         """
         codes, first, second, _ = self._ball(radius, False)
         # every place of a leafless tree's ball is some vertex's coordinate
-        firsts = list(map(VertexAddress, first.branches, first.suffixes))
+        firsts = list(starmap(VertexAddress, first.addresses()))
         seconds = (firsts if second is first
-                   else list(map(VertexAddress, second.branches, second.suffixes)))
+                   else list(starmap(VertexAddress, second.addresses())))
         n2 = len(seconds)
         return [ProductVertex(firsts[c // n2], seconds[c % n2]) for c in codes]
 
@@ -291,19 +312,37 @@ class HoroProduct:
             near_layer = nxt
         return None
 
-    def ball_graph(self, radius: int) -> tuple[list[Key], list[int]]:
+    def ball_graph(self, radius: int) -> tuple["BallKeys", Sequence[int]]:
         """The induced graph on the radius ball: the keys of its vertices
-        and its edges, one flat list of positions a0, b0, a1, b1, ...
+        and its edges, one flat ``array('q')`` of positions a0, b0, a1,
+        b1, ...
 
-        Key i is that of ``ball(radius)[i]``.  Each edge is listed once,
-        from its end a nearer the base, so a < b.  Built from the edge
-        relation alone, so breadth-first sweeps over it stay independent
-        of the closed-form distance.
+        Key i is that of ``ball(radius)[i]``; each is built when it is
+        read.  Each edge is listed once, from its end a nearer the base,
+        so a < b.  Built from the edge relation alone, so breadth-first
+        sweeps over it stay independent of the closed-form distance.
         """
         codes, first, second, edges = self._ball(radius, True)
-        b1, s1 = first.branches, first.suffixes
-        b2, s2 = second.branches, second.suffixes
-        n2 = len(b2)
-        keys = [(b1[r1], s1[r1], b2[r2], s2[r2])
-                for r1, r2 in (divmod(c, n2) for c in codes)]
-        return keys, edges
+        return BallKeys(codes, first, second), edges
+
+
+class BallKeys:
+    """The keys of a ball's vertices in ball order (``ball_graph``), each
+    built from its code and the two tree tables when it is read: an
+    index gives one key, a slice a list of them."""
+
+    def __init__(self, codes: Sequence[int], first: RankedBall,
+                 second: RankedBall):
+        self.codes, self.first, self.second = codes, first, second
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._key, self.codes[i]))
+        return self._key(self.codes[i])
+
+    def _key(self, code: int) -> Key:
+        r1, r2 = divmod(code, len(self.second.labels))
+        return (*self.first.address(r1), *self.second.address(r2))

@@ -144,6 +144,19 @@ def busemann(x, y: VertexAddress) -> int:
     return origin_dist(y) - 2 * x.meet_depth(y)
 
 
+TABLE_BUDGET = 1 << 24
+"""The most entries a ``ranked_ball`` table may hold: about 16 times
+the largest in use, the 1.06 M of ``regular(4)`` at radius 12."""
+
+
+class TableTooLarge(ValueError):
+    """Raised when a ball's table would pass ``TABLE_BUDGET`` entries."""
+
+    def __init__(self, radius: int):
+        super().__init__(f"the tree's radius-{radius} ball has more than"
+                         f" {TABLE_BUDGET} vertices")
+
+
 class UndecidableFamilyError(Exception):
     """Raised when a decision procedure meets a custom degree rule."""
 
@@ -235,11 +248,12 @@ class DegreeRule(FieldCodec):
     decide that it exists).  A rule that is not ``decidable`` answers
     the first and the last by probing: out to
     ``CustomRule.PROBE_RADIUS`` and over ``CustomRule.PROBE_LETTERS``
-    letters.  A decidable family also answers ``uniform_below(branch,
+    letters.  Each family also answers ``uniform_below(branch,
     depth)``: whether, below any one position of that branch and suffix
     length, the label count of a position is fixed by its depth, so the
-    words there count and rank as mixed-radix numbers.  In JSON a
-    family is its ``kind`` plus its fields.
+    words there count and rank as mixed-radix numbers (a rule that is
+    not ``decidable`` never says so).  In JSON a family is its ``kind``
+    plus its fields.
     """
 
     kind: ClassVar[str | None] = None
@@ -447,6 +461,9 @@ class CustomRule(DegreeRule):
     def ray_letters_to_check(self, ray):
         return self.PROBE_LETTERS
 
+    def uniform_below(self, branch, depth):
+        return False
+
     def to_json(self):
         raise SpecError("custom degree rules are not serializable")
 
@@ -456,15 +473,83 @@ TREE_FAMILIES = {cls.kind: cls for cls in (Regular, Line, RayPeriodic, ExplicitC
 
 class RankedBall(NamedTuple):
     """A tree's radius ball numbered in the order of the address texts
-    by one depth-first walk (``TreeSpec.ranked_ball``): the branch and
-    the suffix of each rank, and per rank its ``up_moves`` and its
-    ``down_move`` as ranks.  Both are None at exactly the radius, where
-    moves may leave the ball."""
+    (``TreeSpec.ranked_ball``), as flat lists indexed by rank:
 
-    branches: list[int]
-    suffixes: list[tuple[int, ...]]
-    ups: list[list[int] | None]
-    downs: list[int | None]
+    - ``labels[r]``, the last letter of r's suffix, or -1 on the ray;
+    - ``downs[r]``, the offset d - r of the rank d of r's ``down_move``,
+      or 0 where that leaves the ball (the ray vertex at the radius);
+      off the ray, d is r's parent;
+    - ``ups[r]``, the offsets u - r of the ranks u of r's ``up_moves``,
+      as one tuple shared by every rank whose moves lie alike, and
+      empty at exactly the radius, where moves may leave the ball;
+
+    and ``ray[b]``, the rank of the ray vertex of branch b.  No address
+    is kept: ``address`` reads one back along the downs, and
+    ``addresses`` reads them all."""
+
+    labels: list[int]
+    downs: list[int]
+    ups: list[tuple[int, ...]]
+    ray: list[int]
+
+    def address(self, rank: int) -> tuple[int, tuple[int, ...]]:
+        """The (branch, suffix) of a rank."""
+        labels, downs, word = self.labels, self.downs, []
+        while labels[rank] >= 0:
+            word.append(labels[rank])
+            rank += downs[rank]
+        return self.ray.index(rank), tuple(reversed(word))
+
+    def addresses(self) -> list[tuple[int, tuple[int, ...]]]:
+        """``address`` of every rank, built in rank order, where each
+        parent comes before its children."""
+        branch = {rank: b for b, rank in enumerate(self.ray)}
+        out = []
+        for rank, (label, down) in enumerate(zip(self.labels, self.downs)):
+            if label < 0:
+                out.append((branch[rank], ()))
+            else:
+                b, s = out[rank + down]
+                out.append((b, s + (label,)))
+        return out
+
+
+def _text_order(n: int, memo: dict) -> tuple[list[int], list[int]]:
+    """The labels 0..n-1 in the order of their texts ("10" before "2"),
+    and the place of each label in that order; ``memo`` keeps them by n."""
+    if n not in memo:
+        order = sorted(range(n), key=str)
+        memo[n] = order, sorted(range(n), key=order.__getitem__)
+    return memo[n]
+
+
+def _uniform_table(radices: Sequence[int], text_orders: dict) -> tuple:
+    """The ``RankedBall`` rows (labels, downs, ups) of a subtree whose
+    vertices at depth i below its root have radices[i] children each,
+    numbered from its root as rank 0, whose label and down are left -1
+    and 0.  Below the root, each child's subtree has the table of the
+    remaining radices, so the table is that one repeated once per child
+    in text order, and since its offsets hold wherever it lands, ``ups``
+    repeats the same tuples.  It is built from the deepest level up in
+    reversed order, where a root comes last, so a level with a single
+    child appends its root in place."""
+    labels, downs, ups = [-1], [0], [()]
+    for n in reversed(radices):
+        m = len(labels)
+        order, places = _text_order(n, text_orders)
+        labels *= n
+        downs *= n
+        ups *= n
+        # the copy k from the start holds the child of text place n-1-k
+        labels[m - 1::m] = order[::-1]
+        downs[m - 1::m] = range(-1 - m * (n - 1), 0, m)
+        labels.append(-1)
+        downs.append(0)
+        ups.append(tuple(1 + m * i for i in places))
+    labels.reverse()
+    downs.reverse()
+    ups.reverse()
+    return labels, downs, ups
 
 
 @dataclass(frozen=True)
@@ -582,43 +667,78 @@ class TreeSpec:
         and within a branch a word before its extensions, with labels in
         the order of their texts ("10" before "2").  One depth-first
         walk over ``up_moves`` numbers it, with an explicit stack, so no
-        text is built and no radius is too deep.
+        text is built and no radius is too deep.  Below an off-ray
+        vertex that the family calls ``uniform_below``, the label counts
+        go by depth alone, so the walk copies that subtree's table
+        (``_uniform_table``) in one step instead of walking it.
+
+        Raises ``TableTooLarge`` before the table would pass
+        ``TABLE_BUDGET`` entries.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        branches, suffixes, ups, downs = [], [], [], []
+        size = radius + 1                   # entries numbered or promised
+        if size > TABLE_BUDGET:
+            raise TableTooLarge(radius)
+        labels, downs, ups = [], [], []
         ray = [0] * (radius + 1)            # the rank of each ray vertex
-        text_orders = {}                    # label count -> labels, reversed
+        walked = {}     # rank -> the ranks of its up moves, once known
+        text_orders = {}
+        shape = rows = None     # the last uniform table and its radices
+        family, count = self.family, self.label_count
         for b in sorted(range(radius + 1), key=lambda b: f"{b};"):
-            ray[b] = len(branches)
-            stack = [(None, 0, ())]     # (parent rank, index in its ups, suffix)
+            ray[b] = len(labels)
+            stack = [(-1, 0, -1, ())]   # (parent rank, its move, label, suffix)
             while stack:
-                parent, k, s = stack.pop()
-                rank = len(branches)
-                if parent is not None:
-                    ups[parent][k] = rank
-                branches.append(b)
-                suffixes.append(s)
-                if b + len(s) == radius:
-                    ups.append(None)
-                    downs.append(None)
+                parent, move, label, s = stack.pop()
+                rank = len(labels)
+                if parent >= 0:
+                    walked[parent][move] = rank
+                depth = b + len(s)
+                if depth < radius and s and family.uniform_below(b, len(s)):
+                    word = list(s)
+                    radices = []
+                    for _ in range(radius - depth):
+                        radices.append(count(b, word))
+                        word.append(0)
+                    entries = 1
+                    for n in reversed(radices):
+                        entries = 1 + n * entries
+                    size += entries - 1
+                    if size > TABLE_BUDGET:
+                        raise TableTooLarge(radius)
+                    if radices != shape:
+                        rows = None     # drop the last table before the next
+                        shape, rows = radices, _uniform_table(radices, text_orders)
+                    labels += rows[0]
+                    downs += rows[1]
+                    ups += rows[2]
+                    labels[rank], downs[rank] = label, parent - rank
                     continue
-                downs.append(parent)
-                moves = self.up_moves(b, s)
-                ups.append([None] * len(moves))
-                first = 1 if b and not s else 0   # the ray move comes first
-                n = len(moves) - first
-                if n not in text_orders:
-                    text_orders[n] = sorted(range(n), key=str, reverse=True)
-                stack.extend((rank, first + j, moves[first + j][1])
-                             for j in text_orders[n])
+                labels.append(label)
+                downs.append(parent - rank if parent >= 0 else 0)
+                if depth == radius:
+                    ups.append(())
+                    continue
+                n = count(b, s)
+                size += n
+                if size > TABLE_BUDGET:
+                    raise TableTooLarge(radius)
+                # the ray move comes first; a ray vertex's is filled below
+                first = 1 if b and not s else 0
+                walked[rank] = [0] * (first + n)
+                ups.append(())
+                stack.extend((rank, first + j, j, s + (j,))
+                             for j in reversed(_text_order(n, text_orders)[0]))
         # a ray vertex below the radius moves along the ray: down to the
         # next ray vertex, and up to the one before it past the origin
         for b in range(radius):
-            downs[ray[b]] = ray[b + 1]
+            downs[ray[b]] = ray[b + 1] - ray[b]
             if b:
-                ups[ray[b]][0] = ray[b - 1]
-        return RankedBall(branches, suffixes, ups, downs)
+                walked[ray[b]][0] = ray[b - 1]
+        for rank, moves in walked.items():
+            ups[rank] = tuple(u - rank for u in moves)
+        return RankedBall(labels, downs, ups, ray)
 
     # -- validation ----------------------------------------------------------
 

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,13 +96,15 @@ def _dl34() -> HoroProduct:
     return HoroProduct(TreeSpec.regular(3), TreeSpec.regular(4))
 
 
-def _neighbour_table(n: int, edges: list[int]) -> np.ndarray:
-    """The graph on n vertices whose edges are the flat list of positions
-    a0, b0, a1, b1, ... as an int32 matrix, row v holding v's neighbours
-    padded with n.  Both directions of every edge are sorted stably by
-    tail, and one scatter fills the table: entry k of that order lands
-    in its tail's row at column k minus the offset of the row."""
-    tails, heads = np.array(edges, dtype=np.int32).reshape(-1, 2).T
+def _neighbour_table(n: int, edges: Sequence[int]) -> np.ndarray:
+    """The graph on n vertices whose edges are the flat ``array('q')`` of
+    positions a0, b0, a1, b1, ... as an int32 matrix, row v holding v's
+    neighbours padded with n.  Both directions of every edge are sorted
+    stably by tail, and one scatter fills the table: entry k of that
+    order lands in its tail's row at column k minus the offset of the
+    row."""
+    pairs = np.frombuffer(edges, dtype=np.int64).astype(np.int32)
+    tails, heads = pairs.reshape(-1, 2).T
     tails, heads = np.concatenate((tails, heads)), np.concatenate((heads, tails))
     order = np.argsort(tails, kind="stable")
     tails, heads = tails[order], heads[order]
@@ -113,7 +115,7 @@ def _neighbour_table(n: int, edges: list[int]) -> np.ndarray:
     return table
 
 
-def _bitset_distances(n: int, edges: list[int],
+def _bitset_distances(n: int, edges: Sequence[int],
                       sources: int) -> tuple[np.ndarray, int]:
     """Graph distances among the first ``sources`` of n vertices joined by
     ``edges`` (flat, as ``ball_graph`` lists them), by one
@@ -186,18 +188,18 @@ def _all_pairs_bfs_check(product: HoroProduct, radius: int) -> dict:
     Any geodesic between two radius-R vertices stays inside the 2R
     ball (its points are within R of one endpoint), so a sweep over the
     induced 2R subgraph is exact.  The subgraph comes from the edge
-    relation alone, as keys and a flat list of edges; its key list
+    relation alone, as keys and a flat array of edges; its key list
     begins with the R ball, in the same order, so the sources are its
-    first |ball(R)| vertices, and only they become ProductVertex
-    objects.  All sources are swept at once, bit-parallel
+    first |ball(R)| vertices, the only keys built, and only they become
+    ProductVertex objects.  All sources are swept at once, bit-parallel
     (``_bitset_distances``); then the whole distance matrix is compared
     with the closed form's (``_dist_matrix``), and the first
     disagreement in source-major order is the witness.
     """
     keys, edges = product.ball_graph(2 * radius)
     targets = product.ball(radius)
-    assert keys[:len(targets)] == list(map(product_key, targets)), (
-        "the 2R ball must list the R ball first")
+    if keys[:len(targets)] != list(map(product_key, targets)):
+        raise AssertionError("the 2R ball must list the R ball first")
     counters = {"graph_vertices": len(keys)}
     dist, counters["bfs_levels"] = _bitset_distances(len(keys), edges,
                                                      len(targets))

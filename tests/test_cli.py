@@ -287,6 +287,23 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["tree1"]["ok"] is True
 
 
+def test_ball_past_the_table_budget_exits_2(tmp_path):
+    # a degree of 10**30 passes validate; the ball's tree table refuses
+    # it before it enumerates a single label
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "tree1": {"family": "regular", "degree": 10**30, "min_degree": 3},
+        "tree2": DL33["tree2"]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "horoprod", "ball", "--spec", str(path),
+         "--radius", "1"],
+        env=ENV, capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: the tree's radius-1 ball has more than"
+                           " 16777216 vertices\n")
+
+
 def test_geometry_commands_load_no_numpy(tmp_path):
     # only walk and verify compute in numpy, so the CLI and a dist
     # command leave it unloaded and skip its import time

@@ -1,6 +1,7 @@
 """Product vertices, adjacency, the closed-form metric and its oracle."""
 
 import ast
+import hashlib
 from bisect import bisect
 from pathlib import Path
 
@@ -229,7 +230,8 @@ def _ball_graph_rows(product, radius):
     neighbours of vertex i that lie in the ball."""
     keys, edges = product.ball_graph(radius)
     verts = product.ball(radius)
-    assert keys == list(map(product_key, verts))
+    assert len(keys) == len(verts)
+    assert list(keys) == list(map(product_key, verts))
     pairs = list(zip(edges[::2], edges[1::2]))
     assert 2 * len(pairs) == len(edges) and len(set(pairs)) == len(pairs)
     # position i lies in layer bisect(ends, i)
@@ -253,6 +255,23 @@ def test_ball_graph_is_the_edge_relation():
     inner = len(DL33.ball(2))
     assert {len(row) for row in rows[:inner]} == {4}
     assert all(len(row) < 4 for row in rows[inner:])
+
+
+@pytest.mark.parametrize("product,radius,edges_sha,keys_sha", [
+    (DL33, 10, "8ddbd9f8979fbc670ceb367915c39bb225100d5535ae66300cd67fc1317d2f42",
+     "b37db5b3d24e17d60eb57152a1bc167797cb674a87d0abaadf4dd6df4df911fc"),
+    (DL34, 8, "7a83e8587094f32d70a483d2e5e5bf5bd7ccb592628797c7b470e5d1de060ee9",
+     "468befab981d8e2225b5a8fbee1cef07724bc39ce9d3cac418ea262d1746bb8c"),
+    (MIXED, 8, "3100621253c69acc21d2e737576c8ff7f1c118d4991b0a3b08b32402e03fdf33",
+     "491acc57ea1dd698c28747964d0ae7fd70fa1d32e3193fd044fdd97821cfcce1"),
+], ids=["dl33-10", "dl34-8", "mixed-8"])
+def test_ball_graph_is_pinned(product, radius, edges_sha, keys_sha):
+    # the exact edge list, in its order, and the keys, beyond the rows
+    # up to order that _ball_graph_rows checks
+    keys, edges = product.ball_graph(radius)
+    text = ",".join(map(str, edges))
+    assert hashlib.sha256(text.encode()).hexdigest() == edges_sha
+    assert hashlib.sha256(repr(list(keys)).encode()).hexdigest() == keys_sha
 
 
 def _tree_level_neighbors(product, v):

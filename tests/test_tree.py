@@ -4,10 +4,13 @@ import json
 import time
 import tracemalloc
 from collections import deque
+from itertools import starmap
 
 import pytest
 from hypothesis import given, strategies as st
 
+from horoprod import tree
+from horoprod.product import HoroProduct
 from horoprod.tree import (
     AddressError,
     CustomRule,
@@ -18,6 +21,7 @@ from horoprod.tree import (
     RayPeriodic,
     Regular,
     SpecError,
+    TableTooLarge,
     TreeSpec,
     VertexAddress,
     busemann,
@@ -371,17 +375,19 @@ def test_custom_rule_not_serializable():
 
 def _text_ranked_ball(spec, radius):
     """The reference table: ``ball`` sorted by address text, with each
-    coordinate's ``up_moves`` and ``down_move`` read through that order,
-    and None exactly at the radius."""
+    coordinate's ``up_moves`` and ``down_move`` read through that order
+    as offsets from its own rank, the moves empty exactly at the radius
+    and the down 0 where it leaves the ball."""
     order = sorted(spec.ball(radius), key=str)
     rank = {(a.branch, a.suffix): r for r, a in enumerate(order)}
     inner = [origin_dist(a) < radius for a in order]
     return RankedBall(
-        [a.branch for a in order], [a.suffix for a in order],
-        [[rank[m] for m in spec.up_moves(a.branch, a.suffix)] if i else None
-         for a, i in zip(order, inner)],
-        [rank[down_move(a.branch, a.suffix)] if i else None
-         for a, i in zip(order, inner)])
+        [a.suffix[-1] if a.suffix else -1 for a in order],
+        [rank.get(down_move(a.branch, a.suffix), r) - r
+         for r, a in enumerate(order)],
+        [tuple(rank[m] - r for m in spec.up_moves(a.branch, a.suffix))
+         if i else () for r, (a, i) in enumerate(zip(order, inner))],
+        [rank[(b, ())] for b in range(radius + 1)])
 
 
 RANKED = {
@@ -401,7 +407,13 @@ RANKED = {
 @pytest.mark.parametrize("label", RANKED)
 def test_ranked_ball_matches_text_sorted_reference(label):
     spec, radius = RANKED[label]
-    assert spec.ranked_ball(radius) == _text_ranked_ball(spec, radius)
+    table = spec.ranked_ball(radius)
+    assert table == _text_ranked_ball(spec, radius)
+    # every address reads back, one at a time and all at once
+    addresses = table.addresses()
+    assert [table.address(r) for r in range(len(addresses))] == addresses
+    assert (list(starmap(VertexAddress, addresses))
+            == sorted(spec.ball(radius), key=str))
 
 
 def test_ranked_ball_peak_is_its_table():
@@ -413,5 +425,42 @@ def test_ranked_ball_peak_is_its_table():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(table.branches) == 39_365
+    assert len(table.labels) == 39_365
     assert peak <= 1.2 * kept, (peak, kept)
+
+
+def test_ball_graph_peak_per_vertex():
+    # tables, codes and edges are flat ints, keys are built when read, and
+    # only the newest layer's positions are held: 157 B a vertex here
+    # against 371 B with per-vertex suffixes, keys and a whole-ball dict
+    dl34 = HoroProduct(R3, R4)
+    tracemalloc.start()
+    try:
+        keys, edges = dl34.ball_graph(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 16_226
+    assert peak / len(keys) <= 200, peak / len(keys)
+
+
+@pytest.mark.parametrize("label", ["regular4", "core", "custom", "line"])
+def test_table_budget_refuses_one_past_the_table(monkeypatch, label):
+    # the budget counts every entry before it is numbered, on the copied
+    # uniform subtrees (regular4), the walked ones (custom) and both
+    spec, radius = {
+        "regular4": (R4, 5),
+        "core": (TreeSpec.explicit_core_of(R3, 2, 3), 4),
+        "custom": (TreeSpec(CustomRule(lambda b, s: 3 + (b + len(s)) % 3)), 4),
+        "line": (LINE, 30),
+    }[label]
+    size = len(spec.ranked_ball(radius).labels)
+    monkeypatch.setattr(tree, "TABLE_BUDGET", size)
+    assert len(spec.ranked_ball(radius).labels) == size
+    monkeypatch.setattr(tree, "TABLE_BUDGET", size - 1)
+    with pytest.raises(TableTooLarge):
+        spec.ranked_ball(radius)
+    # the ray alone is radius + 1 entries
+    monkeypatch.setattr(tree, "TABLE_BUDGET", radius)
+    with pytest.raises(TableTooLarge):
+        spec.ranked_ball(radius)

@@ -1,5 +1,8 @@
 """Failing suites carry a witness that names what failed."""
 
+import subprocess
+import sys
+
 import pytest
 
 from horoprod import verify
@@ -9,6 +12,7 @@ from horoprod.product import BASE, ProductVertex, busemann_rows, product_buseman
 from horoprod.rays import GAMMA, BranchingRay, GammaEnd
 from horoprod.tree import VertexAddress, busemann, tree_dist
 from horoprod.walk import drift_report
+from test_scripts import ENV
 
 ELSEWHERE = ProductVertex(VertexAddress(0, (0,)), VertexAddress(1, ()))
 
@@ -257,3 +261,20 @@ def test_failure_payload_names_first_witness(monkeypatch, case):
     payload = suite(**kwargs).payload()
     del payload["seconds"]
     assert payload == FAILING_PAYLOADS[case]
+
+
+def test_oracle_order_check_survives_optimize():
+    # the 2R graph must list the R ball first; with B(R) reordered the
+    # suite raises, also under python -O, which strips assert statements
+    code = (
+        "from horoprod import verify\n"
+        "from horoprod.product import HoroProduct\n"
+        "ball = HoroProduct.ball\n"
+        "HoroProduct.ball = lambda self, r: ball(self, r)[::-1]\n"
+        "try:\n"
+        "    verify.metric_oracle_suite(2)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "the 2R ball must list the R ball first\n", proc.stderr
